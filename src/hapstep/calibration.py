@@ -9,12 +9,11 @@ minimum drive level is chosen to keep the stimulus perceivable
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import AnalysisError, ConfigError, UnderdeterminedFitError
 from .profiles import FrictionProfile
 
@@ -53,9 +52,7 @@ class StepResponseMetrics:
     rise_10_90_s: float    # conventional 10-90% rise time
 
     def as_dict(self) -> dict:
-        return {"rise_s": self.rise_s, "fall_s": self.fall_s,
-                "transition_s": self.transition_s,
-                "rise_10_90_s": self.rise_10_90_s}
+        return asdict(self)
 
 
 def fit_calibration(points, direction: str,
@@ -214,12 +211,6 @@ def _fall_first_stop(mag: np.ndarray, start: int, stop: int, dt: float,
     return (stop - start) * dt
 
 
-def curve_to_dict(curve: CalibrationCurve) -> dict:
-    return {"direction": curve.direction, "slope": curve.slope,
-            "intercept": curve.intercept, "r_squared": curve.r_squared,
-            "min_duty": curve.min_duty}
-
-
 def curve_from_dict(data: dict) -> CalibrationCurve:
     try:
         return CalibrationCurve(direction=data["direction"],
@@ -232,18 +223,8 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
 
 
 def save_curve(curve: CalibrationCurve, dest) -> None:
-    text = json.dumps(curve_to_dict(curve), indent=2, sort_keys=True) + "\n"
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    textio.write_json(dest, asdict(curve))
 
 
 def load_curve(source) -> CalibrationCurve:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(source)
-    return curve_from_dict(data)
+    return curve_from_dict(textio.read_json(source))

@@ -12,16 +12,15 @@ degenerate, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import socket
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from . import calibration, plant, profiles, renderer, scores, segmentation, trace
+from . import calibration, plant, profiles, renderer, scores, segmentation, textio, trace
 from .errors import (
     ConfigError,
-    FormatError,
     HapstepError,
     IOFailureError,
     PipelineError,
@@ -78,12 +77,6 @@ def _seg_config(args) -> segmentation.SegmentationConfig:
     )
 
 
-def _write_json(data, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_ingest(args) -> int:
     tr = trace.load_trace(args.trace)
     trace.write_trace(tr, args.out)
@@ -98,24 +91,30 @@ def cmd_segment(args) -> int:
     segs = segmentation.segment_steps(tr, _seg_config(args))
     data = [{"index_in_walk": s.index_in_walk, "start_s": s.start_s,
              "duration_s": s.trace.duration_s} for s in segs]
-    _write_json(data, args.out)
+    textio.write_json(args.out, data)
     print(f"{len(segs)} steps -> {args.out}")
     return 0
 
 
-def cmd_phases(args) -> int:
-    tr = trace.load_trace(args.trace)
-    cfg = _seg_config(args)
-    segs = segmentation.segment_steps(tr, cfg)
-    annotated = []
+def _phased_steps(segs, cfg):
+    """(segment, phases) of each step with a brake/drive pattern; the
+    other steps are reported on stderr and skipped."""
     for s in segs:
         try:
             ph = segmentation.detect_phases(s, cfg)
         except PipelineError as exc:
             print(f"step {s.index_in_walk} rejected: {exc}", file=sys.stderr)
             continue
-        annotated.append(ph.as_dict(step_index=s.index_in_walk))
-    _write_json(annotated, args.out)
+        yield s, ph
+
+
+def cmd_phases(args) -> int:
+    tr = trace.load_trace(args.trace)
+    cfg = _seg_config(args)
+    segs = segmentation.segment_steps(tr, cfg)
+    annotated = [ph.as_dict(step_index=s.index_in_walk)
+                 for s, ph in _phased_steps(segs, cfg)]
+    textio.write_json(args.out, annotated)
     print(f"{len(annotated)}/{len(segs)} steps annotated -> {args.out}")
     return 0
 
@@ -124,14 +123,7 @@ def _trace_to_profiles(tr, cfg, first, last):
     """Steady-window per-step friction profiles of one walk."""
     segs = segmentation.select_middle(
         segmentation.segment_steps(tr, cfg), first, last)
-    out = []
-    for s in segs:
-        try:
-            ph = segmentation.detect_phases(s, cfg)
-        except PipelineError as exc:
-            print(f"step {s.index_in_walk} rejected: {exc}", file=sys.stderr)
-            continue
-        out.append(segmentation.combine_channels(s, ph))
+    out = [segmentation.combine_channels(s, ph) for s, ph in _phased_steps(segs, cfg)]
     if not out:
         raise PipelineError("no usable steps in trace")
     return out
@@ -169,23 +161,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    points = []
-    with open(args.points, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "duty,peak_force":
-            raise FormatError("calibration CSV must have header duty,peak_force")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 2 fields")
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-    curve = calibration.fit_calibration(points, args.direction,
+    duty, force = textio.read_columns(args.points, ("duty", "peak_force"), 0)
+    curve = calibration.fit_calibration(zip(duty, force), args.direction,
                                         min_duty=resolve(args, "min_duty"))
     calibration.save_curve(curve, args.out)
     print(f"{args.direction}: slope={curve.slope:.4f} N/duty "
@@ -194,84 +171,58 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _read_timed_csv(path: str, value_column: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or value_column not in header:
-            raise FormatError(f"{path}: expected columns t,{value_column}")
-        col = header.index(value_column)
-        t, v = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                t.append(float(parts[0]))
-                v.append(float(parts[col]))
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if len(t) < 2:
-        raise FormatError(f"{path}: need at least 2 rows")
-    return np.asarray(t), np.asarray(v)
-
-
 def cmd_step_response(args) -> int:
-    t_c, duty = _read_timed_csv(args.commanded, "signed_duty")
-    t_m, force = _read_timed_csv(args.measured, "force")
+    t_c, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
+    t_m, force = textio.read_columns(args.measured, ("t", "force"), 2)
     rate = 1.0 / float(np.median(np.diff(t_m)))
     measured = profiles.FrictionProfile(sample_rate_hz=rate, values=force)
     metrics = calibration.analyze_step_response(list(zip(t_c, duty)), measured)
-    _write_json(metrics.as_dict(), args.out)
+    textio.write_json(args.out, metrics.as_dict())
     print(f"rise={metrics.rise_s:.4f}s (10-90% {metrics.rise_10_90_s:.4f}s) "
           f"fall={metrics.fall_s:.4f}s transition={metrics.transition_s:.4f}s "
           f"-> {args.out}")
     return 0
 
 
-def _event_source(args):
-    if args.listen is not None:
-        server = socket.create_server(("127.0.0.1", args.listen))
+@contextmanager
+def _event_lines(args):
+    """NDJSON lines from one TCP connection, stdin or a file; closes
+    whatever it opened."""
+    if args.listen is None:
+        with textio.opened(sys.stdin if args.events == "-" else args.events, "r") as fh:
+            yield fh
+        return
+    with socket.create_server(("127.0.0.1", args.listen)) as server:
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
         conn, _ = server.accept()
-        fh = conn.makefile("r", encoding="utf-8")
-        return renderer.events_from_ndjson(fh)
-    if args.events == "-":
-        return renderer.events_from_ndjson(sys.stdin)
-    return renderer.events_from_ndjson(open(args.events, "r", encoding="utf-8"))
+        with conn, conn.makefile("r", encoding="utf-8") as fh:
+            yield fh
 
 
-def _load_rendering_inputs(args):
-    table = profiles.load_table(args.table)
+def _load_curves(args):
     fwd = calibration.load_curve(args.calib_forward)
     bwd = calibration.load_curve(args.calib_backward)
     if fwd.direction != "forward" or bwd.direction != "backward":
         raise ConfigError("calibration files have the wrong directions")
-    return table, fwd, bwd
+    return fwd, bwd
 
 
 def cmd_render(args) -> int:
-    table, fwd, bwd = _load_rendering_inputs(args)
-    rend = renderer.Renderer(table, fwd, bwd)
-    events = _event_source(args)
-    n = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("t,signed_duty\n")
-        for cmd in renderer.command_stream(rend, events, args.duration):
-            fh.write(f"{cmd.t!r},{cmd.signed_duty!r}\n")
-            n += 1
+    fwd, bwd = _load_curves(args)
+    rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
+    with _event_lines(args) as lines:
+        stream = renderer.command_stream(rend, renderer.events_from_ndjson(lines),
+                                         args.duration)
+        n = textio.write_rows(args.out, renderer.ActuatorCommand._fields, stream)
     print(f"{n} ticks -> {args.out}")
     return 0
 
 
 def cmd_vibstep(args) -> int:
-    t, duty = _read_timed_csv(args.commands, "signed_duty")
+    t, duty = textio.read_columns(args.commands, ("t", "signed_duty"), 2)
     rate = 1.0 / float(np.median(np.diff(t)))
     cmds = renderer.to_vibstep(duty, tick_rate_hz=rate, t0=float(t[0]))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("t,heel_duty,thenar_duty\n")
-        for c in cmds:
-            fh.write(f"{c.t!r},{c.heel_duty!r},{c.thenar_duty!r}\n")
+    textio.write_rows(args.out, renderer.VibstepCommand._fields, cmds)
     print(f"{len(cmds)} ticks -> {args.out}")
     return 0
 
@@ -283,28 +234,25 @@ def _default_curves(min_duty):
 
 
 def cmd_simulate(args) -> int:
-    min_duty = resolve(args, "min_duty")
+    if bool(args.events) != bool(args.table):
+        raise ConfigError("closed-loop simulation needs both --events and --table")
     if args.calib_forward and args.calib_backward:
-        fwd = calibration.load_curve(args.calib_forward)
-        bwd = calibration.load_curve(args.calib_backward)
+        fwd, bwd = _load_curves(args)
     else:
-        fwd, bwd = _default_curves(min_duty)
+        fwd, bwd = _default_curves(resolve(args, "min_duty"))
     model = plant.PlateModel(forward_curve=fwd, backward_curve=bwd,
                              tau_s=resolve(args, "tau_s"),
                              max_force=resolve(args, "max_force"))
-    if args.events and args.table:
-        table = profiles.load_table(args.table)
-        events = list(renderer.events_from_ndjson(
-            open(args.events, "r", encoding="utf-8")))
-        run = plant.run_closed_loop(table, fwd, bwd, events, model)
-    elif args.events or args.table:
-        raise ConfigError("closed-loop simulation needs both --events and --table")
+    if args.events:
+        with textio.opened(args.events, "r") as fh:
+            run = plant.run_closed_loop(profiles.load_table(args.table), fwd, bwd,
+                                        renderer.events_from_ndjson(fh), model)
     else:
         run = plant.simulate_step_response(model)
     if args.out_log:
         plant.save_sim_run(run, args.out_log, args.out)
     else:
-        _write_json(run.metrics, args.out)
+        textio.write_json(args.out, run.metrics)
     summary = " ".join(f"{k}={v:.4g}" for k, v in sorted(run.metrics.items()))
     print(f"{summary} -> {args.out}")
     return 0

@@ -10,19 +10,17 @@ skin elasticity; modeled as an instantaneous return toward zero force.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import (
-    CalibrationCurve,
-    StepResponseMetrics,
-    analyze_step_response,
-)
+from . import textio
+from .calibration import CalibrationCurve, analyze_step_response, duty_to_force
 from .errors import ConfigError
-from .profiles import FrictionProfile, SpeedProfileTable, interpolate
+# interpolate is no longer called here; it stays importable because the
+# per-layer benchmark (benchmarks/spans.py) wraps it at this attribute
+from .profiles import FrictionProfile, SpeedProfileTable, interpolate  # noqa: F401
 from .renderer import Renderer, command_stream
 
 DEFAULT_TAU_S = 0.05
@@ -44,9 +42,6 @@ class PlateModel:
         if self.max_force <= 0:
             raise ConfigError("max_force must be positive")
 
-    def reset(self):
-        self.state_force = 0.0
-
     def fresh(self) -> "PlateModel":
         return replace(self, state_force=0.0)
 
@@ -67,7 +62,7 @@ def step_plate(model: PlateModel, signed_duty: float, dt: float) -> float:
     else:
         curve = model.backward_curve
     if mag >= curve.min_duty and mag > 0:
-        target = math.copysign(curve.slope * mag + curve.intercept, signed_duty)
+        target = math.copysign(duty_to_force(curve, mag), signed_duty)
     else:
         target = 0.0
     model.state_force += (target - model.state_force) * (1.0 - math.exp(-dt / model.tau_s))
@@ -129,25 +124,23 @@ def run_closed_loop(table: SpeedProfileTable,
       net_impulse - worst per-step signed impulse, as a fraction of
         that step's compiled region impulse;
       rise_s / rise_10_90_s - from a companion bench-style step
-        response of the same plant settings.
+        response of the same plant settings;
+      n_steps - envelopes in the renderer's schedule.
+
+    Each scheduled envelope is scored over its ticks up to the next
+    one's start, the last up to the end of the run, ``tail_s`` after
+    the latest envelope end.  Events must be time-ordered (ClockError).
     """
-    events = sorted(events, key=lambda e: e.t)
     model = model.fresh()
     dt = 1.0 / tick_rate_hz
     if tail_s is None:
         tail_s = 10.0 * model.tau_s
 
     renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    duration = 0.0
-    starts = []
-    for e in events:
-        start = (math.floor(e.t * tick_rate_hz) + 1) / tick_rate_hz
-        profile = interpolate(table, e.speed_kmh)
-        starts.append((start, profile))
-        duration = max(duration, start + profile.duration_s)
-    duration += tail_s
-
-    commands = list(command_stream(renderer, events, duration_s=duration))
+    commands = list(command_stream(renderer, events))
+    stop_t = renderer.end_t + tail_s
+    while len(commands) / tick_rate_hz < stop_t:
+        commands.append(renderer.tick(len(commands) / tick_rate_hz))
     duty = np.array([c.signed_duty for c in commands])
     t = np.array([c.t for c in commands])
     force = np.empty_like(duty)
@@ -156,10 +149,10 @@ def run_closed_loop(table: SpeedProfileTable,
 
     worst_region = 0.0
     worst_net = 0.0
-    for k, (start, profile) in enumerate(starts):
-        stop_t = starts[k + 1][0] if k + 1 < len(starts) else duration
-        sel = (t >= start) & (t < stop_t)
-        f = force[sel]
+    schedule = renderer.schedule
+    for k, (start, profile) in enumerate(schedule):
+        stop = schedule[k + 1].start_tick if k + 1 < len(schedule) else len(force)
+        f = force[start:stop]
         achieved_b = float(np.sum(np.clip(-f, 0.0, None)) * dt)
         achieved_f = float(np.sum(np.clip(f, 0.0, None)) * dt)
         expected_b = abs(profile.brake.area)
@@ -178,18 +171,13 @@ def run_closed_loop(table: SpeedProfileTable,
         "net_impulse": worst_net,
         "rise_s": bench.metrics["rise_s"],
         "rise_10_90_s": bench.metrics["rise_10_90_s"],
-        "n_steps": len(starts),
+        "n_steps": len(schedule),
     }
     return SimRun(t=t, command=duty, force=force, metrics=metrics)
 
 
 def save_sim_run(run: SimRun, log_path, metrics_path) -> None:
     """Persist per-tick logs as CSV and the metrics block as JSON."""
-    lines = ["t,signed_duty,force"]
-    for i in range(len(run.t)):
-        lines.append(f"{float(run.t[i])!r},{float(run.command[i])!r},{float(run.force[i])!r}")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(run.metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    textio.write_rows(log_path, ("t", "signed_duty", "force"),
+                      textio.float_rows(run.t, run.command, run.force))
+    textio.write_json(metrics_path, run.metrics)

@@ -10,13 +10,12 @@ interpolate the resulting table across walking speeds.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import textio
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -150,10 +149,6 @@ class SpeedProfileTable:
             raise ConfigError("entry speeds must be strictly increasing")
         if not 0 < self.device_scale <= 1:
             raise ConfigError("device_scale must be in (0, 1]")
-
-    @property
-    def speeds(self) -> list[float]:
-        return [e.speed_kmh for e in self.entries]
 
 
 def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
@@ -358,26 +353,6 @@ def interpolate(table: SpeedProfileTable, speed_kmh: float) -> TriangularProfile
     return entries[-1]
 
 
-def _triangle_to_dict(t: Triangle) -> dict:
-    return {"t_onset": t.t_onset, "t_peak": t.t_peak,
-            "t_offset": t.t_offset, "f_peak": t.f_peak}
-
-
-def table_to_dict(table: SpeedProfileTable) -> dict:
-    return {
-        "device_scale": table.device_scale,
-        "entries": [
-            {
-                "speed_kmh": e.speed_kmh,
-                "duration_s": e.duration_s,
-                "brake": _triangle_to_dict(e.brake),
-                "drive": _triangle_to_dict(e.drive),
-            }
-            for e in table.entries
-        ],
-    }
-
-
 def table_from_dict(data: dict) -> SpeedProfileTable:
     try:
         entries = tuple(
@@ -395,18 +370,8 @@ def table_from_dict(data: dict) -> SpeedProfileTable:
 
 
 def save_table(table: SpeedProfileTable, dest) -> None:
-    text = json.dumps(table_to_dict(table), indent=2, sort_keys=True) + "\n"
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    textio.write_json(dest, asdict(table))
 
 
 def load_table(source) -> SpeedProfileTable:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(source)
-    return table_from_dict(data)
+    return table_from_dict(textio.read_json(source))

@@ -6,7 +6,8 @@ duty through the per-direction calibration curves.  Negative duty
 drives the backward-towing motor (brake phase), positive the forward
 motor, and the brake phase always precedes the drive phase within an
 envelope.  A new event preempts and replaces any active envelope at the
-next tick boundary.
+next tick boundary; the renderer's schedule records which envelope plays
+from which tick.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,25 +44,39 @@ class GaitEvent:
             raise FormatError(f"foot must be one of {_FEET}, got {self.foot!r}")
         if self.kind != "grounded":
             raise FormatError(f"unsupported event kind {self.kind!r}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise FormatError("t must be finite and >= 0")
         if not (math.isfinite(self.speed_kmh) and self.speed_kmh >= 0):
             raise FormatError("speed_kmh must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class ActuatorCommand(NamedTuple):
     t: float
     signed_duty: float
 
 
-@dataclass(frozen=True)
-class VibstepCommand:
+class VibstepCommand(NamedTuple):
     t: float
     heel_duty: float
     thenar_duty: float
 
 
+class ScheduledEnvelope(NamedTuple):
+    """One rendered envelope: its first tick index and its profile."""
+
+    start_tick: int
+    profile: TriangularProfile
+
+
 class Renderer:
-    """Single-envelope scheduler; one ticking context owns an instance."""
+    """Single-envelope scheduler; one ticking context owns an instance.
+
+    ``schedule`` lists the envelopes that render, in start order: each
+    starts at the first tick after its event and plays until it ends
+    or the next one starts.  A newer event replaces an envelope that
+    has not started yet.  ``end_t`` is the latest end time of any
+    envelope scheduled so far, 0 when idle.
+    """
 
     def __init__(self, table: SpeedProfileTable,
                  forward_curve: CalibrationCurve,
@@ -72,51 +88,55 @@ class Renderer:
         self.forward_curve = forward_curve
         self.backward_curve = backward_curve
         self.tick_rate_hz = tick_rate_hz
-        self._active: tuple[TriangularProfile, float] | None = None
-        self._next: tuple[TriangularProfile, float] | None = None
-        self._last_tick_t: float | None = None
-
-    def envelope_end_t(self) -> float:
-        """End time of the latest scheduled envelope, 0 when idle."""
-        end = 0.0
-        for slot in (self._active, self._next):
-            if slot is not None:
-                end = max(end, slot[1] + slot[0].duration_s)
-        return end
+        self.schedule: list[ScheduledEnvelope] = []
+        self.end_t = 0.0
+        # start time of the last schedule entry until it starts, then inf
+        self._next_start_t = math.inf
+        # (profile, start_t, stop_t) of the envelope playing now
+        self._active: tuple[TriangularProfile | None, float, float] = (None, math.inf, math.inf)
+        self._last_tick_t = -math.inf
+        self._last_event_t = -math.inf
 
     def on_event(self, event: GaitEvent) -> None:
         """Schedule the envelope for this footfall from the next tick on.
 
-        Replaces any active envelope; both feet drive the same 1-DOF
-        plate, so foot identity does not alter the output.
+        Both feet drive the same 1-DOF plate, so foot identity does not
+        alter the output.
         """
-        if self._last_tick_t is not None and event.t < self._last_tick_t:
-            raise ClockError(f"event at t={event.t} is before the last tick")
+        if event.t < max(self._last_tick_t, self._last_event_t):
+            raise ClockError(f"event at t={event.t} is before the last event or tick")
+        self._last_event_t = event.t
         profile = interpolate(self.table, event.speed_kmh)
-        start_idx = math.floor(event.t * self.tick_rate_hz) + 1
-        self._next = (profile, start_idx / self.tick_rate_hz)
+        entry = ScheduledEnvelope(math.floor(event.t * self.tick_rate_hz) + 1, profile)
+        if self._next_start_t == math.inf:
+            self.schedule.append(entry)
+        else:
+            self.schedule[-1] = entry
+        self._next_start_t = entry.start_tick / self.tick_rate_hz
+        self.end_t = max(self.end_t, self._next_start_t + profile.duration_s)
 
     def tick(self, t: float) -> ActuatorCommand:
         """Emit the signed duty for tick time ``t`` (monotone, 1 ms grid)."""
-        if self._last_tick_t is not None and t <= self._last_tick_t:
+        if t <= self._last_tick_t:
             raise ClockError(f"tick time went backwards: {t} after {self._last_tick_t}")
         self._last_tick_t = t
-        if self._next is not None and t >= self._next[1]:
-            self._active = self._next
-            self._next = None
+        if t >= self._next_start_t:
+            profile = self.schedule[-1].profile
+            self._active = (profile, self._next_start_t,
+                            self._next_start_t + profile.duration_s)
+            self._next_start_t = math.inf
 
         force = 0.0
-        if self._active is not None:
-            profile, start_t = self._active
-            if start_t <= t < start_t + profile.duration_s:
-                force = float(profile.force_at(t - start_t))
+        profile, start_t, stop_t = self._active
+        if start_t <= t < stop_t:
+            force = float(profile.force_at(t - start_t))
         if force < 0:
             duty = -force_to_duty(self.backward_curve, -force)
         elif force > 0:
             duty = force_to_duty(self.forward_curve, force)
         else:
             duty = 0.0
-        return ActuatorCommand(t=t, signed_duty=duty)
+        return ActuatorCommand(t, duty)
 
 
 def command_stream(renderer: Renderer, events, duration_s: float | None = None):
@@ -130,23 +150,17 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
     """
     events = iter(events)
     pending = next(events, None)
-    last_t = -math.inf
     rate = renderer.tick_rate_hz
-    end_t = 0.0
     i = 0
     while True:
         t = i / rate
         while pending is not None and pending.t <= t:
-            if pending.t < last_t:
-                raise ClockError("events must be time-ordered")
-            last_t = pending.t
             renderer.on_event(pending)
-            end_t = max(end_t, renderer.envelope_end_t())
             pending = next(events, None)
         if duration_s is not None:
             if t >= duration_s:
                 return
-        elif pending is None and t >= end_t:
+        elif pending is None and t >= renderer.end_t:
             return
         yield renderer.tick(t)
         i += 1
@@ -197,8 +211,7 @@ def to_vibstep(duties: np.ndarray, tick_rate_hz: int = TICK_RATE_HZ,
     for start, stop in _sign_runs(duties, positive=True):
         thenar[start:stop] = float(np.max(duties[start:stop]))
     return [
-        VibstepCommand(t=t0 + i / tick_rate_hz,
-                       heel_duty=float(heel[i]), thenar_duty=float(thenar[i]))
+        VibstepCommand(t0 + i / tick_rate_hz, float(heel[i]), float(thenar[i]))
         for i in range(len(duties))
     ]
 

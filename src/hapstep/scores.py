@@ -9,9 +9,8 @@ when all nine cells are equal the whole grid maps to 0.
 from __future__ import annotations
 
 import csv
-import io
-import os
 
+from . import textio
 from .errors import FormatError, IncompleteGridError
 
 STIMULI = ("none", "vibration", "friction")
@@ -73,30 +72,25 @@ def mean_across_participants(normalized: ScoreSet) -> dict:
 
 def read_scores(source) -> ScoreSet:
     """Read a `participant,item,stimulus,speed_kmh,score` CSV."""
-    if isinstance(source, (str, os.PathLike)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8"))
-    else:
-        fh = source
-    reader = csv.DictReader(fh)
-    required = {"participant", "item", "stimulus", "speed_kmh", "score"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise FormatError(f"scores CSV must have columns {sorted(required)}")
-    scores: ScoreSet = {}
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            score = float(row["score"])
-            speed = float(row["speed_kmh"])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not 0 <= score <= 100:
-            raise FormatError(f"line {lineno}: score {score} outside [0, 100]")
-        if row["stimulus"] not in STIMULI:
-            raise FormatError(
-                f"line {lineno}: unknown stimulus {row['stimulus']!r}")
-        scores.setdefault(row["participant"], {}) \
-              .setdefault(row["item"], {})[(row["stimulus"], speed)] = score
+    with textio.opened(source, "r") as fh:
+        reader = csv.DictReader(fh)
+        required = {"participant", "item", "stimulus", "speed_kmh", "score"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise FormatError(f"scores CSV must have columns {sorted(required)}")
+        scores: ScoreSet = {}
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                score = float(row["score"])
+                speed = float(row["speed_kmh"])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            if not 0 <= score <= 100:
+                raise FormatError(f"line {lineno}: score {score} outside [0, 100]")
+            if row["stimulus"] not in STIMULI:
+                raise FormatError(
+                    f"line {lineno}: unknown stimulus {row['stimulus']!r}")
+            scores.setdefault(row["participant"], {}) \
+                  .setdefault(row["item"], {})[(row["stimulus"], speed)] = score
     if not scores:
         raise FormatError("scores CSV has no data rows")
     return scores
@@ -104,17 +98,12 @@ def read_scores(source) -> ScoreSet:
 
 def write_normalized(scores: ScoreSet, normalized: ScoreSet, dest) -> None:
     """Write the input schema plus a `normalized` column."""
-    lines = ["participant,item,stimulus,speed_kmh,score,normalized"]
-    for participant in sorted(scores):
-        for item in sorted(scores[participant]):
-            grid = scores[participant][item]
-            norm = normalized[participant][item]
-            for (stim, speed) in sorted(grid):
-                lines.append(f"{participant},{item},{stim},{speed!r},"
-                             f"{grid[(stim, speed)]!r},{norm[(stim, speed)]!r}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    with textio.opened(dest, "w") as fh:
+        fh.write("participant,item,stimulus,speed_kmh,score,normalized\n")
+        for participant in sorted(scores):
+            for item in sorted(scores[participant]):
+                grid = scores[participant][item]
+                norm = normalized[participant][item]
+                for (stim, speed) in sorted(grid):
+                    fh.write(f"{participant},{item},{stim},{speed!r},"
+                             f"{grid[(stim, speed)]!r},{norm[(stim, speed)]!r}\n")

@@ -10,7 +10,7 @@ rendered, so profile extraction truncates at its onset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -55,16 +55,9 @@ class PhaseTimings:
     t_end: float
 
     def as_dict(self, step_index: int | None = None) -> dict:
-        out = {
-            "t_start": self.t_start,
-            "t_step1_peak": self.t_step1_peak,
-            "t_step2_present": self.t_step2_present,
-            "t_step3_peak": self.t_step3_peak,
-            "t_step4_start": self.t_step4_start,
-            "t_end": self.t_end,
-        }
+        out = asdict(self)
         if step_index is not None:
-            out = {"step_index": step_index, **out}
+            out["step_index"] = step_index
         return out
 
 

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import ConfigError, EmptyInputError, FormatError
-
-SIGN_CONVENTION = "sole-frame, forward-positive"
 
 #: acceptable relative deviation of any time step from the median step
 TIME_JITTER_TOL = 0.01
@@ -37,7 +35,6 @@ TIME_JITTER_TOL = 0.01
 class TraceMeta:
     walking_speed_kmh: float
     participant_id: str
-    sign_convention: str = SIGN_CONVENTION
 
 
 @dataclass(frozen=True)
@@ -105,25 +102,15 @@ _Y_COLUMNS = ("t", "thenar_y", "heel_y")
 _YZ_COLUMNS = ("t", "thenar_y", "heel_y", "thenar_z", "heel_z")
 
 
-def _parse_header_meta(line: str, lineno: int) -> dict[str, str]:
-    tokens = line.lstrip("#").split()
+def _parse_header_meta(comments) -> dict[str, str]:
     meta = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise FormatError(f"line {lineno}: malformed header token {tok!r}")
-        key, value = tok.split("=", 1)
-        meta[key] = value
+    for lineno, line in comments:
+        for tok in line.lstrip("#").split():
+            if "=" not in tok:
+                raise FormatError(f"line {lineno}: malformed header token {tok!r}")
+            key, value = tok.split("=", 1)
+            meta[key] = value
     return meta
-
-
-def _as_text(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8")
 
 
 def load_trace(source) -> ForceTrace:
@@ -134,38 +121,12 @@ def load_trace(source) -> ForceTrace:
     number), non-uniform timing, or header/column problems, and
     EmptyInputError when the body has no rows.
     """
-    fh = _as_text(source)
-    header_meta: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list[float]] = []
-    lineno = 0
-    for raw_line in fh:
-        lineno += 1
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header_meta.update(_parse_header_meta(line, lineno))
-            continue
-        if columns is None:
-            columns = [c.strip() for c in line.split(",")]
-            if tuple(columns) not in (_Y_COLUMNS, _YZ_COLUMNS,
-                                      _Y_COLUMNS[1:], _YZ_COLUMNS[1:]):
-                raise FormatError(f"line {lineno}: unexpected columns {columns}")
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise FormatError(
-                f"line {lineno}: expected {len(columns)} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-
-    if columns is None or not rows:
+    comments, columns, data = textio.read_csv(source)
+    header_meta = _parse_header_meta(comments)
+    if len(data) == 0:
         raise EmptyInputError("trace file has no data rows")
-
-    data = np.asarray(rows, dtype=float)
+    if tuple(columns) not in (_Y_COLUMNS, _YZ_COLUMNS, _Y_COLUMNS[1:], _YZ_COLUMNS[1:]):
+        raise FormatError(f"unexpected columns {columns}")
     cols = {name: data[:, i] for i, name in enumerate(columns)}
 
     rate = None
@@ -205,29 +166,19 @@ def load_trace(source) -> ForceTrace:
     )
 
 
+def write_trace(trace: ForceTrace, dest) -> None:
+    """Write a ForceTrace as trace-CSV (sensor-frame values)."""
+    sensor = [-c for c in trace.channels().values()]
+    with textio.opened(dest, "w") as fh:
+        fh.write(f"# rate_hz={trace.sample_rate_hz!r} "
+                 f"speed_kmh={trace.meta.walking_speed_kmh!r} "
+                 f"participant={trace.meta.participant_id}\n")
+        textio.write_rows(fh, ("t", *trace.channels()),
+                          textio.float_rows(trace.times, *sensor))
+
+
 def dump_trace(trace: ForceTrace) -> str:
     """Serialize a ForceTrace to trace-CSV text (sensor-frame values)."""
-    lines = [
-        f"# rate_hz={trace.sample_rate_hz!r} "
-        f"speed_kmh={trace.meta.walking_speed_kmh!r} "
-        f"participant={trace.meta.participant_id}"
-    ]
-    has_z = trace.thenar_z is not None
-    lines.append(",".join(_YZ_COLUMNS if has_z else _Y_COLUMNS))
-    rate = trace.sample_rate_hz
-    for i in range(len(trace)):
-        fields = [repr(i / rate), repr(float(-trace.thenar_y[i])),
-                  repr(float(-trace.heel_y[i]))]
-        if has_z:
-            fields += [repr(float(-trace.thenar_z[i])), repr(float(-trace.heel_z[i]))]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def write_trace(trace: ForceTrace, dest) -> None:
-    text = dump_trace(trace)
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    return buf.getvalue()

@@ -1,3 +1,7 @@
+import contextlib
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,15 @@ def build_knot_table(device_max_force=3.0, seed=0):
 @pytest.fixture(scope="session")
 def knot_table():
     return build_knot_table()
+
+
+@contextlib.contextmanager
+def no_unclosed_files():
+    """Fail when a file or socket opened inside the block is left for
+    the garbage collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, leaks

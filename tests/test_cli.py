@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from hapstep import cli
 from hapstep.calibration import save_curve
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
-from conftest import KNOT_SPEEDS, make_curve
+from conftest import KNOT_SPEEDS, make_curve, no_unclosed_files
 
 EVENTS_NDJSON = (
     '{"t": 0.05, "foot": "L", "speed_kmh": 1.0}\n'
@@ -176,6 +177,18 @@ class TestRender:
         duty = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.any(duty < 0) and np.any(duty > 0)
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity", "-0.5"])
+    def test_bad_event_time_exit_3(self, workdir, tmp_path, t):
+        # without --duration a NaN or infinite time used to tick forever
+        res = subprocess.run(
+            [sys.executable, "-m", "hapstep.cli", "render", "--events", "-",
+             "--table", workdir["table"], "--calib-forward", workdir["fwd"],
+             "--calib-backward", workdir["bwd"], "--out", str(tmp_path / "x.csv")],
+            input=f'{{"t": {t}, "foot": "L", "speed_kmh": 2.5}}\n',
+            capture_output=True, text=True, timeout=30)
+        assert res.returncode == 3
+        assert "error:" in res.stderr
+
     def test_swapped_calibrations_exit_2(self, workdir, tmp_path):
         res = run_cli("render", "--events", workdir["events"],
                       "--table", workdir["table"],
@@ -226,10 +239,28 @@ class TestSimulate:
         assert metrics["n_steps"] == 3
         assert log.read_text().startswith("t,signed_duty,force")
 
+    def test_unordered_events_exit_4(self, workdir, tmp_path):
+        events = tmp_path / "unordered.ndjson"
+        events.write_text('{"t": 1.4, "foot": "R", "speed_kmh": 2.5}\n'
+                          '{"t": 0.05, "foot": "L", "speed_kmh": 1.0}\n')
+        res = run_cli("simulate", "--events", str(events),
+                      "--table", workdir["table"],
+                      "--out", str(tmp_path / "m.json"))
+        assert res.returncode == 4
+
     def test_events_without_table_exit_2(self, workdir, tmp_path):
         res = run_cli("simulate", "--events", workdir["events"],
                       "--out", str(tmp_path / "m.json"))
         assert res.returncode == 2
+
+
+class TestFilesClosed:
+    def test_render_and_simulate_close_the_events_file(self, workdir, tmp_path, capsys):
+        inputs = ["--events", workdir["events"], "--table", workdir["table"],
+                  "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"]]
+        with no_unclosed_files():
+            assert cli.main(["render", *inputs, "--out", str(tmp_path / "c.csv")]) == 0
+            assert cli.main(["simulate", *inputs, "--out", str(tmp_path / "m.json")]) == 0
 
 
 class TestNormalize:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hapstep as hs
-from hapstep.errors import ConfigError
+from hapstep.errors import ClockError, ConfigError
 from hapstep.plant import DEFAULT_TAU_S, save_sim_run
 
 from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve
@@ -107,6 +107,25 @@ class TestRunClosedLoop:
         run = hs.run_closed_loop(knot_table, fwd, bwd, events, model)
         assert run.metrics["n_steps"] == 3
         assert run.metrics["per_region_impulse_error"] <= 0.05
+
+    def test_replaced_envelope_is_not_scored(self, knot_table):
+        # both events are applied before the tick at 11 ms, so the second
+        # replaces the first before it starts and only one envelope plays
+        fwd, bwd = clamp_free_curves()
+        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=1e-4)
+        events = [hs.GaitEvent(t=0.0105, foot="L", speed_kmh=2.5),
+                  hs.GaitEvent(t=0.011, foot="R", speed_kmh=2.5)]
+        run = hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+        assert run.metrics["n_steps"] == 1
+        assert run.metrics["per_region_impulse_error"] <= 0.005
+
+    def test_unordered_events_rejected(self, knot_table):
+        fwd, bwd = clamp_free_curves()
+        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd)
+        events = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                  hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
+        with pytest.raises(ClockError):
+            hs.run_closed_loop(knot_table, fwd, bwd, events, model)
 
     def test_metrics_include_bench_rise(self, knot_table):
         run = self._run(knot_table, 2.5, tau=DEFAULT_TAU_S)

@@ -82,6 +82,17 @@ class TestRenderer:
         expected = profile.force_at(t[sel] - start) / 3.0
         assert np.allclose(duty[sel], expected)
 
+    def test_schedule_records_rendered_envelopes(self, knot_table):
+        r = make_renderer(knot_table)
+        r.on_event(hs.GaitEvent(t=0.0105, foot="L", speed_kmh=1.0))
+        r.on_event(hs.GaitEvent(t=0.011, foot="R", speed_kmh=4.0))  # replaces it
+        for i in range(20):
+            r.tick(i / TICK_RATE_HZ)
+        r.on_event(hs.GaitEvent(t=0.0195, foot="L", speed_kmh=2.5))  # preempts
+        assert [e.start_tick for e in r.schedule] == [12, 20]
+        assert [e.profile for e in r.schedule] == [hs.interpolate(knot_table, 4.0),
+                                                   hs.interpolate(knot_table, 2.5)]
+
     def test_tick_clock_must_advance(self, knot_table):
         r = make_renderer(knot_table)
         r.tick(0.001)

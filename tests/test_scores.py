@@ -13,6 +13,8 @@ from hapstep.scores import (
     write_normalized,
 )
 
+from conftest import no_unclosed_files
+
 
 def full_grid(values):
     keys = [(s, v) for s in STIMULI for v in SPEEDS]
@@ -89,6 +91,12 @@ CSV = "participant,item,stimulus,speed_kmh,score\n" + "".join(
 
 
 class TestScoresIo:
+    def test_path_input_is_closed(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(CSV)
+        with no_unclosed_files():
+            assert read_scores(str(path)) == read_scores(CSV.encode())
+
     def test_read_scores(self):
         scores = read_scores(CSV.encode())
         assert scores["p1"]["realism"][("none", 1.0)] == 0.0

@@ -6,6 +6,8 @@ import pytest
 from hapstep.errors import EmptyInputError, FormatError
 from hapstep.trace import ForceTrace, TraceMeta, dump_trace, load_trace, write_trace
 
+from conftest import no_unclosed_files
+
 HEADER = "# rate_hz=1000.0 speed_kmh=2.5 participant=p01\n"
 
 
@@ -98,3 +100,10 @@ def test_nonfinite_values_rejected():
 def test_stream_input():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n"
     assert len(load_trace(io.StringIO(csv))) == 1
+
+
+def test_path_input_is_closed(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n")
+    with no_unclosed_files():
+        assert len(load_trace(str(path))) == 1
