@@ -28,7 +28,6 @@ from .renderer import (
     ActuatorCommand,
     GaitEvent,
     Renderer,
-    VibstepCommand,
     command_stream,
     render_events,
     to_vibstep,

@@ -9,12 +9,14 @@ minimum drive level is chosen to keep the stimulus perceivable
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import textio
-from .errors import AnalysisError, ConfigError, UnderdeterminedFitError
+from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
 from .profiles import FrictionProfile
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
@@ -38,8 +40,10 @@ class CalibrationCurve:
     def __post_init__(self):
         if self.direction not in _DIRECTIONS:
             raise ConfigError(f"direction must be one of {_DIRECTIONS}")
-        if self.slope <= 0:
-            raise ConfigError("slope must be positive")
+        if not (math.isfinite(self.slope) and self.slope > 0):
+            raise ConfigError("slope must be positive and finite")
+        if not math.isfinite(self.intercept):
+            raise ConfigError("intercept must be finite")
         if not 0 <= self.min_duty < 1:
             raise ConfigError("min_duty must be in [0, 1)")
 
@@ -62,10 +66,12 @@ def fit_calibration(points, direction: str,
     Parameters
     ----------
     points : sequence of (duty, peak_force)
-        Duty in [0, 1], force magnitude in N.  At least two distinct
-        duty values are required.
+        Duty in [0, 1], force magnitude in N, both finite (FormatError
+        otherwise).  At least two distinct duty values are required.
     """
     pts = [(float(d), float(f)) for d, f in points]
+    if not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise FormatError("calibration points must be finite")
     duties = np.array([p[0] for p in pts])
     forces = np.array([p[1] for p in pts])
     if len(set(duties.tolist())) < 2:
@@ -85,18 +91,19 @@ def duty_to_force(curve: CalibrationCurve, duty: float) -> float:
     return curve.slope * duty + curve.intercept
 
 
-def force_to_duty(curve: CalibrationCurve, force_magnitude: float) -> float:
+def force_to_duty(curve: CalibrationCurve, force_magnitude):
     """Invert the calibration line, clamping into [min_duty, 1].
 
     Zero force maps to duty 0 (off); any positive force maps to at
-    least min_duty so the stimulus stays perceivable.
+    least min_duty so the stimulus stays perceivable.  Takes a scalar
+    (returns a float) or an array (returns an array of the same shape).
     """
-    if force_magnitude < 0:
+    f = np.asarray(force_magnitude, dtype=float)
+    if not np.all(f >= 0):
         raise ConfigError("force magnitude must be non-negative")
-    if force_magnitude == 0:
-        return 0.0
-    duty = (force_magnitude - curve.intercept) / curve.slope
-    return min(1.0, max(curve.min_duty, duty))
+    duty = np.minimum(1.0, np.maximum(curve.min_duty, (f - curve.intercept) / curve.slope))
+    duty = np.where(f == 0, 0.0, duty)
+    return duty if duty.ndim else float(duty)
 
 
 def _edges(duty: np.ndarray):

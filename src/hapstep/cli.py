@@ -221,9 +221,10 @@ def cmd_render(args) -> int:
 def cmd_vibstep(args) -> int:
     t, duty = textio.read_columns(args.commands, ("t", "signed_duty"), 2)
     rate = 1.0 / float(np.median(np.diff(t)))
-    cmds = renderer.to_vibstep(duty, tick_rate_hz=rate, t0=float(t[0]))
-    textio.write_rows(args.out, renderer.VibstepCommand._fields, cmds)
-    print(f"{len(cmds)} ticks -> {args.out}")
+    t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=rate, t0=float(t[0]))
+    n = textio.write_rows(args.out, ("t", "heel_duty", "thenar_duty"),
+                          textio.float_rows(t, heel, thenar))
+    print(f"{n} ticks -> {args.out}")
     return 0
 
 

@@ -11,6 +11,7 @@ skin elasticity; modeled as an instantaneous return toward zero force.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,9 +38,9 @@ class PlateModel:
     state_force: float = 0.0
 
     def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ConfigError("tau_s must be positive")
-        if self.max_force <= 0:
+        if not (math.isfinite(self.tau_s) and self.tau_s > 0):
+            raise ConfigError("tau_s must be positive and finite")
+        if not self.max_force > 0:
             raise ConfigError("max_force must be positive")
 
     def fresh(self) -> "PlateModel":
@@ -137,15 +138,14 @@ def run_closed_loop(table: SpeedProfileTable,
         tail_s = 10.0 * model.tau_s
 
     renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    commands = list(command_stream(renderer, events))
+    duty = array("d", (c.signed_duty for c in command_stream(renderer, events)))
     stop_t = renderer.end_t + tail_s
-    while len(commands) / tick_rate_hz < stop_t:
-        commands.append(renderer.tick(len(commands) / tick_rate_hz))
-    duty = np.array([c.signed_duty for c in commands])
-    t = np.array([c.t for c in commands])
-    force = np.empty_like(duty)
-    for i, d in enumerate(duty):
-        force[i] = step_plate(model, d, dt)
+    while len(duty) / tick_rate_hz < stop_t:
+        duty.append(renderer.tick(len(duty) / tick_rate_hz).signed_duty)
+    force = np.fromiter((step_plate(model, d, dt) for d in duty), dtype=float,
+                        count=len(duty))
+    duty = np.array(duty)
+    t = np.arange(len(duty)) / tick_rate_hz
 
     worst_region = 0.0
     worst_net = 0.0

@@ -300,7 +300,7 @@ def fit_device_scale(raw_table: dict[float, TriangularProfile],
     force ratios between entries are preserved exactly and nothing is
     ever scaled up.
     """
-    if device_max_force <= 0:
+    if not device_max_force > 0:
         raise ConfigError("device_max_force must be positive")
     if not raw_table:
         raise ConfigError("raw_table must not be empty")

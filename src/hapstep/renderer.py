@@ -1,13 +1,13 @@
 """Deterministic 1 kHz envelope renderer.
 
-Foot-grounded events select a speed-interpolated triangular envelope;
-each tick converts the envelope force at the current time into a signed
-duty through the per-direction calibration curves.  Negative duty
-drives the backward-towing motor (brake phase), positive the forward
-motor, and the brake phase always precedes the drive phase within an
-envelope.  A new event preempts and replaces any active envelope at the
-next tick boundary; the renderer's schedule records which envelope plays
-from which tick.
+Foot-grounded events select a speed-interpolated triangular envelope,
+whose signed duty is sampled once for all its ticks: force on the tick
+grid through the per-direction calibration curves.  A tick only looks
+its duty up.  Negative duty drives the backward-towing motor (brake
+phase), positive the forward motor, and the brake phase always precedes
+the drive phase within an envelope.  A new event preempts and replaces
+any active envelope at the next tick boundary; the renderer's schedule
+records which envelope plays from which tick.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -28,6 +28,10 @@ from .errors import ClockError, ConfigError, FormatError
 from .profiles import SpeedProfileTable, TriangularProfile, interpolate
 
 TICK_RATE_HZ = 1000
+
+#: longest accepted gap between consecutive events (before the first
+#: event: since t = 0), in seconds; bounds the ticks one event can cause
+MAX_EVENT_GAP_S = 3600.0
 
 _FEET = ("L", "R")
 
@@ -55,12 +59,6 @@ class ActuatorCommand(NamedTuple):
     signed_duty: float
 
 
-class VibstepCommand(NamedTuple):
-    t: float
-    heel_duty: float
-    thenar_duty: float
-
-
 class ScheduledEnvelope(NamedTuple):
     """One rendered envelope: its first tick index and its profile."""
 
@@ -75,7 +73,8 @@ class Renderer:
     starts at the first tick after its event and plays until it ends
     or the next one starts.  A newer event replaces an envelope that
     has not started yet.  ``end_t`` is the latest end time of any
-    envelope scheduled so far, 0 when idle.
+    envelope scheduled so far, 0 when idle.  Only the sampled duties
+    of the playing envelope and of one waiting to start are held.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -90,15 +89,16 @@ class Renderer:
         self.tick_rate_hz = tick_rate_hz
         self.schedule: list[ScheduledEnvelope] = []
         self.end_t = 0.0
-        # start time of the last schedule entry until it starts, then inf
-        self._next_start_t = math.inf
-        # (profile, start_t, stop_t) of the envelope playing now
-        self._active: tuple[TriangularProfile | None, float, float] = (None, math.inf, math.inf)
+        # (start tick, signed duty per tick) of the envelope waiting to
+        # start, if any, and of the one playing
+        self._pending: tuple[int, list[float]] | None = None
+        self._playing: tuple[int, list[float]] = (0, [])
         self._last_tick_t = -math.inf
         self._last_event_t = -math.inf
 
     def on_event(self, event: GaitEvent) -> None:
-        """Schedule the envelope for this footfall from the next tick on.
+        """Schedule the envelope for this footfall from the next tick on
+        and sample its duties.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
@@ -106,57 +106,71 @@ class Renderer:
         if event.t < max(self._last_tick_t, self._last_event_t):
             raise ClockError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
+        rate = self.tick_rate_hz
         profile = interpolate(self.table, event.speed_kmh)
-        entry = ScheduledEnvelope(math.floor(event.t * self.tick_rate_hz) + 1, profile)
-        if self._next_start_t == math.inf:
+        entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
+        if self._pending is None:
             self.schedule.append(entry)
         else:
             self.schedule[-1] = entry
-        self._next_start_t = entry.start_tick / self.tick_rate_hz
-        self.end_t = max(self.end_t, self._next_start_t + profile.duration_s)
+        start_t = entry.start_tick / rate
+        stop_t = start_t + profile.duration_s
+        t = np.arange(entry.start_tick,
+                      entry.start_tick + int(profile.duration_s * rate) + 2) / rate
+        force = profile.force_at(t[t < stop_t] - start_t)
+        # 0 - duty is exactly -duty, and both directions map 0 N to 0
+        duty = (force_to_duty(self.forward_curve, np.maximum(force, 0.0))
+                - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
+        self._pending = (entry.start_tick, duty.tolist())
+        self.end_t = max(self.end_t, stop_t)
 
     def tick(self, t: float) -> ActuatorCommand:
-        """Emit the signed duty for tick time ``t`` (monotone, 1 ms grid)."""
+        """Emit the signed duty for tick time ``t`` (monotone, on the tick grid)."""
         if t <= self._last_tick_t:
             raise ClockError(f"tick time went backwards: {t} after {self._last_tick_t}")
         self._last_tick_t = t
-        if t >= self._next_start_t:
-            profile = self.schedule[-1].profile
-            self._active = (profile, self._next_start_t,
-                            self._next_start_t + profile.duration_s)
-            self._next_start_t = math.inf
-
-        force = 0.0
-        profile, start_t, stop_t = self._active
-        if start_t <= t < stop_t:
-            force = float(profile.force_at(t - start_t))
-        if force < 0:
-            duty = -force_to_duty(self.backward_curve, -force)
-        elif force > 0:
-            duty = force_to_duty(self.forward_curve, force)
-        else:
-            duty = 0.0
-        return ActuatorCommand(t, duty)
+        i = round(t * self.tick_rate_hz)
+        if self._pending is not None and i >= self._pending[0]:
+            self._playing, self._pending = self._pending, None
+        start, duty = self._playing
+        k = i - start
+        return ActuatorCommand(t, duty[k] if 0 <= k < len(duty) else 0.0)
 
 
 def command_stream(renderer: Renderer, events, duration_s: float | None = None):
     """Tick the renderer against an ordered event stream.
 
-    Yields one ActuatorCommand per tick starting at t = 0.  Events are
-    pulled lazily and applied at the first tick at/after their
-    timestamp, so a pre-recorded log and a live NDJSON feed with the
-    same timestamps produce identical output.  Without an explicit
-    duration the stream ends when the last envelope finishes.
+    Returns an iterator of one ActuatorCommand per tick starting at
+    t = 0.  Events are pulled lazily and applied at the first tick
+    at/after their timestamp, so a pre-recorded log and a live NDJSON
+    feed with the same timestamps produce identical output.  Without
+    an explicit duration the stream ends when the last envelope
+    finishes.  A duration that is not finite and >= 0 raises
+    ConfigError at once; an event more than MAX_EVENT_GAP_S after the
+    previous one (or after 0) raises FormatError when it is pulled.
     """
-    events = iter(events)
-    pending = next(events, None)
+    if duration_s is not None and not 0 <= duration_s < math.inf:
+        raise ConfigError(f"duration must be finite and >= 0, got {duration_s}")
+    return _ticks(renderer, iter(events), duration_s)
+
+
+def _next_event(events, after_t: float):
+    event = next(events, None)
+    if event is not None and event.t - after_t > MAX_EVENT_GAP_S:
+        raise FormatError(f"event at t={event.t} is more than "
+                          f"{MAX_EVENT_GAP_S:g} s after the previous one")
+    return event
+
+
+def _ticks(renderer: Renderer, events, duration_s: float | None):
+    pending = _next_event(events, 0.0)
     rate = renderer.tick_rate_hz
     i = 0
     while True:
         t = i / rate
         while pending is not None and pending.t <= t:
             renderer.on_event(pending)
-            pending = next(events, None)
+            pending = _next_event(events, pending.t)
         if duration_s is not None:
             if t >= duration_s:
                 return
@@ -173,47 +187,37 @@ def render_events(table: SpeedProfileTable,
                   tick_rate_hz: int = TICK_RATE_HZ) -> tuple[np.ndarray, np.ndarray]:
     """Offline render of an event log to (t, signed_duty) arrays."""
     renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    commands = list(command_stream(renderer, events, duration_s))
-    t = np.array([c.t for c in commands])
-    duty = np.array([c.signed_duty for c in commands])
-    return t, duty
+    stream = command_stream(renderer, events, duration_s)
+    duty = np.fromiter((c.signed_duty for c in stream), dtype=float)
+    return np.arange(len(duty)) / tick_rate_hz, duty
 
 
-def _sign_runs(values: np.ndarray, positive: bool):
-    mask = (values > 0) if positive else (values < 0)
-    runs = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
+def _run_peaks(mag: np.ndarray) -> np.ndarray:
+    """Each run of positive ``mag`` replaced by its maximum, 0 elsewhere."""
+    on = mag > 0
+    edges = np.flatnonzero(np.diff(on, prepend=False, append=False))
+    starts, stops = edges[::2], edges[1::2]
+    out = np.zeros_like(mag)
+    if len(starts):
+        # each reduceat segment is one run plus the zeros after it
+        peaks = np.maximum.reduceat(np.where(on, mag, 0.0), starts)
+        out[on] = np.repeat(peaks, stops - starts)
+    return out
 
 
-def to_vibstep(duties: np.ndarray, tick_rate_hz: int = TICK_RATE_HZ,
-               t0: float = 0.0) -> list[VibstepCommand]:
+def to_vibstep(duties: np.ndarray, tick_rate_hz: float = TICK_RATE_HZ,
+               t0: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rectangular covering envelopes for the dual-vibrator backend.
 
     Each sign region of the duty envelope becomes a rectangle of height
     max |duty| over exactly the region's span: brake (negative) regions
     drive the heel vibrator, drive (positive) regions the thenar one.
-    At most one vibrator is active per tick.
+    At most one vibrator is active per tick.  Returns (t, heel_duty,
+    thenar_duty) arrays, one entry per input tick.
     """
     duties = np.asarray(duties, dtype=float)
-    heel = np.zeros_like(duties)
-    thenar = np.zeros_like(duties)
-    for start, stop in _sign_runs(duties, positive=False):
-        heel[start:stop] = float(np.max(-duties[start:stop]))
-    for start, stop in _sign_runs(duties, positive=True):
-        thenar[start:stop] = float(np.max(duties[start:stop]))
-    return [
-        VibstepCommand(t0 + i / tick_rate_hz, float(heel[i]), float(thenar[i]))
-        for i in range(len(duties))
-    ]
+    t = t0 + np.arange(len(duties)) / tick_rate_hz
+    return t, _run_peaks(-duties), _run_peaks(duties)
 
 
 def event_to_json(event: GaitEvent) -> str:
@@ -230,7 +234,7 @@ def parse_event(line: str) -> GaitEvent:
         return GaitEvent(t=float(data["t"]), foot=data["foot"],
                          speed_kmh=float(data["speed_kmh"]),
                          kind=data.get("kind", "grounded"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad event record: {exc}") from None
 
 

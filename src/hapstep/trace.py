@@ -113,6 +113,15 @@ def _parse_header_meta(comments) -> dict[str, str]:
     return meta
 
 
+def _header_float(header_meta: dict[str, str], key: str, default):
+    if key not in header_meta:
+        return default
+    try:
+        return float(header_meta[key])
+    except ValueError:
+        raise FormatError(f"bad {key} header value {header_meta[key]!r}") from None
+
+
 def load_trace(source) -> ForceTrace:
     """Parse a trace-CSV stream or path into a validated ForceTrace.
 
@@ -129,12 +138,7 @@ def load_trace(source) -> ForceTrace:
         raise FormatError(f"unexpected columns {columns}")
     cols = {name: data[:, i] for i, name in enumerate(columns)}
 
-    rate = None
-    if "rate_hz" in header_meta:
-        try:
-            rate = float(header_meta["rate_hz"])
-        except ValueError:
-            raise FormatError(f"bad rate_hz header value {header_meta['rate_hz']!r}") from None
+    rate = _header_float(header_meta, "rate_hz", None)
     if "t" in cols:
         t = cols["t"]
         if len(t) >= 2:
@@ -151,7 +155,7 @@ def load_trace(source) -> ForceTrace:
         raise FormatError("sample rate not declared in header and no time column")
 
     meta = TraceMeta(
-        walking_speed_kmh=float(header_meta.get("speed_kmh", 0.0)),
+        walking_speed_kmh=_header_float(header_meta, "speed_kmh", 0.0),
         participant_id=header_meta.get("participant", "unknown"),
     )
     kw = {}

@@ -169,9 +169,7 @@ def test_08_vibstep_covering_property(gate):
             corrected, balanced = hs.treadmill_correct(p)
             tri = hs.compile_triangular(corrected, balanced)
             duty = tri.sample(FS)
-            cmds = hs.to_vibstep(duty)
-            heel = np.array([c.heel_duty for c in cmds])
-            thenar = np.array([c.thenar_duty for c in cmds])
+            _, heel, thenar = hs.to_vibstep(duty)
             assert np.all(heel >= np.clip(-duty, 0, None))
             assert np.all(thenar >= np.clip(duty, 0, None))
             i_b, i_d = int(np.argmin(duty)), int(np.argmax(duty))

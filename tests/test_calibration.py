@@ -48,6 +48,15 @@ class TestFitCalibration:
             hs.fit_calibration([(0.2, 1.0), (0.8, 1.0)], "forward")
 
 
+class TestCurveValidation:
+    @pytest.mark.parametrize("field", ["slope", "intercept"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_line_rejected(self, field, value):
+        kw = {"slope": 3.0, "intercept": 0.2, field: value}
+        with pytest.raises(ConfigError):
+            hs.CalibrationCurve("forward", r_squared=1.0, **kw)
+
+
 class TestDutyForceMaps:
     def _curve(self, min_duty=DEFAULT_MIN_DUTY):
         return hs.CalibrationCurve("forward", slope=3.0, intercept=0.3,
@@ -67,6 +76,16 @@ class TestDutyForceMaps:
 
     def test_large_force_clamps_to_full_duty(self):
         assert hs.force_to_duty(self._curve(), 1e6) == 1.0
+
+    def test_array_matches_scalar_calls(self):
+        curve = self._curve()
+        forces = np.array([0.0, 1e-6, 0.5, 1.4, 2.9, 3.3, 1e6])
+        duty = hs.force_to_duty(curve, forces)
+        assert isinstance(duty, np.ndarray)
+        assert duty.tolist() == [hs.force_to_duty(curve, float(f)) for f in forces]
+        assert isinstance(hs.force_to_duty(curve, 1.4), float)
+        with pytest.raises(ConfigError):
+            hs.force_to_duty(curve, np.array([0.5, -0.1]))
 
     def test_negative_force_rejected(self):
         with pytest.raises(ConfigError):

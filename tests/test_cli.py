@@ -85,6 +85,14 @@ class TestIngest:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 5
 
+    def test_bad_header_number_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# rate_hz=1000 speed_kmh=abc\nthenar_y,heel_y\n0.1,0.2\n")
+        res = run_cli("ingest", "--trace", str(bad), "--out",
+                      str(tmp_path / "x.csv"))
+        assert res.returncode == 3
+        assert "speed_kmh" in res.stderr
+
 
 class TestSegmentAndPhases:
     def test_segment_finds_thirty_steps(self, workdir, tmp_path):
@@ -125,6 +133,14 @@ class TestCompile:
                       "--out", str(tmp_path / "t.json"))
         assert res.returncode == 4
 
+    def test_nan_device_max_force_exit_2(self, workdir, tmp_path):
+        cfg = tmp_path / "hapstep.cfg"
+        cfg.write_text("device_max_force = nan\n")
+        res = run_cli("--config", str(cfg), "compile", "--traces", *workdir["traces"],
+                      "--out", str(tmp_path / "t.json"))
+        assert res.returncode == 2
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestCalibrate:
     def test_fit_and_save(self, tmp_path):
@@ -146,6 +162,19 @@ class TestCalibrate:
                       "--direction", "forward",
                       "--out", str(tmp_path / "c.json"))
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_exit_3(self, tmp_path, value):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"duty,peak_force\n0.37,1.3\n0.69,{value}\n1.0,3.2\n")
+        out = tmp_path / "c.json"
+        res = run_cli("calibrate", "--points", str(pts),
+                      "--direction", "forward", "--out", str(out))
+        assert res.returncode == 3
+        assert not out.exists()
+
+
+BIG = "1" + "0" * 400
 
 
 class TestRender:
@@ -177,17 +206,46 @@ class TestRender:
         duty = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.any(duty < 0) and np.any(duty > 0)
 
-    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity", "-0.5"])
-    def test_bad_event_time_exit_3(self, workdir, tmp_path, t):
-        # without --duration a NaN or infinite time used to tick forever
-        res = subprocess.run(
+    def _render_stdin(self, workdir, tmp_path, lines, extra=()):
+        return subprocess.run(
             [sys.executable, "-m", "hapstep.cli", "render", "--events", "-",
              "--table", workdir["table"], "--calib-forward", workdir["fwd"],
-             "--calib-backward", workdir["bwd"], "--out", str(tmp_path / "x.csv")],
-            input=f'{{"t": {t}, "foot": "L", "speed_kmh": 2.5}}\n',
-            capture_output=True, text=True, timeout=30)
+             "--calib-backward", workdir["bwd"], "--out", str(tmp_path / "x.csv"),
+             *extra],
+            input=lines, capture_output=True, text=True, timeout=30)
+
+    @pytest.mark.parametrize("t, speed", [
+        pytest.param("NaN", "2.5", id="NaN"),
+        pytest.param("Infinity", "2.5", id="Infinity"),
+        pytest.param("-Infinity", "2.5", id="-Infinity"),
+        pytest.param("-0.5", "2.5", id="-0.5"),
+        pytest.param(BIG, "2.5", id="t-400-digits"),
+        pytest.param("0.5", BIG, id="speed-400-digits"),
+        pytest.param("1e300", "2.5", id="1e300"),
+    ])
+    def test_bad_event_time_exit_3(self, workdir, tmp_path, t, speed):
+        # without --duration a NaN, infinite or huge time used to tick forever
+        res = self._render_stdin(
+            workdir, tmp_path, f'{{"t": {t}, "foot": "L", "speed_kmh": {speed}}}\n')
         assert res.returncode == 3
         assert "error:" in res.stderr
+
+    def test_event_gap_bound(self, workdir, tmp_path):
+        first = '{"t": 3600.0, "foot": "L", "speed_kmh": 2.5}\n'
+        res = self._render_stdin(workdir, tmp_path, first, ("--duration", "0.01"))
+        assert res.returncode == 0, res.stderr
+        gap = ('{"t": 1.0, "foot": "L", "speed_kmh": 2.5}\n'
+               '{"t": 3601.5, "foot": "R", "speed_kmh": 2.5}\n')
+        res = self._render_stdin(workdir, tmp_path, gap)
+        assert res.returncode == 3
+        assert "after the previous" in res.stderr
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_bad_duration_exit_2(self, workdir, tmp_path, duration):
+        res = self._render_stdin(workdir, tmp_path, EVENTS_NDJSON,
+                                 ("--duration", duration))
+        assert res.returncode == 2
+        assert "duration" in res.stderr
 
     def test_swapped_calibrations_exit_2(self, workdir, tmp_path):
         res = run_cli("render", "--events", workdir["events"],
@@ -247,6 +305,11 @@ class TestSimulate:
                       "--table", workdir["table"],
                       "--out", str(tmp_path / "m.json"))
         assert res.returncode == 4
+
+    def test_nan_tau_exit_2(self, tmp_path):
+        res = run_cli("simulate", "--tau-s", "nan", "--out", str(tmp_path / "m.json"))
+        assert res.returncode == 2
+        assert "tau_s" in res.stderr
 
     def test_events_without_table_exit_2(self, workdir, tmp_path):
         res = run_cli("simulate", "--events", workdir["events"],

@@ -169,33 +169,107 @@ class TestVibstep:
 
     def test_rectangles_cover_envelope(self, knot_table):
         duty = self._duties(knot_table)
-        cmds = hs.to_vibstep(duty)
-        heel = np.array([c.heel_duty for c in cmds])
-        thenar = np.array([c.thenar_duty for c in cmds])
+        _, heel, thenar = hs.to_vibstep(duty)
         assert np.all(heel >= np.clip(-duty, 0, None))
         assert np.all(thenar >= np.clip(duty, 0, None))
 
     def test_equality_at_apexes(self, knot_table):
         duty = self._duties(knot_table)
-        cmds = hs.to_vibstep(duty)
+        _, heel, thenar = hs.to_vibstep(duty)
         i_brake = int(np.argmin(duty))
         i_drive = int(np.argmax(duty))
-        assert cmds[i_brake].heel_duty == -duty[i_brake]
-        assert cmds[i_drive].thenar_duty == duty[i_drive]
+        assert heel[i_brake] == -duty[i_brake]
+        assert thenar[i_drive] == duty[i_drive]
 
     def test_heel_ends_before_thenar_starts(self, knot_table):
-        cmds = hs.to_vibstep(self._duties(knot_table))
-        heel_on = [i for i, c in enumerate(cmds) if c.heel_duty > 0]
-        thenar_on = [i for i, c in enumerate(cmds) if c.thenar_duty > 0]
+        _, heel, thenar = hs.to_vibstep(self._duties(knot_table))
+        heel_on = np.flatnonzero(heel > 0)
+        thenar_on = np.flatnonzero(thenar > 0)
         assert heel_on[-1] < thenar_on[0]
 
     def test_one_vibrator_at_a_time(self, knot_table):
-        for c in hs.to_vibstep(self._duties(knot_table, speed=1.0)):
-            assert c.heel_duty == 0.0 or c.thenar_duty == 0.0
+        _, heel, thenar = hs.to_vibstep(self._duties(knot_table, speed=1.0))
+        assert np.all((heel == 0.0) | (thenar == 0.0))
 
     def test_zero_envelope_gives_silence(self):
-        for c in hs.to_vibstep(np.zeros(100)):
-            assert c.heel_duty == 0.0 and c.thenar_duty == 0.0
+        t, heel, thenar = hs.to_vibstep(np.zeros(100))
+        assert len(t) == len(heel) == len(thenar) == 100
+        assert np.all(heel == 0.0) and np.all(thenar == 0.0)
+
+
+def fitted_curves():
+    """Curves fitted to noisy bench points: 0.14-0.20 N intercepts, the
+    95/255 duty floor, and a duty ceiling below the table's peak force."""
+    rng = np.random.default_rng(7)
+    duties = (95 / 255, 135 / 255, 175 / 255, 215 / 255, 1.0)
+    return tuple(
+        hs.fit_calibration([(d, (slope * d + icpt) * (1 + 0.01 * rng.uniform(-1, 1)))
+                            for d in duties], direction)
+        for direction, slope, icpt in (("forward", 1.2, 0.17), ("backward", 1.7, 0.15)))
+
+
+def reference_duty(table, fwd, bwd, events, n, rate=TICK_RATE_HZ):
+    """Per-tick scalar render: the envelope of the last event whose
+    start tick has come, evaluated at i / rate - start / rate."""
+    starts = [(math.floor(e.t * rate) + 1, hs.interpolate(table, e.speed_kmh))
+              for e in events]
+    out = []
+    for i in range(n):
+        duty = 0.0
+        playing = [(s, p) for s, p in starts if s <= i]
+        if playing:
+            start, profile = playing[-1]
+            if i / rate < start / rate + profile.duration_s:
+                force = float(profile.force_at(i / rate - start / rate))
+                if force < 0:
+                    duty = -hs.force_to_duty(bwd, -force)
+                elif force > 0:
+                    duty = hs.force_to_duty(fwd, force)
+        out.append(duty)
+    return out
+
+
+class TestKernelExact:
+    def test_render_equals_scalar_reference(self, knot_table):
+        fwd, bwd = fitted_curves()
+        assert 0.14 <= fwd.intercept <= 0.20 and 0.14 <= bwd.intercept <= 0.20
+        events = [hs.GaitEvent(t=0.0, foot="L", speed_kmh=0.8),     # below the table
+                  hs.GaitEvent(t=0.7003, foot="R", speed_kmh=1.7),  # preempts
+                  hs.GaitEvent(t=1.9, foot="L", speed_kmh=4.6),     # above the table
+                  hs.GaitEvent(t=2.35, foot="R", speed_kmh=3.3),    # preempts
+                  hs.GaitEvent(t=3.5001, foot="L", speed_kmh=2.2),
+                  hs.GaitEvent(t=3.5004, foot="R", speed_kmh=3.7),  # replaces it
+                  hs.GaitEvent(t=4.3, foot="L", speed_kmh=2.5)]
+        t, duty = hs.render_events(knot_table, fwd, bwd, events)
+        ref = reference_duty(knot_table, fwd, bwd, events, len(duty))
+        assert duty.tolist() == ref
+        assert t.tolist() == [i / TICK_RATE_HZ for i in range(len(t))]
+        mag = np.abs(duty)
+        assert np.any(mag == fwd.min_duty) and np.any(mag == 1.0)
+        assert np.any(duty == -1.0) and np.any(duty == 1.0)
+
+    def test_vibstep_equals_per_sample_reference(self):
+        rng = np.random.default_rng(3)
+        cases = [np.array([-0.5, -0.7, 0.3, 0.9, 0.0, 0.4, 0.0, -0.2, 0.6]),
+                 np.array([0.8]), np.array([-0.8, 0.0]), np.array([]),
+                 rng.choice([-0.9, -0.4, 0.0, 0.0, 0.5, 1.0], size=500)]
+        for duty in cases:
+            t, heel, thenar = hs.to_vibstep(duty, tick_rate_hz=999.7, t0=2.5)
+            ref_heel, ref_thenar = [0.0] * len(duty), [0.0] * len(duty)
+            i = 0
+            while i < len(duty):
+                if duty[i] == 0:
+                    i += 1
+                    continue
+                j = i
+                while j < len(duty) and np.sign(duty[j]) == np.sign(duty[i]):
+                    j += 1
+                out = ref_thenar if duty[i] > 0 else ref_heel
+                out[i:j] = [float(max(abs(duty[i:j])))] * (j - i)
+                i = j
+            assert heel.tolist() == ref_heel
+            assert thenar.tolist() == ref_thenar
+            assert t.tolist() == [2.5 + i / 999.7 for i in range(len(duty))]
 
 
 class TestEventJson:
