@@ -18,6 +18,7 @@ import numpy as np
 from . import textio
 from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
 from .profiles import FrictionProfile
+from .segmentation import runs
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
 
@@ -106,75 +107,52 @@ def force_to_duty(curve: CalibrationCurve, force_magnitude):
     return duty if duty.ndim else float(duty)
 
 
-def _edges(duty: np.ndarray):
-    """Indices where |duty| leaves zero (onsets) and returns to zero (offsets)."""
-    active = duty != 0
-    onsets = np.flatnonzero(active & ~np.concatenate(([False], active[:-1])))
-    offsets = np.flatnonzero(~active & np.concatenate(([False], active[:-1])))
-    return onsets, offsets
-
-
-def _rise_first_drop(mag: np.ndarray, start: int, stop: int, dt: float,
-                     flat_tol: float) -> float:
-    """Time from ``start`` until ``mag`` first fails to keep rising."""
-    window = mag[start:stop]
-    if len(window) < 2:
-        raise AnalysisError("response window too short")
-    peak = float(np.max(window))
-    if peak <= 0:
-        raise AnalysisError("no response detected after command edge")
-    inc = np.diff(window)
-    rising_seen = False
-    for k, d in enumerate(inc):
-        if d > flat_tol * peak:
-            rising_seen = True
-        elif rising_seen or window[k] > 0:
-            return (k + 1) * dt
-    return (stop - start) * dt
-
-
-def analyze_step_response(commanded, measured: FrictionProfile,
+def analyze_step_response(duty, measured: FrictionProfile,
                           flat_tol: float = FLAT_TOL) -> StepResponseMetrics:
     """Response-time metrics from a commanded step pattern and the
     measured force.
 
-    ``commanded`` is a per-tick (t, signed_duty) sequence on the same
-    time base as ``measured`` and must contain one 0 -> max and one
-    max -> 0 edge per direction (backward first).  rise_s follows the
-    first-drop rule (time until the measured value first stops rising
-    after the command edge, to within ``flat_tol`` of the plateau);
-    rise_10_90_s is the conventional 10-90% metric; transition_s is
-    the gap from the end of the backward command to the forward peak.
+    ``duty`` is the per-tick signed duty command on the same time base
+    as ``measured`` and must contain one 0 -> max and one max -> 0 edge
+    per direction (backward first).  rise_s follows the first-drop rule
+    (time until the measured value first stops rising after the command
+    edge, to within ``flat_tol`` of the plateau); rise_10_90_s is the
+    conventional 10-90% metric; transition_s is the gap from the end of
+    the backward command to the forward peak.
     """
-    duty = np.asarray([d for _, d in commanded], dtype=float)
+    duty = np.asarray(duty, dtype=float)
     force = measured.values
     if len(duty) != len(force):
         raise AnalysisError("commanded and measured logs differ in length")
     dt = 1.0 / measured.sample_rate_hz
 
-    onsets, offsets = _edges(duty)
-    if len(onsets) < 2 or len(offsets) < 2:
+    onsets, offsets = runs(duty != 0)
+    if len(onsets) < 2 or offsets[1] == len(duty):
         raise AnalysisError("expected one command pulse per direction")
-    signs = [np.sign(duty[i]) for i in onsets[:2]]
-    if set(signs) != {-1.0, 1.0}:
+    if set(np.sign(duty[onsets[:2]]).tolist()) != {-1.0, 1.0}:
         raise AnalysisError("expected one pulse per direction")
+    tail_stops = np.append(onsets[1:], len(duty))
 
     rises, rises_1090, falls = [], [], []
     fwd_peak_t = back_off_t = None
-    for onset, offset in zip(onsets[:2], offsets[:2]):
+    for onset, offset, tail_stop in zip(onsets[:2], offsets[:2], tail_stops):
         sign = np.sign(duty[onset])
         mag = np.clip(sign * force, 0.0, None)
-        rises.append(_rise_first_drop(mag, onset, offset, dt, flat_tol))
-
         window = mag[onset:offset]
+        if len(window) < 2:
+            raise AnalysisError("response window too short")
         plateau = float(np.max(window))
+        if plateau <= 0:
+            raise AnalysisError("no response detected after command edge")
+        rises.append(_first_stop(np.diff(window) > flat_tol * plateau,
+                                 window[:-1] > 0, dt))
         rises_1090.append(_crossing(window, 0.9 * plateau, dt)
                           - _crossing(window, 0.1 * plateau, dt))
 
-        next_on = [i for i in onsets if i > offset]
-        tail_stop = next_on[0] if next_on else len(mag)
-        falls.append(_fall_first_stop(mag, offset - 1, tail_stop, dt,
-                                      flat_tol, mag[offset - 1]))
+        # decay from the last commanded tick up to the next command
+        tail = mag[offset - 1:tail_stop]
+        falls.append(_first_stop(-np.diff(tail) > flat_tol * max(tail[0], 1e-300),
+                                 False, dt))
         if sign > 0:
             fwd_peak_t = (onset + int(np.argmax(window))) * dt
         else:
@@ -190,6 +168,13 @@ def analyze_step_response(commanded, measured: FrictionProfile,
     )
 
 
+def _first_stop(moving: np.ndarray, armed, dt: float) -> float:
+    """Time to the first step that is not ``moving`` once a move has
+    been seen or where ``armed`` holds; the whole window if none is."""
+    stopped = np.flatnonzero(~moving & (np.logical_or.accumulate(moving) | armed))
+    return (stopped[0] + 1) * dt if len(stopped) else (len(moving) + 1) * dt
+
+
 def _crossing(window: np.ndarray, level: float, dt: float) -> float:
     """First upward crossing time of ``level``, linearly interpolated."""
     above = np.flatnonzero(window >= level)
@@ -200,22 +185,6 @@ def _crossing(window: np.ndarray, level: float, dt: float) -> float:
         return 0.0
     frac = (level - window[i - 1]) / (window[i] - window[i - 1])
     return (i - 1 + frac) * dt
-
-
-def _fall_first_stop(mag: np.ndarray, start: int, stop: int, dt: float,
-                     flat_tol: float, ref: float) -> float:
-    """Time from ``start`` until ``mag`` stops falling (mirror of rise)."""
-    window = mag[start:stop]
-    if len(window) < 2:
-        raise AnalysisError("decay window too short")
-    dec = -np.diff(window)
-    falling_seen = False
-    for k, d in enumerate(dec):
-        if d > flat_tol * max(ref, 1e-300):
-            falling_seen = True
-        elif falling_seen:
-            return (k + 1) * dt
-    return (stop - start) * dt
 
 
 def curve_from_dict(data: dict) -> CalibrationCurve:

@@ -16,8 +16,6 @@ import socket
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import calibration, plant, profiles, renderer, scores, segmentation, textio, trace
 from .errors import (
     ConfigError,
@@ -172,11 +170,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_step_response(args) -> int:
-    t_c, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
-    t_m, force = textio.read_columns(args.measured, ("t", "force"), 2)
-    rate = 1.0 / float(np.median(np.diff(t_m)))
-    measured = profiles.FrictionProfile(sample_rate_hz=rate, values=force)
-    metrics = calibration.analyze_step_response(list(zip(t_c, duty)), measured)
+    _, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
+    t, force = textio.read_columns(args.measured, ("t", "force"), 2)
+    measured = profiles.FrictionProfile(sample_rate_hz=trace.rate_from_times(t),
+                                        values=force)
+    metrics = calibration.analyze_step_response(duty, measured)
     textio.write_json(args.out, metrics.as_dict())
     print(f"rise={metrics.rise_s:.4f}s (10-90% {metrics.rise_10_90_s:.4f}s) "
           f"fall={metrics.fall_s:.4f}s transition={metrics.transition_s:.4f}s "
@@ -220,8 +218,8 @@ def cmd_render(args) -> int:
 
 def cmd_vibstep(args) -> int:
     t, duty = textio.read_columns(args.commands, ("t", "signed_duty"), 2)
-    rate = 1.0 / float(np.median(np.diff(t)))
-    t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=rate, t0=float(t[0]))
+    t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
+                                          t0=float(t[0]))
     n = textio.write_rows(args.out, ("t", "heel_duty", "thenar_duty"),
                           textio.float_rows(t, heel, thenar))
     print(f"{n} ticks -> {args.out}")

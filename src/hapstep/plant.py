@@ -102,12 +102,11 @@ def simulate_step_response(model: PlateModel, tick_rate_hz: int = 1000,
         max_duty * np.ones(hold),
         np.zeros(gap),
     ])
-    force = np.empty_like(duty)
-    for i, d in enumerate(duty):
-        force[i] = step_plate(model, d, dt)
+    force = np.fromiter((step_plate(model, d, dt) for d in duty), dtype=float,
+                        count=len(duty))
     t = np.arange(len(duty)) * dt
     measured = FrictionProfile(sample_rate_hz=tick_rate_hz, values=force)
-    metrics = analyze_step_response(list(zip(t, duty)), measured)
+    metrics = analyze_step_response(duty, measured)
     return SimRun(t=t, command=duty, force=force, metrics=metrics.as_dict())
 
 

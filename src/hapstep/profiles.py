@@ -23,7 +23,7 @@ from .errors import (
     EmptyInputError,
     PhaseInconsistencyError,
 )
-from .segmentation import PhaseTimings
+from .segmentation import PhaseTimings, runs
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,9 @@ def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
         raise PhaseInconsistencyError(
             f"apex sample {apex} is outside its "
             f"{'negative' if negative else 'positive'} region")
-    a = apex
-    while a > 0 and inside[a - 1]:
-        a -= 1
-    b = apex
-    while b < len(v) - 1 and inside[b + 1]:
-        b += 1
+    starts, stops = runs(inside)
+    k = np.searchsorted(starts, apex, side="right") - 1
+    a, b = int(starts[k]), int(stops[k]) - 1
     if a == 0:
         t_on = 0.0
     else:

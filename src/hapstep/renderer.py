@@ -26,6 +26,7 @@ import numpy as np
 from .calibration import CalibrationCurve, force_to_duty
 from .errors import ClockError, ConfigError, FormatError
 from .profiles import SpeedProfileTable, TriangularProfile, interpolate
+from .segmentation import runs
 
 TICK_RATE_HZ = 1000
 
@@ -195,8 +196,7 @@ def render_events(table: SpeedProfileTable,
 def _run_peaks(mag: np.ndarray) -> np.ndarray:
     """Each run of positive ``mag`` replaced by its maximum, 0 elsewhere."""
     on = mag > 0
-    edges = np.flatnonzero(np.diff(on, prepend=False, append=False))
-    starts, stops = edges[::2], edges[1::2]
+    starts, stops = runs(on)
     out = np.zeros_like(mag)
     if len(starts):
         # each reduceat segment is one run plus the zeros after it

@@ -76,32 +76,19 @@ def segment_steps(trace: ForceTrace, cfg: SegmentationConfig | None = None) -> l
     activity = np.abs(trace.thenar_y) + np.abs(trace.heel_y)
     hold = max(1, int(round(cfg.release_hold_s * fs)))
 
-    bounds: list[tuple[int, int]] = []
-    open_at = None
-    quiet_start = None
-    prev = -np.inf
-    for i, a in enumerate(activity):
-        if open_at is None:
-            if a >= cfg.onset_threshold and prev < cfg.onset_threshold:
-                open_at = i
-                quiet_start = None
-        else:
-            if a < cfg.release_threshold:
-                if quiet_start is None:
-                    quiet_start = i
-                elif i - quiet_start + 1 >= hold:
-                    bounds.append((open_at, quiet_start))
-                    open_at = None
-                    quiet_start = None
-            else:
-                quiet_start = None
-        prev = a
-    if open_at is not None:
-        bounds.append((open_at, quiet_start if quiet_start is not None else len(activity)))
+    # onsets before a step's close fall inside it; a quiet run the
+    # trace ends in closes the last step however short it is
+    onsets, _ = runs(activity >= cfg.onset_threshold)
+    quiet, quiet_stop = runs(activity < cfg.release_threshold)
+    closes = quiet[(quiet_stop - quiet >= hold) | (quiet_stop == len(activity))]
+    n_closed = np.searchsorted(closes, onsets)
+    opens = np.diff(n_closed, prepend=-1) > 0
+    starts = onsets[opens]
+    stops = np.append(closes, len(activity))[n_closed[opens]]
 
     segments = []
     index = 0
-    for start, stop in bounds:
+    for start, stop in zip(starts.tolist(), stops.tolist()):
         if (stop - start) / fs < cfg.min_step_s:
             continue
         index += 1
@@ -164,15 +151,15 @@ def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -
     spike_mag = cfg.step4_ratio * abs(c[i1])
     spike_hits = np.flatnonzero(tr.thenar_y[i3:] <= -spike_mag)
     if len(spike_hits):
-        onset = i3 + spike_hits[0]
-        while onset > i3 and tr.thenar_y[onset - 1] < 0:
-            onset -= 1
-        i4 = onset
+        # the spike starts where the negative run leading into it starts
+        hit = int(spike_hits[0])
+        neg, neg_stop = runs(tr.thenar_y[i3:i3 + hit] < 0)
+        i4 = i3 + (int(neg[-1]) if len(neg) and neg_stop[-1] == hit else hit)
     else:
         i4 = len(c)
 
-    overlap = (tr.thenar_y > 0) & (tr.heel_y > 0)
-    step2 = _longest_run(overlap) >= max(1, int(round(cfg.step2_min_s * fs)))
+    overlap, overlap_stop = runs((tr.thenar_y > 0) & (tr.heel_y > 0))
+    step2 = bool(np.any(overlap_stop - overlap >= max(1, int(round(cfg.step2_min_s * fs)))))
 
     return PhaseTimings(
         t_start=0.0,
@@ -184,12 +171,11 @@ def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -
     )
 
 
-def _longest_run(mask: np.ndarray) -> int:
-    best = run = 0
-    for v in mask:
-        run = run + 1 if v else 0
-        best = max(best, run)
-    return best
+def runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Start and exclusive stop index of every True run of ``mask``."""
+    mask = np.asarray(mask, dtype=bool)
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[::2], edges[1::2]
 
 
 def combine_channels(segment: StepSegment, phases: PhaseTimings):

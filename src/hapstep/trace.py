@@ -122,6 +122,20 @@ def _header_float(header_meta: dict[str, str], key: str, default):
         raise FormatError(f"bad {key} header value {header_meta[key]!r}") from None
 
 
+def rate_from_times(t: np.ndarray) -> float:
+    """Sample rate of a time column of two or more samples, 1 / median
+    step.  FormatError unless the column is strictly increasing and
+    every step is within TIME_JITTER_TOL of the median."""
+    dt = np.diff(t)
+    med = float(np.median(dt))
+    if not med > 0:
+        raise FormatError("time column must be strictly increasing")
+    if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
+        raise FormatError(
+            f"non-uniform time spacing beyond {TIME_JITTER_TOL:.0%} jitter")
+    return 1.0 / med
+
+
 def load_trace(source) -> ForceTrace:
     """Parse a trace-CSV stream or path into a validated ForceTrace.
 
@@ -139,18 +153,9 @@ def load_trace(source) -> ForceTrace:
     cols = {name: data[:, i] for i, name in enumerate(columns)}
 
     rate = _header_float(header_meta, "rate_hz", None)
-    if "t" in cols:
-        t = cols["t"]
-        if len(t) >= 2:
-            dt = np.diff(t)
-            med = float(np.median(dt))
-            if med <= 0:
-                raise FormatError("time column must be strictly increasing")
-            if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
-                raise FormatError(
-                    f"non-uniform time spacing beyond {TIME_JITTER_TOL:.0%} jitter")
-            if rate is None:
-                rate = 1.0 / med
+    if "t" in cols and len(data) >= 2:
+        t_rate = rate_from_times(cols["t"])
+        rate = t_rate if rate is None else rate
     if rate is None:
         raise FormatError("sample rate not declared in header and no time column")
 

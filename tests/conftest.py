@@ -33,6 +33,12 @@ def random_profile(rng, fs=PROFILE_FS):
     return hs.FrictionProfile(sample_rate_hz=fs, values=v, phases=phases)
 
 
+def random_runs(rng, levels, n):
+    """n samples of ``levels`` held for random runs of 1-8 samples, so a
+    run scan sees single-sample runs and runs touching either end."""
+    return np.repeat(rng.choice(levels, size=n), rng.integers(1, 9, size=n))[:n]
+
+
 def make_curve(direction, slope=3.0, intercept=0.0, min_duty=0.0, r_squared=1.0):
     return hs.CalibrationCurve(direction=direction, slope=slope,
                                intercept=intercept, r_squared=r_squared,
@@ -77,3 +83,10 @@ def no_unclosed_files():
         gc.collect()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaks, leaks
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_files():
+    """Every test fails if it leaves a file or socket unclosed."""
+    with no_unclosed_files():
+        yield

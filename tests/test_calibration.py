@@ -14,6 +14,8 @@ from hapstep.calibration import (
 )
 from hapstep.errors import AnalysisError, ConfigError, UnderdeterminedFitError
 
+from conftest import random_runs
+
 PWM_DUTIES = (95 / 255, 175 / 255, 255 / 255)
 
 
@@ -110,8 +112,7 @@ def first_order_bench(tau, fs=1000, lead=0.1, hold=0.5, gap=0.5,
     alpha = 1 - math.exp(-dt / tau)
     for i in range(1, len(duty)):
         force[i] = force[i - 1] + (target * duty[i] - force[i - 1]) * alpha
-    t = np.arange(len(duty)) * dt
-    return list(zip(t, duty)), hs.FrictionProfile(fs, force)
+    return duty, hs.FrictionProfile(fs, force)
 
 
 class TestAnalyzeStepResponse:
@@ -157,15 +158,66 @@ class TestAnalyzeStepResponse:
         fs = 1000
         duty = np.concatenate([np.zeros(100), np.ones(500), np.zeros(100),
                                np.ones(500), np.zeros(100)])
-        t = np.arange(len(duty)) / fs
         measured = hs.FrictionProfile(fs, duty * 2.0)
         with pytest.raises(AnalysisError):
-            hs.analyze_step_response(list(zip(t, duty)), measured)
+            hs.analyze_step_response(duty, measured)
 
     def test_as_dict_keys(self):
         m = hs.analyze_step_response(*first_order_bench(0.05))
         assert set(m.as_dict()) == {"rise_s", "fall_s", "transition_s",
                                     "rise_10_90_s"}
+
+
+def reference_first_stops(mag, pulses, dt, flat_tol=FLAT_TOL):
+    """Per-sample first-drop rise and first-stop fall times of each
+    (onset, offset, next onset) pulse of the clipped magnitudes."""
+    rises, falls = [], []
+    for (onset, offset, tail_stop), m in zip(pulses, mag):
+        w = m[onset:offset]
+        rise, rising = len(w) * dt, False
+        for k in range(len(w) - 1):
+            if w[k + 1] - w[k] > flat_tol * float(np.max(w)):
+                rising = True
+            elif rising or w[k] > 0:
+                rise = (k + 1) * dt
+                break
+        w = m[offset - 1:tail_stop]
+        fall, falling = len(w) * dt, False
+        for k in range(len(w) - 1):
+            if w[k] - w[k + 1] > flat_tol * max(w[0], 1e-300):
+                falling = True
+            elif falling:
+                fall = (k + 1) * dt
+                break
+        rises.append(rise)
+        falls.append(fall)
+    return float(np.mean(rises)), float(np.mean(falls))
+
+
+class TestFirstStopExact:
+    def test_rise_and_fall_equal_per_sample_reference(self):
+        rng = np.random.default_rng(10)
+        checked = 0
+        for _ in range(400):
+            fs = float(rng.choice([100.0, 999.7, 1000.0]))
+            lead, hold1, gap, hold2, tail = rng.integers([0, 2, 1, 2, 1], [20, 60, 40, 60, 40])
+            first = float(rng.choice([-1.0, 1.0]))
+            duty = np.concatenate([np.zeros(lead), np.full(hold1, first), np.zeros(gap),
+                                   np.full(hold2, -first), np.zeros(tail)])
+            steps = random_runs(rng, [-0.02, 0.0, 1e-6, 0.003, 0.05, 0.3], len(duty))
+            force = np.abs(np.cumsum(steps)) * np.where(
+                np.arange(len(duty)) < lead + hold1 + gap, first, -first)
+            force[rng.integers(len(duty), size=3)] *= -1.0  # stray opposite-sign ticks
+            on2 = lead + hold1 + gap
+            pulses = [(lead, lead + hold1, on2), (on2, on2 + hold2, len(duty))]
+            mag = [np.clip(first * force, 0.0, None), np.clip(-first * force, 0.0, None)]
+            try:
+                m = hs.analyze_step_response(duty, hs.FrictionProfile(fs, force))
+            except AnalysisError:
+                continue
+            assert (m.rise_s, m.fall_s) == reference_first_stops(mag, pulses, 1.0 / fs)
+            checked += 1
+        assert checked > 200
 
 
 class TestCurveSerialization:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestIngest:
         res = run_cli("ingest", "--trace", workdir["traces"][0],
                       "--out", str(out))
         assert res.returncode == 0
-        assert out.read_bytes() == open(workdir["traces"][0], "rb").read()
+        assert out.read_bytes() == Path(workdir["traces"][0]).read_bytes()
 
     def test_malformed_trace_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -114,7 +115,7 @@ class TestSegmentAndPhases:
 
 class TestCompile:
     def test_table_has_three_speeds(self, workdir):
-        data = json.loads(open(workdir["table"]).read())
+        data = json.loads(Path(workdir["table"]).read_text())
         assert [e["speed_kmh"] for e in data["entries"]] == list(KNOT_SPEEDS)
         assert 0 < data["device_scale"] <= 1
 
@@ -123,7 +124,7 @@ class TestCompile:
         res = run_cli("compile", "--traces", *workdir["traces"],
                       "--out", str(out))
         assert res.returncode == 0
-        assert out.read_bytes() == open(workdir["table"], "rb").read()
+        assert out.read_bytes() == Path(workdir["table"]).read_bytes()
 
     def test_too_few_steps_exit_4(self, tmp_path):
         tr, _ = synthetic_walk(n_steps=5)
@@ -272,6 +273,29 @@ class TestVibstep:
         rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
         assert np.all(rows[:, 1] >= 0) and np.all(rows[:, 2] >= 0)
         assert np.any(rows[:, 1] > 0) and np.any(rows[:, 2] > 0)
+
+
+class TestTimeColumn:
+    def test_step_response_of_simulated_bench(self, tmp_path, capsys):
+        log, bench, out = tmp_path / "run.csv", tmp_path / "bench.json", tmp_path / "sr.json"
+        assert cli.main(["simulate", "--min-duty", "0", "--out", str(bench),
+                         "--out-log", str(log)]) == 0
+        assert cli.main(["step-response", "--commanded", str(log),
+                         "--measured", str(log), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == pytest.approx(json.loads(bench.read_text()))
+
+    @pytest.mark.parametrize("t", [pytest.param((0, 0, 0), id="constant"),
+                                   pytest.param((2, 1, 0), id="decreasing")])
+    @pytest.mark.parametrize("command", ["vibstep", "step-response"])
+    def test_bad_time_column_exit_3(self, tmp_path, capsys, command, t):
+        log = tmp_path / "log.csv"
+        log.write_text("t,signed_duty,force\n" + "".join(f"{x},0.5,1.0\n" for x in t))
+        inputs = {"vibstep": ["--commands", str(log)],
+                  "step-response": ["--commanded", str(log), "--measured", str(log)]}
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs[command], "--out", str(out)]) == 3
+        assert "time column must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -13,9 +13,15 @@ from hapstep.errors import (
     EmptyInputError,
     PhaseInconsistencyError,
 )
-from hapstep.profiles import Triangle, load_table, save_table, table_from_dict
+from hapstep.profiles import (
+    Triangle,
+    _region_bounds,
+    load_table,
+    save_table,
+    table_from_dict,
+)
 
-from conftest import PROFILE_FS as FS, random_profile
+from conftest import PROFILE_FS as FS, random_profile, random_runs
 
 
 def impulse_of(profile):
@@ -221,6 +227,39 @@ class TestCompileTriangular:
                                    phases=replace(p.phases, t_step1_peak=p.phases.t_step3_peak))
         with pytest.raises(PhaseInconsistencyError):
             hs.compile_triangular(wrong, hs.ImpulsePair(1.0, 1.0))
+
+
+def reference_region_bounds(v, apex, rate, negative):
+    """Per-sample walk out from the apex to the ends of its sign region."""
+    inside = (v < 0) if negative else (v > 0)
+    a = apex
+    while a > 0 and inside[a - 1]:
+        a -= 1
+    b = apex
+    while b < len(v) - 1 and inside[b + 1]:
+        b += 1
+    t_on = 0.0 if a == 0 else (a - 1 + v[a - 1] / (v[a - 1] - v[a])) / rate
+    t_off = len(v) / rate if b == len(v) - 1 else (b + v[b] / (v[b] - v[b + 1])) / rate
+    return t_on, t_off
+
+
+class TestRegionBoundsExact:
+    def test_equals_per_sample_reference(self):
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 60))
+            v = random_runs(rng, [-2.0, -0.5, 0.0, 0.7, 1.5], n) * rng.uniform(0.5, 1.5, n)
+            apex, negative = int(rng.integers(n)), bool(rng.integers(2))
+            rate = float(rng.choice([100.0, 999.7, 1000.0]))
+            if not (v[apex] < 0 if negative else v[apex] > 0):
+                with pytest.raises(PhaseInconsistencyError):
+                    _region_bounds(v, apex, rate, negative)
+                continue
+            assert _region_bounds(v, apex, rate, negative) \
+                == reference_region_bounds(v, apex, rate, negative)
+            checked += 1
+        assert checked > 500
 
 
 class TestFitDeviceScale:

@@ -11,6 +11,8 @@ from hapstep.segmentation import SegmentationConfig, StepSegment
 from hapstep.synthetic import StepShape, step_channels, synthetic_walk
 from hapstep.trace import ForceTrace, TraceMeta
 
+from conftest import random_runs
+
 FS = 1000.0
 
 
@@ -63,6 +65,14 @@ class TestSegmentSteps:
         heel = triangle(FS, 0.05, 0.10, 0.15, -2.0, 1000)  # 0.1 s blip
         tr = make_trace(np.zeros(1000), heel)
         assert hs.segment_steps(tr) == []
+
+    def test_quiet_run_of_hold_samples_closes_step(self):
+        cfg = SegmentationConfig(release_hold_s=0.001)  # hold of one sample
+        for gap in (1, 2):
+            active = np.r_[np.ones(300), np.zeros(gap), np.ones(300)]
+            segs = hs.segment_steps(make_trace(active, np.zeros(len(active))), cfg)
+            assert [(s.start_s, len(s.trace)) for s in segs] \
+                == [(0.0, 300), ((300 + gap) / FS, 300)]
 
     def test_bad_thresholds_rejected(self):
         tr = make_trace(np.zeros(10), np.zeros(10))
@@ -175,3 +185,102 @@ class TestCombineChannels:
             + np.trapezoid(seg.trace.heel_y[:n], dx=dt)
         combined = np.trapezoid(prof.values, dx=dt)
         assert combined == pytest.approx(total, rel=1e-9)
+
+
+def reference_bounds(activity, onset, release, hold):
+    """Per-sample open/close state machine: a step opens at an upward
+    onset crossing and closes at the start of the first run of ``hold``
+    quiet samples after it, or of the quiet run the trace ends in."""
+    bounds, open_at, quiet_start, prev = [], None, None, -np.inf
+    for i, a in enumerate(activity):
+        if open_at is None:
+            if a >= onset and prev < onset:
+                open_at, quiet_start = i, None
+        elif a < release:
+            if quiet_start is None:
+                quiet_start = i
+            if i - quiet_start + 1 >= hold:
+                bounds.append((open_at, quiet_start))
+                open_at = quiet_start = None
+        else:
+            quiet_start = None
+        prev = a
+    if open_at is not None:
+        bounds.append((open_at, len(activity) if quiet_start is None else quiet_start))
+    return bounds
+
+
+def reference_longest_run(mask):
+    best = run = 0
+    for v in mask:
+        run = run + 1 if v else 0
+        best = max(best, run)
+    return best
+
+
+def reference_spike_onset(thenar, i3, spike_mag):
+    """Walk back from the first spike sample over the negative run
+    leading into it, no further than the drive peak."""
+    hits = np.flatnonzero(thenar[i3:] <= -spike_mag)
+    if len(hits) == 0:
+        return len(thenar)
+    onset = i3 + hits[0]
+    while onset > i3 and thenar[onset - 1] < 0:
+        onset -= 1
+    return onset
+
+
+class TestRunScanExact:
+    def test_segment_steps_equals_per_sample_reference(self):
+        rng = np.random.default_rng(7)
+        n_steps = n_hold_one = 0
+        for _ in range(600):
+            fs = float(rng.choice([10.0, 25.0, 100.0, 999.7, 1000.0]))
+            onset = rng.uniform(0.2, 1.0)
+            cfg = SegmentationConfig(onset_threshold=onset,
+                                     release_threshold=onset * rng.uniform(0.1, 0.9),
+                                     min_step_s=rng.uniform(0.001, 0.02),
+                                     release_hold_s=rng.uniform(0.0, 0.012))
+            n = int(rng.integers(1, 200))
+            level = random_runs(rng, [0.0, 0.05, 0.15, 0.5, 1.2], n)
+            thenar = level * rng.choice([-1.0, 1.0], size=n)
+            heel = random_runs(rng, [0.0, 0.0, -0.1, 0.3], n)
+            activity = np.abs(thenar) + np.abs(heel)
+            hold = max(1, int(round(cfg.release_hold_s * fs)))
+            expected = [(start / fs, stop - start) for start, stop in
+                        reference_bounds(activity, cfg.onset_threshold,
+                                         cfg.release_threshold, hold)
+                        if (stop - start) / fs >= cfg.min_step_s]
+            segs = hs.segment_steps(make_trace(thenar, heel, fs), cfg)
+            assert [(s.start_s, len(s.trace)) for s in segs] == expected
+            assert [s.index_in_walk for s in segs] == list(range(1, len(segs) + 1))
+            n_steps += len(segs)
+            n_hold_one += len(segs) * (hold == 1)
+        assert n_steps > 1000 and n_hold_one > 100
+
+    def test_step2_and_spike_onset_equal_per_sample_reference(self):
+        rng = np.random.default_rng(8)
+        checked = present = spikes = 0
+        for _ in range(600):
+            fs = float(rng.choice([100.0, 999.7, 1000.0]))
+            n = int(rng.integers(3, 150))
+            thenar = random_runs(rng, [-3.0, -0.5, 0.0, 0.5, 1.0], n)
+            heel = random_runs(rng, [-1.0, 0.0, 0.3, 0.8], n)
+            thenar[0], heel[0] = 0.0, -1.0  # leading brake sample
+            cfg = SegmentationConfig(step4_ratio=rng.uniform(0.3, 3.0),
+                                     step2_min_s=rng.uniform(0.0, 0.008))
+            try:
+                ph = hs.detect_phases(make_segment(thenar, heel, fs), cfg)
+            except PhaseDetectionError:
+                continue
+            i1, i3 = round(ph.t_step1_peak * fs), round(ph.t_step3_peak * fs)
+            spike_mag = cfg.step4_ratio * abs(thenar[i1] + heel[i1])
+            i4 = reference_spike_onset(thenar, i3, spike_mag)
+            overlap = reference_longest_run((thenar > 0) & (heel > 0))
+            assert ph.t_step4_start == i4 / fs
+            assert ph.t_step2_present is (
+                overlap >= max(1, int(round(cfg.step2_min_s * fs))))
+            checked += 1
+            present += ph.t_step2_present
+            spikes += i4 < n
+        assert checked > 300 and 0 < present < checked and 0 < spikes < checked

@@ -79,6 +79,16 @@ def test_non_uniform_time_spacing_rejected():
         load_trace(csv.encode())
 
 
+@pytest.mark.parametrize("t", [(0.0, 0.0, 0.0), (0.002, 0.001, 0.0),
+                               (0.0, float("nan"), 0.002)],
+                         ids=["constant", "decreasing", "nan"])
+def test_time_column_must_increase(t):
+    # checked even though the header declares the rate
+    csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x},0,0\n" for x in t)
+    with pytest.raises(FormatError, match="strictly increasing"):
+        load_trace(csv.encode())
+
+
 def test_empty_body_rejected():
     with pytest.raises(EmptyInputError):
         load_trace((HEADER + "t,thenar_y,heel_y\n").encode())
