@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from . import calibration, plant, profiles, renderer, scores, segmentation, textio, trace
 from .errors import (
     ConfigError,
+    FormatError,
     HapstepError,
     IOFailureError,
     PipelineError,
@@ -170,10 +171,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_step_response(args) -> int:
-    _, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
+    t_cmd, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
     t, force = textio.read_columns(args.measured, ("t", "force"), 2)
-    measured = profiles.FrictionProfile(sample_rate_hz=trace.rate_from_times(t),
-                                        values=force)
+    rate = trace.rate_from_times(t)
+    # both logs must share one clock: same first time and rate
+    if (abs(t_cmd[0] - t[0]) * rate > trace.TIME_JITTER_TOL
+            or abs(trace.rate_from_times(t_cmd) - rate) > trace.TIME_JITTER_TOL * rate):
+        raise FormatError(f"{args.commanded}: t is not on the measured log's clock")
+    measured = profiles.FrictionProfile(sample_rate_hz=rate, values=force)
     metrics = calibration.analyze_step_response(duty, measured)
     textio.write_json(args.out, metrics.as_dict())
     print(f"rise={metrics.rise_s:.4f}s (10-90% {metrics.rise_10_90_s:.4f}s) "
@@ -220,8 +225,8 @@ def cmd_vibstep(args) -> int:
     t, duty = textio.read_columns(args.commands, ("t", "signed_duty"), 2)
     t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
                                           t0=float(t[0]))
-    n = textio.write_rows(args.out, ("t", "heel_duty", "thenar_duty"),
-                          textio.float_rows(t, heel, thenar))
+    n = textio.write_columns(args.out, ("t", "heel_duty", "thenar_duty"),
+                             t, heel, thenar)
     print(f"{n} ticks -> {args.out}")
     return 0
 

@@ -177,6 +177,6 @@ def run_closed_loop(table: SpeedProfileTable,
 
 def save_sim_run(run: SimRun, log_path, metrics_path) -> None:
     """Persist per-tick logs as CSV and the metrics block as JSON."""
-    textio.write_rows(log_path, ("t", "signed_duty", "force"),
-                      textio.float_rows(run.t, run.command, run.force))
+    textio.write_columns(log_path, ("t", "signed_duty", "force"),
+                         run.t, run.command, run.force)
     textio.write_json(metrics_path, run.metrics)

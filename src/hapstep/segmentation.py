@@ -28,6 +28,9 @@ class SegmentationConfig:
     step2_min_s: float = 0.010      # minimum dual-site positive overlap
 
     def validate(self):
+        if not np.all(np.isfinite([self.onset_threshold, self.release_threshold,
+                                   self.min_step_s])):
+            raise ConfigError("thresholds and min_step_s must be finite")
         if self.onset_threshold <= 0 or self.release_threshold <= 0:
             raise ConfigError("thresholds must be positive")
         if self.release_threshold >= self.onset_threshold:

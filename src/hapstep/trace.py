@@ -182,8 +182,7 @@ def write_trace(trace: ForceTrace, dest) -> None:
         fh.write(f"# rate_hz={trace.sample_rate_hz!r} "
                  f"speed_kmh={trace.meta.walking_speed_kmh!r} "
                  f"participant={trace.meta.participant_id}\n")
-        textio.write_rows(fh, ("t", *trace.channels()),
-                          textio.float_rows(trace.times, *sensor))
+        textio.write_columns(fh, ("t", *trace.channels()), trace.times, *sensor)
 
 
 def dump_trace(trace: ForceTrace) -> str:

@@ -112,6 +112,15 @@ class TestSegmentAndPhases:
         assert len(records) == 30
         assert all(r["t_step1_peak"] < r["t_step3_peak"] for r in records)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--onset-threshold", "--release-threshold",
+                                      "--min-step-s"])
+    def test_non_finite_setting_exit_2(self, workdir, tmp_path, capsys, flag, value):
+        out = tmp_path / "steps.json"
+        assert cli.main(["segment", "--trace", workdir["traces"][1], flag, value,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCompile:
     def test_table_has_three_speeds(self, workdir):
@@ -283,6 +292,21 @@ class TestTimeColumn:
         assert cli.main(["step-response", "--commanded", str(log),
                          "--measured", str(log), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == pytest.approx(json.loads(bench.read_text()))
+
+    @pytest.mark.parametrize("clock", [pytest.param(lambda t: 2 * t, id="500Hz"),
+                                       pytest.param(lambda t: t + 0.5, id="offset")])
+    def test_commanded_log_on_another_clock_exit_3(self, tmp_path, capsys, clock):
+        log, commanded = tmp_path / "run.csv", tmp_path / "cmd.csv"
+        out = tmp_path / "sr.json"
+        assert cli.main(["simulate", "--min-duty", "0", "--out", str(tmp_path / "m.json"),
+                         "--out-log", str(log)]) == 0
+        rows = np.loadtxt(log, delimiter=",", skiprows=1)
+        np.savetxt(commanded, np.column_stack([clock(rows[:, 0]), rows[:, 1]]),
+                   delimiter=",", header="t,signed_duty", comments="")
+        assert cli.main(["step-response", "--commanded", str(commanded),
+                         "--measured", str(log), "--out", str(out)]) == 3
+        assert "not on the measured log's clock" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("t", [pytest.param((0, 0, 0), id="constant"),
                                    pytest.param((2, 1, 0), id="decreasing")])
