@@ -190,14 +190,18 @@ def cmd_step_response(args) -> int:
 @contextmanager
 def _event_lines(args):
     """NDJSON lines from one TCP connection, stdin or a file; closes
-    whatever it opened."""
+    whatever it opened.  Waiting for the connection or for a line times
+    out (TimeoutError) after MAX_EVENT_GAP_S, the longest gap an event
+    may follow the one before it."""
     if args.listen is None:
         with textio.opened(sys.stdin if args.events == "-" else args.events, "r") as fh:
             yield fh
         return
     with socket.create_server(("127.0.0.1", args.listen)) as server:
+        server.settimeout(renderer.MAX_EVENT_GAP_S)
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
         conn, _ = server.accept()
+        conn.settimeout(renderer.MAX_EVENT_GAP_S)
         with conn, conn.makefile("r", encoding="utf-8") as fh:
             yield fh
 
@@ -214,9 +218,13 @@ def cmd_render(args) -> int:
     fwd, bwd = _load_curves(args)
     rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
     with _event_lines(args) as lines:
-        stream = renderer.command_stream(rend, renderer.events_from_ndjson(lines),
-                                         args.duration)
-        n = textio.write_rows(args.out, renderer.ActuatorCommand._fields, stream)
+        events = renderer.events_from_ndjson(lines)
+        if args.listen is None and args.events != "-":
+            blocks = renderer.command_blocks(rend, events, args.duration)
+            n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
+        else:
+            stream = renderer.command_stream(rend, events, args.duration)
+            n = textio.write_rows(args.out, renderer.ActuatorCommand._fields, stream)
     print(f"{n} ticks -> {args.out}")
     return 0
 

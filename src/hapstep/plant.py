@@ -11,7 +11,6 @@ skin elasticity; modeled as an instantaneous return toward zero force.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,10 +18,10 @@ import numpy as np
 from . import textio
 from .calibration import CalibrationCurve, analyze_step_response, duty_to_force
 from .errors import ConfigError
-# interpolate is no longer called here; it stays importable because the
-# per-layer benchmark (benchmarks/spans.py) wraps it at this attribute
+# interpolate and command_stream are no longer called here; they stay importable
+# because the per-layer benchmark (benchmarks/spans.py) wraps them at these attributes
 from .profiles import FrictionProfile, SpeedProfileTable, interpolate  # noqa: F401
-from .renderer import Renderer, command_stream
+from .renderer import Renderer, command_blocks, command_stream  # noqa: F401
 
 DEFAULT_TAU_S = 0.05
 
@@ -71,6 +70,34 @@ def step_plate(model: PlateModel, signed_duty: float, dt: float) -> float:
     return model.state_force
 
 
+def plate_forces(model: PlateModel, duties, dt: float) -> np.ndarray:
+    """The force after each tick of step_plate over ``duties``, bit for
+    bit; only the lag and the clamp run per tick."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    duties = np.asarray(duties, dtype=float)
+    mag = np.abs(duties)
+    targets = np.zeros_like(duties)
+    for curve, sel in ((model.forward_curve, duties > 0),
+                       (model.backward_curve, duties <= 0)):
+        sel &= (mag >= curve.min_duty) & (mag > 0)
+        targets[sel] = np.copysign(duty_to_force(curve, mag[sel]), duties[sel])
+    gain = 1.0 - math.exp(-dt / model.tau_s)
+    hi, lo = model.max_force, -model.max_force
+    state = model.state_force
+    forces = []
+    push = forces.append
+    for target in targets.tolist():
+        state += (target - state) * gain
+        if state > hi:
+            state = hi
+        elif state < lo:
+            state = lo
+        push(state)
+    model.state_force = state
+    return np.array(forces)
+
+
 @dataclass
 class SimRun:
     """Per-tick logs plus metrics computed from the logs."""
@@ -102,8 +129,7 @@ def simulate_step_response(model: PlateModel, tick_rate_hz: int = 1000,
         max_duty * np.ones(hold),
         np.zeros(gap),
     ])
-    force = np.fromiter((step_plate(model, d, dt) for d in duty), dtype=float,
-                        count=len(duty))
+    force = plate_forces(model, duty, dt)
     t = np.arange(len(duty)) * dt
     measured = FrictionProfile(sample_rate_hz=tick_rate_hz, values=force)
     metrics = analyze_step_response(duty, measured)
@@ -116,7 +142,7 @@ def run_closed_loop(table: SpeedProfileTable,
                     events, model: PlateModel,
                     tick_rate_hz: int = 1000,
                     tail_s: float | None = None) -> SimRun:
-    """Renderer and plant stepped in lockstep at the tick rate.
+    """The events' duty log, rendered offline, through the plant.
 
     Metrics:
       per_region_impulse_error - worst relative gap between achieved
@@ -137,13 +163,9 @@ def run_closed_loop(table: SpeedProfileTable,
         tail_s = 10.0 * model.tau_s
 
     renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    duty = array("d", (c.signed_duty for c in command_stream(renderer, events)))
-    stop_t = renderer.end_t + tail_s
-    while len(duty) / tick_rate_hz < stop_t:
-        duty.append(renderer.tick(len(duty) / tick_rate_hz).signed_duty)
-    force = np.fromiter((step_plate(model, d, dt) for d in duty), dtype=float,
-                        count=len(duty))
-    duty = np.array(duty)
+    blocks = command_blocks(renderer, events, tail_s=tail_s)
+    duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
+    force = plate_forces(model, duty, dt)
     t = np.arange(len(duty)) / tick_rate_hz
 
     worst_region = 0.0

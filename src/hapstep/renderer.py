@@ -7,7 +7,8 @@ its duty up.  Negative duty drives the backward-towing motor (brake
 phase), positive the forward motor, and the brake phase always precedes
 the drive phase within an envelope.  A new event preempts and replaces
 any active envelope at the next tick boundary; the renderer's schedule
-records which envelope plays from which tick.
+records which envelope plays from which tick.  A recorded log is
+composed from that schedule a block of ticks at a time.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -23,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textio
 from .calibration import CalibrationCurve, force_to_duty
 from .errors import ClockError, ConfigError, FormatError
 from .profiles import SpeedProfileTable, TriangularProfile, interpolate
@@ -33,6 +35,8 @@ TICK_RATE_HZ = 1000
 #: longest accepted gap between consecutive events (before the first
 #: event: since t = 0), in seconds; bounds the ticks one event can cause
 MAX_EVENT_GAP_S = 3600.0
+#: longest accepted run, in seconds: bounds --duration and every event time
+MAX_RUN_S = 86_400.0
 
 _FEET = ("L", "R")
 
@@ -104,16 +108,25 @@ class Renderer:
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
+        # the event is applied before the tick after the last one
+        last = self._last_tick_t
+        next_tick = round(last * self.tick_rate_hz) + 1 if last > -math.inf else 0
+        duty = self._schedule(event, next_tick)
+        self._pending = (self.schedule[-1].start_tick, duty.tolist())
+
+    def _schedule(self, event: GaitEvent, apply_tick: int) -> np.ndarray:
+        """Schedule the envelope of ``event``, applied before tick
+        ``apply_tick``, and return its signed duty per tick."""
         if event.t < max(self._last_tick_t, self._last_event_t):
             raise ClockError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
         rate = self.tick_rate_hz
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
-        if self._pending is None:
-            self.schedule.append(entry)
-        else:
+        if self.schedule and apply_tick <= self.schedule[-1].start_tick:
             self.schedule[-1] = entry
+        else:
+            self.schedule.append(entry)
         start_t = entry.start_tick / rate
         stop_t = start_t + profile.duration_s
         t = np.arange(entry.start_tick,
@@ -122,8 +135,8 @@ class Renderer:
         # 0 - duty is exactly -duty, and both directions map 0 N to 0
         duty = (force_to_duty(self.forward_curve, np.maximum(force, 0.0))
                 - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
-        self._pending = (entry.start_tick, duty.tolist())
         self.end_t = max(self.end_t, stop_t)
+        return duty
 
     def tick(self, t: float) -> ActuatorCommand:
         """Emit the signed duty for tick time ``t`` (monotone, on the tick grid)."""
@@ -146,13 +159,28 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
     at/after their timestamp, so a pre-recorded log and a live NDJSON
     feed with the same timestamps produce identical output.  Without
     an explicit duration the stream ends when the last envelope
-    finishes.  A duration that is not finite and >= 0 raises
-    ConfigError at once; an event more than MAX_EVENT_GAP_S after the
-    previous one (or after 0) raises FormatError when it is pulled.
+    finishes.  A duration outside [0, MAX_RUN_S] raises ConfigError at
+    once; an event later than MAX_RUN_S, or more than MAX_EVENT_GAP_S
+    after the previous one (or after 0), raises FormatError when it is
+    pulled.
     """
-    if duration_s is not None and not 0 <= duration_s < math.inf:
-        raise ConfigError(f"duration must be finite and >= 0, got {duration_s}")
+    _check_duration(duration_s)
     return _ticks(renderer, iter(events), duration_s)
+
+
+def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
+                   tail_s: float = 0.0):
+    """command_stream's ticks as (t, signed_duty) arrays of up to
+    textio.WRITE_ROWS ticks, composed from the schedule.  Events are
+    pulled and fail as in command_stream; without a duration the run
+    ends ``tail_s`` after the latest envelope end."""
+    _check_duration(duration_s)
+    return _blocks(renderer, iter(events), duration_s, tail_s)
+
+
+def _check_duration(duration_s: float | None) -> None:
+    if duration_s is not None and not 0 <= duration_s <= MAX_RUN_S:
+        raise ConfigError(f"duration must be in [0, {MAX_RUN_S:g}] s, got {duration_s}")
 
 
 def _next_event(events, after_t: float):
@@ -160,6 +188,8 @@ def _next_event(events, after_t: float):
     if event is not None and event.t - after_t > MAX_EVENT_GAP_S:
         raise FormatError(f"event at t={event.t} is more than "
                           f"{MAX_EVENT_GAP_S:g} s after the previous one")
+    if event is not None and event.t > MAX_RUN_S:
+        raise FormatError(f"event at t={event.t} is later than {MAX_RUN_S:g} s")
     return event
 
 
@@ -181,6 +211,38 @@ def _ticks(renderer: Renderer, events, duration_s: float | None):
         i += 1
 
 
+def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float):
+    rate, size, sched = renderer.tick_rate_hz, textio.WRITE_ROWS, renderer.schedule
+    pending = _next_event(events, 0.0)
+    applied = b = 0
+    live = {}  # schedule index -> duty, of the envelopes that may still play
+    while True:
+        # ticks b to b + n - 1 are emitted; tick b + n only applies events
+        t = np.arange(b, b + size + 1) / rate
+        n = size if duration_s is None else min(size, int(np.searchsorted(t, duration_s)))
+        while pending is not None and pending.t <= t[n]:
+            applied = b + int(np.searchsorted(t, pending.t))
+            sampled = renderer._schedule(pending, applied)
+            live[len(sched) - 1] = sampled
+            pending = _next_event(events, pending.t)
+        if pending is None and duration_s is None:
+            n = min(n, max(applied - b, int(np.searchsorted(t, renderer.end_t + tail_s))))
+        e, duty = b + n, np.zeros(n)
+        for k, d in live.items():
+            s = sched[k].start_tick
+            stop = sched[k + 1].start_tick if k + 1 < len(sched) else e
+            lo, hi = max(s, b), min(s + len(d), stop, e)
+            if lo < hi:
+                duty[lo - b:hi - b] = d[lo - s:hi - s]
+        if n:
+            yield t[:n], duty
+        if n < size:
+            return
+        live = {k: d for k, d in live.items()
+                if k + 1 == len(sched) or sched[k + 1].start_tick > e}
+        b = e
+
+
 def render_events(table: SpeedProfileTable,
                   forward_curve: CalibrationCurve,
                   backward_curve: CalibrationCurve,
@@ -188,8 +250,8 @@ def render_events(table: SpeedProfileTable,
                   tick_rate_hz: int = TICK_RATE_HZ) -> tuple[np.ndarray, np.ndarray]:
     """Offline render of an event log to (t, signed_duty) arrays."""
     renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    stream = command_stream(renderer, events, duration_s)
-    duty = np.fromiter((c.signed_duty for c in stream), dtype=float)
+    blocks = command_blocks(renderer, events, duration_s)
+    duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
     return np.arange(len(duty)) / tick_rate_hz, duty
 
 

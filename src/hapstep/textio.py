@@ -7,9 +7,10 @@ line ends.  JSON is written with sorted keys and CSV floats as their
 ``repr``, so re-running a stage reproduces its artifacts byte for byte.
 
 CSV bodies go a block at a time, never a whole file at once: read_csv
-converts about _READ_HINT characters of lines and write_columns formats
-_WRITE_ROWS rows of arrays, in one call each.  write_rows is the one
-per-row writer, for render's command stream, written as it is produced.
+converts about _READ_HINT characters of lines and write_blocks formats
+each block of column arrays (write_columns cuts its columns into
+WRITE_ROWS rows), in one call each.  write_rows is the one per-row
+writer, for commands streamed from stdin or a socket as they are made.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import FormatError
 
 #: characters of lines read_csv reads and converts per block
 _READ_HINT = 1 << 16
-#: rows write_columns formats per block
-_WRITE_ROWS = 4096
+#: rows per CSV write block, for write_columns and the offline render
+WRITE_ROWS = 4096
 
 
 def opened(target, mode: str):
@@ -114,26 +115,34 @@ def read_columns(source, names, min_rows: int) -> list[np.ndarray]:
 
 
 def write_columns(dest, names, *columns) -> int:
-    """Write the header ``names``, then one line per row of the
-    equal-length ``columns``, each value as the ``repr`` of a float,
-    formatting _WRITE_ROWS rows per ``%`` call.  Returns the row count.
+    """write_blocks of the equal-length ``columns``, WRITE_ROWS rows each."""
+    n = len(columns[0])
+    return write_blocks(dest, names, ([c[i:i + WRITE_ROWS] for c in columns]
+                                      for i in range(0, n, WRITE_ROWS)))
+
+
+def write_blocks(dest, names, blocks) -> int:
+    """Write the header ``names``, then each block, a sequence of
+    equal-length column arrays, as one line per row, each value as the
+    ``repr`` of a float and a whole block per ``%`` call.  Returns the
+    row count.
     """
     line = ",".join(["%r"] * len(names)) + "\n"
-    n = len(columns[0])
+    n = 0
     with opened(dest, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(0, n, _WRITE_ROWS):
-            block = np.column_stack([np.asarray(c[i:i + _WRITE_ROWS], dtype=float)
-                                     for c in columns])
+        for columns in blocks:
+            block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            n += len(block)
     return n
 
 
 def write_rows(dest, columns, rows) -> int:
     """Write the header ``columns``, then one line per row, each value
-    as its ``repr``.  Rows are tuples of Python floats, such as command
-    records, and are streamed, never joined in memory.  Returns the row
-    count.
+    as its ``repr``.  Rows are tuples of Python floats, such as live
+    command records, and are streamed, never joined in memory.  Returns
+    the row count.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
     n = 0

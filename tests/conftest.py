@@ -1,12 +1,19 @@
 import contextlib
 import gc
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hapstep as hs
 from hapstep.synthetic import synthetic_walk
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and no per-example
+# deadline on a shared runner; example counts stay as each test sets them
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 KNOT_SPEEDS = (1.0, 2.5, 4.0)
 

@@ -1,12 +1,17 @@
+import io
 import json
+import math
+import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hapstep import cli
+from hapstep import cli, renderer
 from hapstep.calibration import save_curve
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
@@ -413,3 +418,147 @@ class TestConfigFile:
                       "--trace", workdir["traces"][0],
                       "--out", str(tmp_path / "s.json"))
         assert res.returncode == 2
+
+
+def event_line(t, speed=2.5):
+    return f'{{"t": {t!r}, "foot": "L", "speed_kmh": {speed!r}}}\n'
+
+
+def render_in_process(workdir, tmp_path, monkeypatch, text, source, *extra):
+    """Exit code of ``render`` run in this process on ``text`` read from
+    a file or from stdin."""
+    if source == "file":
+        events = tmp_path / "in.ndjson"
+        events.write_text(text)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        events = "-"
+    return cli.main(["render", "--events", str(events), "--table", workdir["table"],
+                     "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"],
+                     "--out", str(tmp_path / "out.csv"), *extra])
+
+
+class TestRunBound:
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("duration", [1e300, math.nextafter(renderer.MAX_RUN_S, math.inf)])
+    def test_duration_over_max_run_exit_2(self, workdir, tmp_path, monkeypatch, capsys,
+                                          source, duration):
+        rc = render_in_process(workdir, tmp_path, monkeypatch, EVENTS_NDJSON, source,
+                               "--duration", repr(duration))
+        assert rc == 2
+        assert "duration" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_duration_at_max_run_renders(self, workdir, tmp_path, monkeypatch, source):
+        monkeypatch.setattr(renderer, "MAX_RUN_S", 2.0)
+        text = event_line(0.05) + event_line(1.4) + event_line(2.0)
+        assert render_in_process(workdir, tmp_path, monkeypatch, text, source,
+                                 "--duration", "2.0") == 0
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 2001
+        assert render_in_process(workdir, tmp_path, monkeypatch, text, source,
+                                 "--duration", repr(math.nextafter(2.0, 3.0))) == 2
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_event_past_max_run_exit_3(self, workdir, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.setattr(renderer, "MAX_RUN_S", 2.0)
+        text = event_line(0.1) + event_line(1.0) + event_line(2.5)
+        assert render_in_process(workdir, tmp_path, monkeypatch, text, source) == 3
+        assert "later than 2 s" in capsys.readouterr().err
+        # with --duration 0.5 the stream stops after pulling the event at
+        # 1.0, so the one past the bound is never read
+        assert render_in_process(workdir, tmp_path, monkeypatch, text, source,
+                                 "--duration", "0.5") == 0
+
+    def test_simulate_event_past_max_run_exit_3(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setattr(renderer, "MAX_RUN_S", 2.0)
+        events = tmp_path / "late.ndjson"
+        events.write_text(event_line(0.1) + event_line(2.5))
+        assert cli.main(["simulate", "--events", str(events), "--table", workdir["table"],
+                         "--out", str(tmp_path / "m.json")]) == 3
+
+
+class TestSourcesAgree:
+    """A file renders in one array pass and stdin per tick; both read the
+    same events, so a bad line right after --duration fails both or
+    neither."""
+
+    @pytest.mark.parametrize("tail, code", [
+        pytest.param("{not json\n", 3, id="bad-lookahead"),
+        pytest.param(event_line(0.2), 4, id="unordered-lookahead"),
+        pytest.param(event_line(0.9) + "{not json\n", 0, id="bad-after-lookahead"),
+        pytest.param(event_line(0.9) + event_line(0.2), 0, id="unordered-after-lookahead"),
+    ])
+    def test_same_exit_code_from_file_and_stdin(self, workdir, tmp_path, monkeypatch,
+                                                tail, code):
+        text = event_line(0.1) + event_line(0.45, 1.0) + tail
+        outputs = []
+        for source in ("file", "stdin"):
+            assert render_in_process(workdir, tmp_path, monkeypatch, text, source,
+                                     "--duration", "0.5") == code
+            outputs.append((tmp_path / "out.csv").read_bytes() if code == 0 else None)
+        assert outputs[0] == outputs[1]
+
+
+def test_stdin_ticks_are_written_before_the_next_pull(workdir, tmp_path, monkeypatch):
+    """stdin is ticked one command at a time: when reading the third
+    event fails, the 1,000 ticks before the second event are in the log."""
+    def stalled():
+        yield event_line(0.0)
+        yield event_line(1.0)
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(sys, "stdin", stalled())
+    assert cli.main(["render", "--events", "-", "--table", workdir["table"],
+                     "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"],
+                     "--out", str(tmp_path / "out.csv")]) == 5
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 1000
+
+
+def free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def within(seconds, fn, *args):
+    """fn(*args) on a daemon thread; fails unless it returns in time,
+    so a listener without a timeout fails the test instead of hanging."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert result, f"no return within {seconds} s"
+    return result[0]
+
+
+class TestListenTimeout:
+    def _render(self, workdir, tmp_path, port):
+        return cli.main(["render", "--listen", str(port), "--table", workdir["table"],
+                         "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"],
+                         "--out", str(tmp_path / "out.csv")])
+
+    def test_no_client_exit_5(self, workdir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(renderer, "MAX_EVENT_GAP_S", 0.2)
+        assert within(1.5, self._render, workdir, tmp_path, 0) == 5
+        assert "timed out" in capsys.readouterr().err
+
+    def test_silent_client_exit_5(self, workdir, tmp_path, monkeypatch):
+        """A client that sends one event and then nothing."""
+        monkeypatch.setattr(renderer, "MAX_EVENT_GAP_S", 0.2)
+        port, result = free_port(), []
+        server = threading.Thread(
+            target=lambda: result.append(self._render(workdir, tmp_path, port)), daemon=True)
+        server.start()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                conn = socket.create_connection(("127.0.0.1", port), timeout=1)
+                break
+            except OSError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        with conn:
+            conn.sendall(event_line(0.0).encode())
+            server.join(2.0)
+        assert result == [5]

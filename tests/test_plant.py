@@ -6,9 +6,9 @@ import pytest
 
 import hapstep as hs
 from hapstep.errors import ClockError, ConfigError
-from hapstep.plant import DEFAULT_TAU_S, save_sim_run
+from hapstep.plant import DEFAULT_TAU_S, plate_forces, save_sim_run
 
-from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve
+from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve, random_runs
 
 
 def make_model(tau=DEFAULT_TAU_S, min_duty=0.0, **kw):
@@ -56,6 +56,34 @@ class TestStepPlate:
     def test_bad_tau_rejected(self):
         with pytest.raises(ConfigError):
             make_model(tau=0.0)
+
+
+class TestPlateForces:
+    @pytest.mark.parametrize("max_force, state", [(20.0, 0.0), (0.9, 0.0), (0.9, -0.5),
+                                                  (math.inf, 3.0)])
+    def test_equals_step_plate_loop_bit_for_bit(self, max_force, state):
+        """Both directions, duties below min_duty, signed zeros, a
+        negative intercept (copysign of a negative line value) and
+        max_force saturation, from rest and from a non-zero state."""
+        fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
+        bwd = make_curve("backward", slope=1.7, intercept=-0.4, min_duty=0.2)
+        levels = [0.0, -0.0, 0.1, -0.1, 95 / 255, -95 / 255, 0.2, -0.2, 0.21,
+                  -0.21, 0.6, -0.6, 1.0, -1.0, 1e-300, -5e-324]
+        duties = random_runs(np.random.default_rng(4), levels, 5000)
+        for tau, dt in ((0.05, 0.001), (1e-4, 0.001), (0.05, 0.25)):
+            a = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force, state_force=state)
+            b = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force, state_force=state)
+            forces = plate_forces(a, duties, dt)
+            ref = [hs.step_plate(b, d, dt) for d in duties.tolist()]
+            assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+            assert a.state_force == b.state_force
+            if max_force < 1 and dt > tau:
+                assert np.any(forces == max_force) and np.any(forces == -max_force)
+        assert len(plate_forces(a, [], 0.001)) == 0
+
+    def test_bad_dt_rejected(self):
+        with pytest.raises(ConfigError):
+            plate_forces(make_model(), [1.0], 0.0)
 
 
 class TestSimulateStepResponse:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hapstep as hs
 from hapstep.errors import (
@@ -354,3 +356,41 @@ class TestTableSerialization:
         save_table(knot_table, path)
         data = json.loads(path.read_text())
         assert len(data["entries"]) == 3
+
+
+def lobes(max_size=150):
+    return arrays(float, st.integers(1, max_size),
+                  elements=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(lobes(), lobes(), st.integers(0, 30)), min_size=1, max_size=3),
+       rate=st.sampled_from([100.0, 1000.0, 1200.0]),
+       device_max_force=st.floats(1e-2, 1e4))
+def test_compiled_tables_keep_impulse_balance(steps, rate, device_max_force):
+    """Random positive brake and drive lobes: treadmill_correct then
+    compile_triangular gives |brake.area| == drive.area == the balanced
+    mean (B + F) / 2; fit_device_scale never scales up and keeps that
+    balance in every entry."""
+    raw, balanced = {}, {}
+    for speed, (brake, drive, gap) in enumerate(steps, start=1):
+        values = np.concatenate([[0.0], -brake, np.zeros(gap), drive, [0.0]])
+        b_apex = 1 + int(np.argmax(brake))
+        d_apex = 1 + len(brake) + gap + int(np.argmax(drive))
+        end = len(values) / rate
+        phases = hs.PhaseTimings(0.0, b_apex / rate, False, d_apex / rate, end, end)
+        profile = hs.FrictionProfile(sample_rate_hz=rate, values=values, phases=phases)
+        mean = hs.compute_impulses(profile).balanced_target
+        tri = hs.compile_triangular(*hs.treadmill_correct(profile), speed_kmh=float(speed))
+        assert abs(tri.brake.area) == pytest.approx(mean, rel=1e-12, abs=0)
+        assert tri.drive.area == pytest.approx(mean, rel=1e-12, abs=0)
+        raw[float(speed)], balanced[float(speed)] = tri, mean
+    table = hs.fit_device_scale(raw, device_max_force)
+    assert 0 < table.device_scale <= 1.0
+    peak = max(max(-e.brake.f_peak, e.drive.f_peak) for e in raw.values())
+    assert table.device_scale == min(1.0, device_max_force / peak)
+    for entry in table.entries:
+        expected = table.device_scale * balanced[entry.speed_kmh]
+        assert abs(entry.brake.area) == pytest.approx(entry.drive.area, rel=1e-12, abs=0)
+        assert entry.drive.area == pytest.approx(expected, rel=1e-12, abs=0)
+        assert max(-entry.brake.f_peak, entry.drive.f_peak) <= device_max_force * (1 + 1e-12)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hapstep as hs
+from hapstep import textio
 from hapstep.errors import ClockError, ConfigError, FormatError
 from hapstep.renderer import (
     TICK_RATE_HZ,
+    command_blocks,
+    command_stream,
     event_to_json,
     events_from_ndjson,
     parse_event,
@@ -292,3 +296,203 @@ class TestEventJson:
     def test_ndjson_skips_blank_lines(self):
         lines = ['{"t": 0.1, "foot": "L", "speed_kmh": 2.5}', "", "  "]
         assert len(list(events_from_ndjson(lines))) == 1
+
+
+class Pulls:
+    """An event iterator that counts the events pulled from it."""
+
+    def __init__(self, events):
+        self.events, self.pulled = list(events), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulled == len(self.events):
+            raise StopIteration
+        self.pulled += 1
+        return self.events[self.pulled - 1]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0, rate=TICK_RATE_HZ):
+    """Duties of command_stream, ticked on one by one up to ``tail_s``
+    after the latest envelope end; also the renderer and the pulls."""
+    renderer, pulls = hs.Renderer(table, fwd, bwd, rate), Pulls(events)
+    duty = [c.signed_duty for c in command_stream(renderer, pulls, duration_s)]
+    while duration_s is None and len(duty) / rate < renderer.end_t + tail_s:
+        duty.append(renderer.tick(len(duty) / rate).signed_duty)
+    return duty, renderer, pulls
+
+
+def blocked(table, fwd, bwd, events, duration_s=None, tail_s=0.0, rate=TICK_RATE_HZ):
+    """command_blocks' (t, duty) blocks, the renderer and the pulls."""
+    renderer, pulls = hs.Renderer(table, fwd, bwd, rate), Pulls(events)
+    blocks = list(command_blocks(renderer, pulls, duration_s, tail_s))
+    return blocks, renderer, pulls
+
+
+def random_log(rng, n, rate=TICK_RATE_HZ):
+    """n sorted events: on tick edges and between them, at millisecond
+    edges such as 2.007 (where ceil(t * rate) is one tick late), several
+    in one tick, exactly at the previous envelope's start tick, and with
+    gaps shorter and longer than an envelope, so envelopes preempt."""
+    events, t = [], 0.0
+    for k in range(n):
+        kind = rng.integers(6)
+        if kind == 1:
+            t = (math.floor(t * rate) + rng.integers(3)) / rate
+        elif kind == 2:
+            t = (math.floor(t * rate) + 1) / rate
+        elif kind == 3:
+            t = round(t + rng.uniform(0.0, 0.004), 3)
+        elif kind >= 4:
+            t += rng.uniform(0.0, 1.3)
+        t = max(t, events[-1].t if events else 0.0)
+        speed = float(rng.choice([0.5, 1.0, 1.7, 2.5, 3.3, 4.0, 5.0]))
+        events.append(hs.GaitEvent(t=t, foot="LR"[k % 2], speed_kmh=speed))
+    return events
+
+
+class TestCommandBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 300, None])
+    def test_equals_command_stream_bit_for_bit(self, knot_table, monkeypatch, block):
+        """Duties, tick times, pulled events, schedule and end time of
+        the block pass equal those of the per-tick stream."""
+        if block is not None:
+            monkeypatch.setattr(textio, "WRITE_ROWS", block)
+        fwd, bwd = fitted_curves()
+        rng = np.random.default_rng(11)
+        for case in range(40 if block else 150):
+            rate = TICK_RATE_HZ if case % 4 else 250
+            events = random_log(rng, int(rng.integers(0, 12)), rate)
+            end = events[-1].t if events else 1.0
+            duration = [None, None, 0.0, end, end / 2, end + 2.0][case % 6]
+            tail = 0.0 if case % 3 else float(rng.uniform(0.0, 0.6))
+            if duration is not None:
+                tail = 0.0
+            ref, ref_r, ref_pulls = streamed(knot_table, fwd, bwd, events, duration, tail, rate)
+            blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration, tail, rate)
+            duty = [d for _, block_duty in blocks for d in block_duty.tolist()]
+            t = [x for block_t, _ in blocks for x in block_t.tolist()]
+            assert bits(duty) == bits(ref), (case, [e.t for e in events], duration)
+            assert t == [i / rate for i in range(len(ref))]
+            assert all(0 < len(bt) == len(bd) <= textio.WRITE_ROWS for bt, bd in blocks)
+            assert pulls.pulled == ref_pulls.pulled
+            assert r.schedule == ref_r.schedule and r.end_t == ref_r.end_t
+
+    def test_event_at_start_tick_replaces_it(self, knot_table):
+        """An event at t = 0.011 is applied at tick 11, the start tick
+        of the envelope of the event at 0.0105, and replaces it.  So does
+        one at 2.007 for the envelope starting at tick 2007: it is applied
+        at tick 2007, not at ceil(2.007 * 1000) = 2008."""
+        fwd, bwd = fitted_curves()
+        assert math.ceil(2.007 * TICK_RATE_HZ) == 2008
+        events = [hs.GaitEvent(t=0.0105, foot="L", speed_kmh=1.0),
+                  hs.GaitEvent(t=0.011, foot="R", speed_kmh=4.0),
+                  hs.GaitEvent(t=2.0061, foot="L", speed_kmh=2.5),
+                  hs.GaitEvent(t=2.007, foot="R", speed_kmh=1.7)]
+        blocks, r, _ = blocked(knot_table, fwd, bwd, events)
+        ref, _, _ = streamed(knot_table, fwd, bwd, events)
+        assert bits(np.concatenate([d for _, d in blocks])) == bits(ref)
+        assert [e.start_tick for e in r.schedule] == [12, 2008]
+        assert [e.profile for e in r.schedule] == [hs.interpolate(knot_table, 4.0),
+                                                   hs.interpolate(knot_table, 1.7)]
+
+    def test_pulls_one_event_past_the_duration(self, knot_table):
+        fwd, bwd = fitted_curves()
+        events = [hs.GaitEvent(t=0.1 * k, foot="L", speed_kmh=2.5) for k in range(10)]
+        for duration in (0.0, 0.25, 0.3, 0.31):
+            _, _, pulls = blocked(knot_table, fwd, bwd, events, duration)
+            _, _, ref_pulls = streamed(knot_table, fwd, bwd, events, duration)
+            assert pulls.pulled == ref_pulls.pulled
+
+    def test_unordered_and_distant_events_fail_alike(self, knot_table):
+        fwd, bwd = fitted_curves()
+        unordered = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                     hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
+        distant = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                   hs.GaitEvent(t=3602.0, foot="R", speed_kmh=2.5)]
+        for events, error in ((unordered, ClockError), (distant, FormatError)):
+            for run in (streamed, blocked):
+                with pytest.raises(error):
+                    run(knot_table, fwd, bwd, events)
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0, float("inf"), 1e300])
+    def test_bad_duration_raises_at_once(self, knot_table, duration):
+        fwd, bwd = fitted_curves()
+        for make in (command_stream, command_blocks):
+            with pytest.raises(ConfigError):
+                make(hs.Renderer(knot_table, fwd, bwd), iter(()), duration)
+
+
+def apply_tick(t, rate):
+    """The first tick i with t <= i / rate, found by counting."""
+    i = 0
+    while t > i / rate:
+        i += 1
+    return i
+
+
+def expected_duties(table, fwd, bwd, events, duration_s, rate):
+    """Per-tick oracle.  A tick plays the latest event applied at or
+    before it (the first tick i with t <= i / rate) whose envelope has
+    started, at floor(t * rate) + 1, and was not replaced before it
+    started: a newer event replaces an envelope if it is applied at or
+    before that envelope's start tick.  The envelope is sampled at
+    tick - start and is 0 past its end."""
+    applied = [apply_tick(e.t, rate) for e in events]
+    starts = [math.floor(e.t * rate) + 1 for e in events]
+    profiles = [hs.interpolate(table, e.speed_kmh) for e in events]
+    kept = [k + 1 == len(events) or applied[k + 1] > starts[k] for k in range(len(events))]
+    if duration_s is not None:
+        n = apply_tick(duration_s, rate)
+    else:
+        end = max([s / rate + p.duration_s for s, p in zip(starts, profiles)], default=0.0)
+        n = max(applied[-1] if events else 0, apply_tick(end, rate))
+    out = []
+    for i in range(n):
+        playing = [k for k in range(len(events)) if kept[k] and starts[k] <= i]
+        duty = 0.0
+        if playing:
+            k = playing[-1]
+            start, profile = starts[k], profiles[k]
+            if i / rate < start / rate + profile.duration_s:
+                force = float(profile.force_at(i / rate - start / rate))
+                if force < 0:
+                    duty = -hs.force_to_duty(bwd, -force)
+                elif force > 0:
+                    duty = hs.force_to_duty(fwd, force)
+        out.append(duty)
+    return out
+
+
+@st.composite
+def event_logs(draw, rate=TICK_RATE_HZ):
+    ticks = draw(st.lists(st.integers(0, 1500), max_size=7))
+    times = []
+    for tick in ticks:
+        on_edge = tick / rate
+        times.append(draw(st.sampled_from([
+            on_edge, (tick + 0.5) / rate, (tick + 0.999) / rate,
+            math.nextafter(on_edge, math.inf), round(on_edge + 1e-4, 4)])))
+    times.sort()
+    # several events in one tick
+    times = [t for t in times for _ in range(draw(st.integers(1, 2)))]
+    speeds = st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.5, 3.3, 4.0, 6.0]) | st.floats(0.0, 6.0)
+    return [hs.GaitEvent(t=t, foot="L", speed_kmh=draw(speeds)) for t in times]
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=event_logs(), duration=st.none() | st.floats(0.0, 2.5))
+def test_preemption_invariants(knot_table, events, duration):
+    """Every tick of the block pass and of the per-tick stream plays the
+    envelope the preemption rule picks (see expected_duties)."""
+    fwd, bwd = fitted_curves()
+    expected = bits(expected_duties(knot_table, fwd, bwd, events, duration, TICK_RATE_HZ))
+    assert bits(streamed(knot_table, fwd, bwd, events, duration)[0]) == expected
+    blocks = blocked(knot_table, fwd, bwd, events, duration)[0]
+    assert bits([d for _, bd in blocks for d in bd.tolist()]) == expected

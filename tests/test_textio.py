@@ -131,8 +131,8 @@ SPECIAL = [-0.0, 1e-05, 1e16, 5e-324, float("nan"), float("inf"), -float("inf"),
 
 
 @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
-@pytest.mark.parametrize("n", [0, 1, textio._WRITE_ROWS - 1, textio._WRITE_ROWS,
-                               textio._WRITE_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, textio.WRITE_ROWS - 1, textio.WRITE_ROWS,
+                               textio.WRITE_ROWS + 1])
 def test_write_columns_equals_per_row_reference(n, to_path, tmp_path):
     rng = np.random.default_rng(n)
     a = np.resize(SPECIAL, n)
