@@ -171,7 +171,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_step_response(args) -> int:
-    t_cmd, duty = textio.read_columns(args.commanded, ("t", "signed_duty"), 2)
+    t_cmd, duty = renderer.read_commands(args.commanded)
     t, force = textio.read_columns(args.measured, ("t", "force"), 2)
     rate = trace.rate_from_times(t)
     # both logs must share one clock: same first time and rate
@@ -197,6 +197,8 @@ def _event_lines(args):
         with textio.opened(sys.stdin if args.events == "-" else args.events, "r") as fh:
             yield fh
         return
+    if not 0 <= args.listen <= 65535:
+        raise ConfigError(f"--listen port must be in 0-65535, got {args.listen}")
     with socket.create_server(("127.0.0.1", args.listen)) as server:
         server.settimeout(renderer.MAX_EVENT_GAP_S)
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
@@ -230,7 +232,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_vibstep(args) -> int:
-    t, duty = textio.read_columns(args.commands, ("t", "signed_duty"), 2)
+    t, duty = renderer.read_commands(args.commands)
     t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
                                           t0=float(t[0]))
     n = textio.write_columns(args.out, ("t", "heel_duty", "thenar_duty"),

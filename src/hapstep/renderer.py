@@ -255,6 +255,16 @@ def render_events(table: SpeedProfileTable,
     return np.arange(len(duty)) / tick_rate_hz, duty
 
 
+def read_commands(source) -> tuple[np.ndarray, np.ndarray]:
+    """The t and signed_duty columns of a command log of two or more
+    ticks; FormatError unless every t is finite and every duty is in
+    [-1, 1]."""
+    t, duty = textio.read_columns(source, ("t", "signed_duty"), 2)
+    if not (np.isfinite(t).all() and (np.abs(duty) <= 1.0).all()):
+        raise FormatError(f"{source}: t must be finite and signed_duty in [-1, 1]")
+    return t, duty
+
+
 def _run_peaks(mag: np.ndarray) -> np.ndarray:
     """Each run of positive ``mag`` replaced by its maximum, 0 elsewhere."""
     on = mag > 0
@@ -293,6 +303,8 @@ def parse_event(line: str) -> GaitEvent:
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad event JSON: {exc}") from None
     try:
+        if isinstance(data["t"], bool) or isinstance(data["speed_kmh"], bool):
+            raise TypeError("t and speed_kmh must be numbers, not booleans")
         return GaitEvent(t=float(data["t"]), foot=data["foot"],
                          speed_kmh=float(data["speed_kmh"]),
                          kind=data.get("kind", "grounded"))

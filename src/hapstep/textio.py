@@ -7,10 +7,13 @@ line ends.  JSON is written with sorted keys and CSV floats as their
 ``repr``, so re-running a stage reproduces its artifacts byte for byte.
 
 CSV bodies go a block at a time, never a whole file at once: read_csv
-converts about _READ_HINT characters of lines and write_blocks formats
-each block of column arrays (write_columns cuts its columns into
-WRITE_ROWS rows), in one call each.  write_rows is the one per-row
-writer, for commands streamed from stdin or a socket as they are made.
+converts about _READ_HINT characters of lines in one call, and
+write_blocks writes each block of column arrays (write_columns cuts its
+columns into WRITE_ROWS rows) in one call.  write_blocks formats each
+distinct value of a column once, and a column of whole milliseconds,
+such as a tick clock, from its distinct seconds and a table of
+thousandths (see _reprs).  write_rows is the one per-row writer, for
+commands streamed from stdin or a socket as they are made.
 """
 
 from __future__ import annotations
@@ -123,19 +126,44 @@ def write_columns(dest, names, *columns) -> int:
 
 def write_blocks(dest, names, blocks) -> int:
     """Write the header ``names``, then each block, a sequence of
-    equal-length column arrays, as one line per row, each value as the
-    ``repr`` of a float and a whole block per ``%`` call.  Returns the
-    row count.
+    equal-length column arrays, as one line per row of float ``repr``s
+    (see _reprs), a whole block per write.  Returns the row count.
     """
-    line = ",".join(["%r"] * len(names)) + "\n"
     n = 0
     with opened(dest, "w") as fh:
         fh.write(",".join(names) + "\n")
         for columns in blocks:
-            block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
-            n += len(block)
+            cols = [_reprs(np.asarray(c, dtype=float)) for c in columns]
+            if cols[0]:
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                n += len(cols[0])
     return n
+
+
+_MS = np.array([".0", *(f".{m:03d}".rstrip("0") for m in range(1, 1000))], dtype=object)
+
+
+def _reprs(col: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``col``, one ``repr`` per distinct bit
+    pattern (so -0.0 stays apart from 0.0 and NaN needs no comparison).
+
+    If every v has no sign bit, v < 1e12 and v = k / 1000 bit for bit
+    with k whole, the distinct seconds k // 1000 are joined to a table of
+    thousandths (_MS) instead.  That is ``repr(v)``: the decimal
+    k / 1000 rounds to v and has at most 15 (DBL_DIG) significant
+    digits, so no other decimal that short rounds to v; and v = 0 or
+    0.001 <= v < 1e12, where ``repr`` is fixed-point.
+    """
+    # col < 1e12 first, so that col * 1000 cannot overflow
+    if (not np.signbit(col).any() and (col < 1e12).all() and np.array_equal(
+            ((k := np.rint(col * 1000)) / 1000).view(np.int64), col.view(np.int64))):
+        sec, ms = np.divmod(k.astype(np.int64), 1000)
+        keys, inv = np.unique(sec, return_inverse=True)
+        strs = np.array(list(map(str, keys.tolist())), dtype=object)
+        return (strs[inv] + _MS[ms]).tolist()
+    keys, inv = np.unique(col.view(np.int64), return_inverse=True)
+    strs = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return strs[inv].tolist()
 
 
 def write_rows(dest, columns, rows) -> int:

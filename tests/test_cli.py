@@ -327,6 +327,36 @@ class TestTimeColumn:
         assert not out.exists()
 
 
+class TestCommandLogDuty:
+    @pytest.mark.parametrize("t, duty", [
+        pytest.param("0.001", "nan", id="nan-duty"),
+        pytest.param("0.001", "inf", id="inf-duty"),
+        pytest.param("0.001", "-inf", id="minus-inf-duty"),
+        pytest.param("0.001", "1.0000000000000002", id="duty-over-1"),
+        pytest.param("0.001", "-1.5", id="duty-under-minus-1"),
+        pytest.param("nan", "0.5", id="nan-t"),
+        pytest.param("inf", "0.5", id="inf-t"),
+    ])
+    @pytest.mark.parametrize("command", ["vibstep", "step-response"])
+    def test_impossible_value_exit_3(self, tmp_path, capsys, command, t, duty):
+        log = tmp_path / "log.csv"
+        log.write_text(f"t,signed_duty,force\n0.0,-1.0,0.0\n{t},{duty},1.0\n"
+                       "0.002,1.0,0.5\n0.003,0.0,0.0\n")
+        inputs = {"vibstep": ["--commands", str(log)],
+                  "step-response": ["--commanded", str(log), "--measured", str(log)]}
+        out = tmp_path / "out"
+        assert cli.main([command, *inputs[command], "--out", str(out)]) == 3
+        assert "signed_duty in [-1, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_duty_accepted(self, tmp_path):
+        log, out = tmp_path / "log.csv", tmp_path / "vib.csv"
+        log.write_text("t,signed_duty\n0.0,-1.0\n0.001,1.0\n0.002,0.0\n")
+        assert cli.main(["vibstep", "--commands", str(log), "--out", str(out)]) == 0
+        assert out.read_text() == "t,heel_duty,thenar_duty\n0.0,1.0,0.0\n" \
+                                  "0.001,0.0,1.0\n0.002,0.0,0.0\n"
+
+
 class TestSimulate:
     def test_bench_metrics(self, tmp_path):
         out = tmp_path / "metrics.json"
@@ -478,6 +508,16 @@ class TestRunBound:
                          "--out", str(tmp_path / "m.json")]) == 3
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("line", [
+    pytest.param('{"t": true, "foot": "L", "speed_kmh": 1}\n', id="t"),
+    pytest.param('{"t": 0.1, "foot": "L", "speed_kmh": false}\n', id="speed_kmh"),
+])
+def test_boolean_event_number_exit_3(workdir, tmp_path, monkeypatch, capsys, source, line):
+    assert render_in_process(workdir, tmp_path, monkeypatch, line, source) == 3
+    assert "not booleans" in capsys.readouterr().err
+
+
 class TestSourcesAgree:
     """A file renders in one array pass and stdin per tick; both read the
     same events, so a bad line right after --duration fails both or
@@ -537,6 +577,11 @@ class TestListenTimeout:
         return cli.main(["render", "--listen", str(port), "--table", workdir["table"],
                          "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"],
                          "--out", str(tmp_path / "out.csv")])
+
+    @pytest.mark.parametrize("port", [-1, 65536, 99999])
+    def test_port_out_of_range_exit_2(self, workdir, tmp_path, capsys, port):
+        assert self._render(workdir, tmp_path, port) == 2
+        assert "port must be in 0-65535" in capsys.readouterr().err
 
     def test_no_client_exit_5(self, workdir, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(renderer, "MAX_EVENT_GAP_S", 0.2)

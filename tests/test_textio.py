@@ -138,16 +138,78 @@ def test_write_columns_equals_per_row_reference(n, to_path, tmp_path):
     a = np.resize(SPECIAL, n)
     b = rng.permutation(a)
     c = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-    names = ("t", "x", "y")
+    ms = np.arange(59_990, 59_990 + n) / 1000
+    few = rng.choice([0.25, -0.0, 1 / 3], size=n)
+    names = ("t", "x", "y", "ms", "few")
     if to_path:
         path = tmp_path / "out.csv"
-        assert textio.write_columns(path, names, a, b, c) == n
+        assert textio.write_columns(path, names, a, b, c, ms, few) == n
         text = path.read_bytes().decode()
     else:
         buf = io.StringIO()
-        assert textio.write_columns(buf, names, a, b, c) == n
+        assert textio.write_columns(buf, names, a, b, c, ms, few) == n
         text = buf.getvalue()
-    assert text == reference_rows(names, a, b, c)
+    assert text == reference_rows(names, a, b, c, ms, few)
+
+
+EDGES = {
+    "negative-zero-beside-ms": [-0.0, 0.001],
+    "half-ms": [0.0005],
+    "last-ms-below-1e12": [999_999_999_999.999, 1e12],
+    "2**53-ms": [2.0 ** 53 / 1000],
+    # k / 1000 with k of 16 or 17 digits, whose repr is not the digits of k
+    "ms-of-16-digits": [9_540_493_074_439.888],
+    "ms-of-17-digits": [18_389_906_439_653.352],
+    "nan-both-signs": [float("nan"), -float("nan")],
+    "inf-both-signs": [float("inf"), -float("inf")],
+    "subnormal": [5e-324],
+    "largest": [1.7976931348623157e308, 1.0],
+    "ms-grid": [0.0, 0.001, 0.01, 0.1, 0.12, 1.0, 29.998, 59.999, 86_400.0],
+    "ms-grid-and-one-other": [0.0, 0.001, 0.002, 0.0025],
+}
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning from the millisecond check
+@pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
+def test_reprs_edge_cases(values):
+    col = np.array(values)
+    assert textio._reprs(col) == list(map(repr, col.tolist()))
+    buf = io.StringIO()
+    textio.write_columns(buf, ("v", "w"), col, col[::-1])
+    assert buf.getvalue() == reference_rows(("v", "w"), col, col[::-1])
+
+
+def test_write_blocks_skips_an_empty_block():
+    buf = io.StringIO()
+    blocks = [[np.array([1.0]), np.array([0.5])], [np.empty(0), np.empty(0)],
+              [np.array([2.0]), np.array([-0.0])]]
+    assert textio.write_blocks(buf, ("a", "b"), blocks) == 2
+    assert buf.getvalue() == "a,b\n1.0,0.5\n2.0,-0.0\n"
+
+
+def column(kind, n):
+    """A strategy for ``n`` floats: a few values repeated, a grid of
+    whole milliseconds, or any floats."""
+    if kind == "few":
+        return st.lists(st.floats(), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if kind == "ms":
+        return st.lists(st.integers(0, 10 ** 17), min_size=n, max_size=n).map(
+            lambda k: [i / 1000 for i in k])
+    return st.lists(st.floats(), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60),
+       kinds=st.lists(st.sampled_from(["few", "ms", "any"]), min_size=1, max_size=4))
+def test_write_columns_of_mixed_columns(data, n, kinds):
+    cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
+    for col in cols:
+        assert textio._reprs(col) == list(map(repr, col.tolist()))
+    names = [f"c{i}" for i in range(len(cols))]
+    buf = io.StringIO()
+    assert textio.write_columns(buf, names, *cols) == n
+    assert buf.getvalue() == reference_rows(names, *cols)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
