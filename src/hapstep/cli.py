@@ -220,13 +220,9 @@ def cmd_render(args) -> int:
     fwd, bwd = _load_curves(args)
     rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
     with _event_lines(args) as lines:
-        events = renderer.events_from_ndjson(lines)
-        if args.listen is None and args.events != "-":
-            blocks = renderer.command_blocks(rend, events, args.duration)
-            n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
-        else:
-            stream = renderer.command_stream(rend, events, args.duration)
-            n = textio.write_rows(args.out, renderer.ActuatorCommand._fields, stream)
+        blocks = renderer.command_blocks(rend, renderer.events_from_ndjson(lines),
+                                         args.duration)
+        n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
     print(f"{n} ticks -> {args.out}")
     return 0
 
@@ -387,6 +383,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IOFailureError.exit_code
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
+        return FormatError.exit_code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,8 @@ class Triangle:
     f_peak: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_onset, self.t_peak, self.t_offset, self.f_peak))):
+            raise ConfigError("triangle times and peak must be finite")
         if not self.t_onset <= self.t_peak <= self.t_offset:
             raise ConfigError("triangle times must be ordered onset <= peak <= offset")
 
@@ -116,6 +118,8 @@ class TriangularProfile:
     speed_kmh: float = math.nan
 
     def __post_init__(self):
+        if not math.isfinite(self.duration_s):
+            raise ConfigError("duration_s must be finite")
         if not (self.brake.t_offset <= self.drive.t_onset
                 and self.drive.t_offset <= self.duration_s + 1e-12):
             raise ConfigError("brake triangle must end before drive triangle "

@@ -2,13 +2,14 @@
 
 Foot-grounded events select a speed-interpolated triangular envelope,
 whose signed duty is sampled once for all its ticks: force on the tick
-grid through the per-direction calibration curves.  A tick only looks
-its duty up.  Negative duty drives the backward-towing motor (brake
-phase), positive the forward motor, and the brake phase always precedes
-the drive phase within an envelope.  A new event preempts and replaces
-any active envelope at the next tick boundary; the renderer's schedule
-records which envelope plays from which tick.  A recorded log is
-composed from that schedule a block of ticks at a time.
+grid through the per-direction calibration curves.  Negative duty drives
+the backward-towing motor (brake phase), positive the forward motor, and
+the brake phase always precedes the drive phase within an envelope.  A
+new event preempts and replaces any active envelope at the next tick
+boundary; the renderer's schedule records which envelope plays from
+which tick.  For a file, stdin or a TCP feed alike, command_blocks
+composes the ticks a block at a time, each block ending where the one
+event read ahead applies.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +39,8 @@ TICK_RATE_HZ = 1000
 MAX_EVENT_GAP_S = 3600.0
 #: longest accepted run, in seconds: bounds --duration and every event time
 MAX_RUN_S = 86_400.0
+#: longest accepted envelope, in seconds: bounds the duties one event samples
+MAX_ENVELOPE_S = MAX_EVENT_GAP_S
 
 _FEET = ("L", "R")
 
@@ -78,8 +82,9 @@ class Renderer:
     starts at the first tick after its event and plays until it ends
     or the next one starts.  A newer event replaces an envelope that
     has not started yet.  ``end_t`` is the latest end time of any
-    envelope scheduled so far, 0 when idle.  Only the sampled duties
-    of the playing envelope and of one waiting to start are held.
+    envelope scheduled so far, 0 when idle.  Events apply before
+    ``next_tick``, the first tick not yet composed.  Only the sampled
+    duties of the envelopes that may still play are held.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -88,42 +93,32 @@ class Renderer:
                  tick_rate_hz: int = TICK_RATE_HZ):
         if tick_rate_hz <= 0:
             raise ConfigError("tick_rate_hz must be positive")
+        if max(e.duration_s for e in table.entries) > MAX_ENVELOPE_S:
+            raise ConfigError(f"envelope durations must be at most {MAX_ENVELOPE_S:g} s")
         self.table = table
         self.forward_curve = forward_curve
         self.backward_curve = backward_curve
         self.tick_rate_hz = tick_rate_hz
         self.schedule: list[ScheduledEnvelope] = []
         self.end_t = 0.0
-        # (start tick, signed duty per tick) of the envelope waiting to
-        # start, if any, and of the one playing
-        self._pending: tuple[int, list[float]] | None = None
-        self._playing: tuple[int, list[float]] = (0, [])
-        self._last_tick_t = -math.inf
+        self.next_tick = 0
         self._last_event_t = -math.inf
+        self._live: dict[int, np.ndarray] = {}  # schedule index -> duty per tick
 
     def on_event(self, event: GaitEvent) -> None:
-        """Schedule the envelope for this footfall from the next tick on
-        and sample its duties.
+        """Schedule the envelope for this footfall, applied before tick
+        ``next_tick``, and sample its duties.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
-        # the event is applied before the tick after the last one
-        last = self._last_tick_t
-        next_tick = round(last * self.tick_rate_hz) + 1 if last > -math.inf else 0
-        duty = self._schedule(event, next_tick)
-        self._pending = (self.schedule[-1].start_tick, duty.tolist())
-
-    def _schedule(self, event: GaitEvent, apply_tick: int) -> np.ndarray:
-        """Schedule the envelope of ``event``, applied before tick
-        ``apply_tick``, and return its signed duty per tick."""
-        if event.t < max(self._last_tick_t, self._last_event_t):
+        rate = self.tick_rate_hz
+        if event.t < max((self.next_tick - 1) / rate, self._last_event_t):
             raise ClockError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
-        rate = self.tick_rate_hz
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
-        if self.schedule and apply_tick <= self.schedule[-1].start_tick:
+        if self.schedule and self.next_tick <= self.schedule[-1].start_tick:
             self.schedule[-1] = entry
         else:
             self.schedule.append(entry)
@@ -133,54 +128,65 @@ class Renderer:
                       entry.start_tick + int(profile.duration_s * rate) + 2) / rate
         force = profile.force_at(t[t < stop_t] - start_t)
         # 0 - duty is exactly -duty, and both directions map 0 N to 0
-        duty = (force_to_duty(self.forward_curve, np.maximum(force, 0.0))
-                - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
+        self._live[len(self.schedule) - 1] = (
+            force_to_duty(self.forward_curve, np.maximum(force, 0.0))
+            - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
         self.end_t = max(self.end_t, stop_t)
+
+    def compose(self, n: int) -> np.ndarray:
+        """The signed duty of the next ``n`` ticks; they are then composed."""
+        b, e, sched = self.next_tick, self.next_tick + n, self.schedule
+        duty = np.zeros(n)
+        for k, d in self._live.items():
+            s = sched[k].start_tick
+            stop = sched[k + 1].start_tick if k + 1 < len(sched) else e
+            lo, hi = max(s, b), min(s + len(d), stop, e)
+            if lo < hi:
+                duty[lo - b:hi - b] = d[lo - s:hi - s]
+        # an envelope is done once it ends or the next one has started:
+        # one starting at tick e may still be replaced
+        self._live = {k: d for k, d in self._live.items() if sched[k].start_tick + len(d) > e
+                      and (k + 1 == len(sched) or sched[k + 1].start_tick >= e)}
+        self.next_tick = e
         return duty
 
     def tick(self, t: float) -> ActuatorCommand:
-        """Emit the signed duty for tick time ``t`` (monotone, on the tick grid)."""
-        if t <= self._last_tick_t:
-            raise ClockError(f"tick time went backwards: {t} after {self._last_tick_t}")
-        self._last_tick_t = t
+        """Compose up to tick time ``t`` (on the tick grid, after the last
+        composed tick) and emit its signed duty."""
         i = round(t * self.tick_rate_hz)
-        if self._pending is not None and i >= self._pending[0]:
-            self._playing, self._pending = self._pending, None
-        start, duty = self._playing
-        k = i - start
-        return ActuatorCommand(t, duty[k] if 0 <= k < len(duty) else 0.0)
+        if i < self.next_tick:
+            raise ClockError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
+        return ActuatorCommand(t, float(self.compose(i + 1 - self.next_tick)[-1]))
 
 
 def command_stream(renderer: Renderer, events, duration_s: float | None = None):
-    """Tick the renderer against an ordered event stream.
+    """command_blocks' rows: one ActuatorCommand per tick from t = 0.
 
-    Returns an iterator of one ActuatorCommand per tick starting at
-    t = 0.  Events are pulled lazily and applied at the first tick
-    at/after their timestamp, so a pre-recorded log and a live NDJSON
-    feed with the same timestamps produce identical output.  Without
-    an explicit duration the stream ends when the last envelope
-    finishes.  A duration outside [0, MAX_RUN_S] raises ConfigError at
-    once; an event later than MAX_RUN_S, or more than MAX_EVENT_GAP_S
-    after the previous one (or after 0), raises FormatError when it is
-    pulled.
+    Events are pulled lazily and applied at the first tick at/after
+    their timestamp, so a pre-recorded log and a live NDJSON feed with
+    the same timestamps produce identical output.  Without an explicit
+    duration the stream ends when the last envelope finishes.  A
+    duration outside [0, MAX_RUN_S] raises ConfigError at once; an
+    event later than MAX_RUN_S, or more than MAX_EVENT_GAP_S after the
+    previous one (or after 0), raises FormatError when it is pulled.
     """
-    _check_duration(duration_s)
-    return _ticks(renderer, iter(events), duration_s)
+    return chain.from_iterable(map(ActuatorCommand._make, zip(t.tolist(), d.tolist()))
+                               for t, d in command_blocks(renderer, events, duration_s))
 
 
 def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
                    tail_s: float = 0.0):
-    """command_stream's ticks as (t, signed_duty) arrays of up to
-    textio.WRITE_ROWS ticks, composed from the schedule.  Events are
-    pulled and fail as in command_stream; without a duration the run
-    ends ``tail_s`` after the latest envelope end."""
-    _check_duration(duration_s)
-    return _blocks(renderer, iter(events), duration_s, tail_s)
-
-
-def _check_duration(duration_s: float | None) -> None:
+    """The ticks as (t, signed_duty) arrays of up to textio.WRITE_ROWS
+    ticks.  A block ends early at the apply tick of the next event,
+    which is the one event pulled ahead, so no event is pulled before
+    the tick that applies the one before it.  Events are pulled and
+    fail as in command_stream; without a duration the run ends
+    ``tail_s`` (at most MAX_RUN_S) after the latest envelope end."""
     if duration_s is not None and not 0 <= duration_s <= MAX_RUN_S:
         raise ConfigError(f"duration must be in [0, {MAX_RUN_S:g}] s, got {duration_s}")
+    if not 0 <= tail_s <= MAX_RUN_S:
+        raise ConfigError(f"run tail must be in [0, {MAX_RUN_S:g}] s, got {tail_s}")
+    return _blocks(renderer, iter(events), duration_s, tail_s)
 
 
 def _next_event(events, after_t: float):
@@ -193,54 +199,28 @@ def _next_event(events, after_t: float):
     return event
 
 
-def _ticks(renderer: Renderer, events, duration_s: float | None):
+def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float):
+    rate, size = renderer.tick_rate_hz, textio.WRITE_ROWS
     pending = _next_event(events, 0.0)
-    rate = renderer.tick_rate_hz
-    i = 0
     while True:
-        t = i / rate
-        while pending is not None and pending.t <= t:
+        b = renderer.next_tick
+        while pending is not None and pending.t <= b / rate:
             renderer.on_event(pending)
             pending = _next_event(events, pending.t)
-        if duration_s is not None:
-            if t >= duration_s:
-                return
-        elif pending is None and t >= renderer.end_t:
+        # the ticks before the duration and the next event; with neither,
+        # those up to tail_s after the latest envelope end
+        stop = math.inf if duration_s is None else duration_s
+        if pending is not None:
+            stop = min(stop, pending.t)
+        elif duration_s is None:
+            stop = renderer.end_t + tail_s
+        # tick floor(stop * rate) + 1 is at or after stop, so the window
+        # holds every tick before it
+        t = np.arange(b, min(b + size, math.floor(stop * rate) + 2)) / rate
+        n = int(np.searchsorted(t, stop))
+        if not n:
             return
-        yield renderer.tick(t)
-        i += 1
-
-
-def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float):
-    rate, size, sched = renderer.tick_rate_hz, textio.WRITE_ROWS, renderer.schedule
-    pending = _next_event(events, 0.0)
-    applied = b = 0
-    live = {}  # schedule index -> duty, of the envelopes that may still play
-    while True:
-        # ticks b to b + n - 1 are emitted; tick b + n only applies events
-        t = np.arange(b, b + size + 1) / rate
-        n = size if duration_s is None else min(size, int(np.searchsorted(t, duration_s)))
-        while pending is not None and pending.t <= t[n]:
-            applied = b + int(np.searchsorted(t, pending.t))
-            sampled = renderer._schedule(pending, applied)
-            live[len(sched) - 1] = sampled
-            pending = _next_event(events, pending.t)
-        if pending is None and duration_s is None:
-            n = min(n, max(applied - b, int(np.searchsorted(t, renderer.end_t + tail_s))))
-        e, duty = b + n, np.zeros(n)
-        for k, d in live.items():
-            s = sched[k].start_tick
-            stop = sched[k + 1].start_tick if k + 1 < len(sched) else e
-            lo, hi = max(s, b), min(s + len(d), stop, e)
-            if lo < hi:
-                duty[lo - b:hi - b] = d[lo - s:hi - s]
-        if n:
-            yield t[:n], duty
-        if n < size:
-            return
-        live = {k: d for k, d in live.items()
-                if k + 1 == len(sched) or sched[k + 1].start_tick > e}
-        b = e
+        yield t[:n], renderer.compose(n)
 
 
 def render_events(table: SpeedProfileTable,

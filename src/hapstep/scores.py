@@ -82,7 +82,7 @@ def read_scores(source) -> ScoreSet:
             try:
                 score = float(row["score"])
                 speed = float(row["speed_kmh"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:  # TypeError: a short row
                 raise FormatError(f"line {lineno}: {exc}") from None
             if not 0 <= score <= 100:
                 raise FormatError(f"line {lineno}: score {score} outside [0, 100]")

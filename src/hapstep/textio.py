@@ -12,8 +12,7 @@ write_blocks writes each block of column arrays (write_columns cuts its
 columns into WRITE_ROWS rows) in one call.  write_blocks formats each
 distinct value of a column once, and a column of whole milliseconds,
 such as a tick clock, from its distinct seconds and a table of
-thousandths (see _reprs).  write_rows is the one per-row writer, for
-commands streamed from stdin or a socket as they are made.
+thousandths (see _reprs).
 """
 
 from __future__ import annotations
@@ -48,8 +47,13 @@ def opened(target, mode: str):
 
 
 def read_json(source):
+    """The JSON value of ``source``; FormatError names the file unless
+    it holds exactly one JSON value."""
     with opened(source, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{getattr(fh, 'name', 'JSON')}: {exc}") from None
 
 
 def write_json(dest, data) -> None:
@@ -164,19 +168,3 @@ def _reprs(col: np.ndarray) -> list[str]:
     keys, inv = np.unique(col.view(np.int64), return_inverse=True)
     strs = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
     return strs[inv].tolist()
-
-
-def write_rows(dest, columns, rows) -> int:
-    """Write the header ``columns``, then one line per row, each value
-    as its ``repr``.  Rows are tuples of Python floats, such as live
-    command records, and are streamed, never joined in memory.  Returns
-    the row count.
-    """
-    line = ",".join(["%r"] * len(columns)) + "\n"
-    n = 0
-    with opened(dest, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(line % row)
-            n += 1
-    return n

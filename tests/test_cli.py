@@ -507,6 +507,16 @@ class TestRunBound:
         assert cli.main(["simulate", "--events", str(events), "--table", workdir["table"],
                          "--out", str(tmp_path / "m.json")]) == 3
 
+    @pytest.mark.parametrize("tau, code", [("1e308", 2), ("0.3", 2), ("0.1", 0)])
+    def test_simulate_tail_over_max_run_exit_2(self, workdir, tmp_path, monkeypatch, tau, code):
+        """The closed loop runs 10 tau past the last envelope: a tail past
+        MAX_RUN_S exits 2 (1e308 s overflows to an infinite tail)."""
+        monkeypatch.setattr(renderer, "MAX_RUN_S", 2.0)
+        events = tmp_path / "one.ndjson"
+        events.write_text(event_line(0.1))
+        assert cli.main(["simulate", "--events", str(events), "--table", workdir["table"],
+                         "--tau-s", tau, "--out", str(tmp_path / "m.json")]) == code
+
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("line", [
@@ -519,9 +529,8 @@ def test_boolean_event_number_exit_3(workdir, tmp_path, monkeypatch, capsys, sou
 
 
 class TestSourcesAgree:
-    """A file renders in one array pass and stdin per tick; both read the
-    same events, so a bad line right after --duration fails both or
-    neither."""
+    """A file and stdin run the same block composer and read the same
+    events, so a bad line right after --duration fails both or neither."""
 
     @pytest.mark.parametrize("tail, code", [
         pytest.param("{not json\n", 3, id="bad-lookahead"),
@@ -541,8 +550,9 @@ class TestSourcesAgree:
 
 
 def test_stdin_ticks_are_written_before_the_next_pull(workdir, tmp_path, monkeypatch):
-    """stdin is ticked one command at a time: when reading the third
-    event fails, the 1,000 ticks before the second event are in the log."""
+    """stdin's log is written a block at a time, each block before the next
+    event is read: when reading the third event fails, the 1,000 ticks
+    before the second event are in the log."""
     def stalled():
         yield event_line(0.0)
         yield event_line(1.0)

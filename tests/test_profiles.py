@@ -53,6 +53,20 @@ class TestTriangle:
         with pytest.raises(ConfigError):
             Triangle(0.5, 0.3, 0.1, 2.0)
 
+    @pytest.mark.parametrize("field", ["t_onset", "t_peak", "t_offset", "f_peak", "duration_s"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        """Ordered but infinite times, peaks and durations are refused
+        too, not only those that break the ordering."""
+        brake = dict(t_onset=0.0, t_peak=0.1, t_offset=0.3, f_peak=-1.0)
+        drive = dict(t_onset=0.4, t_peak=0.6, t_offset=0.9, f_peak=1.0)
+        duration = {"duration_s": 1.0}
+        for part in (brake, drive, duration):
+            if field in part:
+                part[field] = value
+        with pytest.raises(ConfigError):
+            hs.TriangularProfile(brake=Triangle(**brake), drive=Triangle(**drive), **duration)
+
 
 class TestAlignDurations:
     def test_scales_to_mean_duration(self):

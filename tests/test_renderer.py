@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -361,7 +362,8 @@ class TestCommandBlocks:
     @pytest.mark.parametrize("block", [1, 7, 300, None])
     def test_equals_command_stream_bit_for_bit(self, knot_table, monkeypatch, block):
         """Duties, tick times, pulled events, schedule and end time of
-        the block pass equal those of the per-tick stream."""
+        the block pass and of the per-tick stream equal the per-tick
+        oracle (expected_duties, pulled_by)."""
         if block is not None:
             monkeypatch.setattr(textio, "WRITE_ROWS", block)
         fwd, bwd = fitted_curves()
@@ -374,15 +376,27 @@ class TestCommandBlocks:
             tail = 0.0 if case % 3 else float(rng.uniform(0.0, 0.6))
             if duration is not None:
                 tail = 0.0
-            ref, ref_r, ref_pulls = streamed(knot_table, fwd, bwd, events, duration, tail, rate)
+            ref = bits(expected_duties(knot_table, fwd, bwd, events, duration, rate, tail))
+            applied = [apply_tick(e.t, rate) for e in events]
             blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration, tail, rate)
             duty = [d for _, block_duty in blocks for d in block_duty.tolist()]
             t = [x for block_t, _ in blocks for x in block_t.tolist()]
-            assert bits(duty) == bits(ref), (case, [e.t for e in events], duration)
+            assert bits(duty) == ref, (case, [e.t for e in events], duration)
             assert t == [i / rate for i in range(len(ref))]
             assert all(0 < len(bt) == len(bd) <= textio.WRITE_ROWS for bt, bd in blocks)
-            assert pulls.pulled == ref_pulls.pulled
-            assert r.schedule == ref_r.schedule and r.end_t == ref_r.end_t
+            assert pulls.pulled == pulled_by(applied, len(ref))
+            # the kept envelopes of the events applied by the last tick
+            n = len(ref)
+            starts = [math.floor(e.t * rate) + 1 for e in events]
+            kept = [k for k in range(len(events)) if applied[k] <= n and not (
+                k + 1 < len(events) and applied[k + 1] <= min(starts[k], n))]
+            assert r.schedule == [(starts[k], hs.interpolate(knot_table, events[k].speed_kmh))
+                                  for k in kept]
+            assert r.end_t == max([starts[k] / rate
+                                   + hs.interpolate(knot_table, events[k].speed_kmh).duration_s
+                                   for k in range(len(events)) if applied[k] <= n], default=0.0)
+            if tail == 0.0:
+                assert bits(streamed(knot_table, fwd, bwd, events, duration, 0.0, rate)[0]) == ref
 
     def test_event_at_start_tick_replaces_it(self, knot_table):
         """An event at t = 0.011 is applied at tick 11, the start tick
@@ -402,13 +416,28 @@ class TestCommandBlocks:
         assert [e.profile for e in r.schedule] == [hs.interpolate(knot_table, 4.0),
                                                    hs.interpolate(knot_table, 1.7)]
 
-    def test_pulls_one_event_past_the_duration(self, knot_table):
+    def test_pulls_one_event_past_the_duration(self, knot_table, monkeypatch):
+        """Once tick i is out, of the stream or in a block, exactly the
+        events applied at or before it and one more have been pulled;
+        so have they once the run ends at the duration."""
         fwd, bwd = fitted_curves()
         events = [hs.GaitEvent(t=0.1 * k, foot="L", speed_kmh=2.5) for k in range(10)]
-        for duration in (0.0, 0.25, 0.3, 0.31):
-            _, _, pulls = blocked(knot_table, fwd, bwd, events, duration)
-            _, _, ref_pulls = streamed(knot_table, fwd, bwd, events, duration)
-            assert pulls.pulled == ref_pulls.pulled
+        events += [hs.GaitEvent(t=1.0 + 0.0007 * k, foot="R", speed_kmh=1.0) for k in range(5)]
+        applied = [apply_tick(e.t, TICK_RATE_HZ) for e in events]
+        for block, duration in itertools.product((1, 7, 300, textio.WRITE_ROWS),
+                                                 (0.0, 0.25, 0.3, 0.31, 1.0023, None)):
+            monkeypatch.setattr(textio, "WRITE_ROWS", block)
+            renderer, pulls = hs.Renderer(knot_table, fwd, bwd), Pulls(events)
+            i = -1
+            for i, _ in enumerate(command_stream(renderer, pulls, duration)):
+                assert pulls.pulled == pulled_by(applied, i), (duration, i)
+            assert pulls.pulled == pulled_by(applied, i + 1)
+            renderer, pulls = hs.Renderer(knot_table, fwd, bwd), Pulls(events)
+            i = 0
+            for t, _ in command_blocks(renderer, pulls, duration):
+                assert pulls.pulled == pulled_by(applied, i) == pulled_by(applied, i + len(t) - 1)
+                i += len(t)
+            assert pulls.pulled == pulled_by(applied, i)
 
     def test_unordered_and_distant_events_fail_alike(self, knot_table):
         fwd, bwd = fitted_curves()
@@ -437,13 +466,21 @@ def apply_tick(t, rate):
     return i
 
 
-def expected_duties(table, fwd, bwd, events, duration_s, rate):
+def pulled_by(applied, i):
+    """Events pulled once tick i is out, given each event's apply tick:
+    those applied at or before it and one ahead, at most all of them."""
+    return min(len(applied), sum(a <= i for a in applied) + 1)
+
+
+def expected_duties(table, fwd, bwd, events, duration_s, rate, tail_s=0.0):
     """Per-tick oracle.  A tick plays the latest event applied at or
     before it (the first tick i with t <= i / rate) whose envelope has
     started, at floor(t * rate) + 1, and was not replaced before it
     started: a newer event replaces an envelope if it is applied at or
     before that envelope's start tick.  The envelope is sampled at
-    tick - start and is 0 past its end."""
+    tick - start and is 0 past its end.  Without a duration the run
+    ends at the last event's apply tick or ``tail_s`` after the latest
+    envelope end, whichever is later."""
     applied = [apply_tick(e.t, rate) for e in events]
     starts = [math.floor(e.t * rate) + 1 for e in events]
     profiles = [hs.interpolate(table, e.speed_kmh) for e in events]
@@ -452,7 +489,7 @@ def expected_duties(table, fwd, bwd, events, duration_s, rate):
         n = apply_tick(duration_s, rate)
     else:
         end = max([s / rate + p.duration_s for s, p in zip(starts, profiles)], default=0.0)
-        n = max(applied[-1] if events else 0, apply_tick(end, rate))
+        n = max(applied[-1] if events else 0, apply_tick(end + tail_s, rate))
     out = []
     for i in range(n):
         playing = [k for k in range(len(events)) if kept[k] and starts[k] <= i]
