@@ -25,6 +25,9 @@ from .errors import (
     PipelineError,
 )
 
+#: --listen waits this long for the connection and for each event line
+LISTEN_TIMEOUT_S = renderer.MAX_EVENT_GAP_S
+
 DEFAULTS = {
     "onset_threshold": 0.3,
     "release_threshold": 0.1,
@@ -191,8 +194,7 @@ def cmd_step_response(args) -> int:
 def _event_lines(args):
     """NDJSON lines from one TCP connection, stdin or a file; closes
     whatever it opened.  Waiting for the connection or for a line times
-    out (TimeoutError) after MAX_EVENT_GAP_S, the longest gap an event
-    may follow the one before it."""
+    out (TimeoutError) after LISTEN_TIMEOUT_S."""
     if args.listen is None:
         with textio.opened(sys.stdin if args.events == "-" else args.events, "r") as fh:
             yield fh
@@ -200,10 +202,10 @@ def _event_lines(args):
     if not 0 <= args.listen <= 65535:
         raise ConfigError(f"--listen port must be in 0-65535, got {args.listen}")
     with socket.create_server(("127.0.0.1", args.listen)) as server:
-        server.settimeout(renderer.MAX_EVENT_GAP_S)
+        server.settimeout(LISTEN_TIMEOUT_S)
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
         conn, _ = server.accept()
-        conn.settimeout(renderer.MAX_EVENT_GAP_S)
+        conn.settimeout(LISTEN_TIMEOUT_S)
         with conn, conn.makefile("r", encoding="utf-8") as fh:
             yield fh
 

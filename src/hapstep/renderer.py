@@ -39,8 +39,6 @@ TICK_RATE_HZ = 1000
 MAX_EVENT_GAP_S = 3600.0
 #: longest accepted run, in seconds: bounds --duration and every event time
 MAX_RUN_S = 86_400.0
-#: longest accepted envelope, in seconds: bounds the duties one event samples
-MAX_ENVELOPE_S = MAX_EVENT_GAP_S
 
 _FEET = ("L", "R")
 
@@ -93,8 +91,8 @@ class Renderer:
                  tick_rate_hz: int = TICK_RATE_HZ):
         if tick_rate_hz <= 0:
             raise ConfigError("tick_rate_hz must be positive")
-        if max(e.duration_s for e in table.entries) > MAX_ENVELOPE_S:
-            raise ConfigError(f"envelope durations must be at most {MAX_ENVELOPE_S:g} s")
+        if max(e.duration_s for e in table.entries) > MAX_EVENT_GAP_S:
+            raise ConfigError(f"envelope durations must be at most {MAX_EVENT_GAP_S:g} s")
         self.table = table
         self.forward_curve = forward_curve
         self.backward_curve = backward_curve

@@ -7,12 +7,13 @@ line ends.  JSON is written with sorted keys and CSV floats as their
 ``repr``, so re-running a stage reproduces its artifacts byte for byte.
 
 CSV bodies go a block at a time, never a whole file at once: read_csv
-converts about _READ_HINT characters of lines in one call, and
-write_blocks writes each block of column arrays (write_columns cuts its
-columns into WRITE_ROWS rows) in one call.  write_blocks formats each
-distinct value of a column once, and a column of whole milliseconds,
-such as a tick clock, from its distinct seconds and a table of
-thousandths (see _reprs).
+converts about _READ_HINT characters of lines with one call to numpy's
+C text reader (a per-line loop takes the header and the blocks that
+reader refuses), and write_blocks writes each block of column arrays
+(write_columns cuts its columns into WRITE_ROWS rows) in one call.
+write_blocks formats each distinct value of a column once, and a column
+of whole milliseconds, such as a tick clock, from its distinct seconds
+and a table of thousandths (see _reprs).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import os
 from array import array
 from contextlib import nullcontext
-from itertools import repeat
 
 import numpy as np
 
@@ -69,6 +69,13 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
     as (line number, text).  The first other line is the header; every
     later line must hold one number per header field, or FormatError
     names its line.  Rows come back as one 2-D array.
+
+    A block of body lines is converted by numpy's C reader, which parses
+    a field with float()'s own PyOS_string_to_double.  The per-line loop
+    takes the header and each block that reader refuses or does not read
+    as one row per line (a blank, ``#`` or bad line, ``1_0``, non-ASCII
+    digits), one of blank lines only, and one holding \\x1c-\\x1f, which
+    numpy strips from a field as whitespace and float() does not.
     """
     comments, header, blocks = [], [], []
     with opened(source, "r") as fh:
@@ -76,21 +83,20 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
         lineno = 0
         # one line at a time up to the header, then blocks of lines
         while lines := fh.readlines(_READ_HINT if header else 1):
-            lines = list(map(str.strip, lines))
             first, lineno = lineno + 1, lineno + len(lines)
-            # a block of plain rows is converted in one call, by Python's
-            # float parser, so bit-exact with float(); any blank, # or bad
-            # line fails it and sends the block through the per-line loop
-            if header and (list(map(str.count, lines, repeat(",")))
-                           .count(len(header) - 1) == len(lines)):
+            text = "".join(lines)
+            if (header and not text.isspace()
+                    and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
                 try:
-                    blocks.append(np.array(",".join(lines).split(","), dtype=float))
-                    continue
+                    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                    if rows.shape == (len(lines), len(header)):
+                        blocks.append(rows.ravel())
+                        continue
                 except ValueError:
                     pass
             values = array("d")
             blocks.append(values)
-            for n, line in enumerate(lines, first):
+            for n, line in enumerate(map(str.strip, lines), first):
                 if not line:
                     continue
                 if line[0] == "#":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,16 +86,7 @@ class ForceTrace:
 
     def window(self, start: int, stop: int) -> "ForceTrace":
         """Sub-trace over sample indices [start, stop)."""
-        kw = {}
-        if self.thenar_z is not None:
-            kw = {"thenar_z": self.thenar_z[start:stop], "heel_z": self.heel_z[start:stop]}
-        return ForceTrace(
-            sample_rate_hz=self.sample_rate_hz,
-            thenar_y=self.thenar_y[start:stop],
-            heel_y=self.heel_y[start:stop],
-            meta=self.meta,
-            **kw,
-        )
+        return replace(self, **{k: c[start:stop] for k, c in self.channels().items()})
 
 
 _Y_COLUMNS = ("t", "thenar_y", "heel_y")
@@ -163,16 +154,8 @@ def load_trace(source) -> ForceTrace:
         walking_speed_kmh=_header_float(header_meta, "speed_kmh", 0.0),
         participant_id=header_meta.get("participant", "unknown"),
     )
-    kw = {}
-    if "thenar_z" in cols:
-        kw = {"thenar_z": -cols["thenar_z"], "heel_z": -cols["heel_z"]}
-    return ForceTrace(
-        sample_rate_hz=rate,
-        thenar_y=-cols["thenar_y"],
-        heel_y=-cols["heel_y"],
-        meta=meta,
-        **kw,
-    )
+    return ForceTrace(sample_rate_hz=rate, meta=meta,
+                      **{k: -c for k, c in cols.items() if k != "t"})
 
 
 def write_trace(trace: ForceTrace, dest) -> None:

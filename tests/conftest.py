@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -97,3 +98,15 @@ def _no_leaked_files():
     """Every test fails if it leaves a file or socket unclosed."""
     with no_unclosed_files():
         yield
+
+
+def within(seconds, fn, *args):
+    """fn(*args) on a daemon thread; fails unless it returns in time,
+    so a listener without a timeout, or a reader slow on a huge input,
+    fails the test instead of hanging it."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert result, f"no return within {seconds} s"
+    return result[0]

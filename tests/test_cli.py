@@ -16,7 +16,7 @@ from hapstep.calibration import save_curve
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
-from conftest import KNOT_SPEEDS, make_curve, no_unclosed_files
+from conftest import KNOT_SPEEDS, make_curve, no_unclosed_files, within
 
 EVENTS_NDJSON = (
     '{"t": 0.05, "foot": "L", "speed_kmh": 1.0}\n'
@@ -571,17 +571,6 @@ def free_port():
         return s.getsockname()[1]
 
 
-def within(seconds, fn, *args):
-    """fn(*args) on a daemon thread; fails unless it returns in time,
-    so a listener without a timeout fails the test instead of hanging."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert result, f"no return within {seconds} s"
-    return result[0]
-
-
 class TestListenTimeout:
     def _render(self, workdir, tmp_path, port):
         return cli.main(["render", "--listen", str(port), "--table", workdir["table"],
@@ -594,13 +583,13 @@ class TestListenTimeout:
         assert "port must be in 0-65535" in capsys.readouterr().err
 
     def test_no_client_exit_5(self, workdir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(renderer, "MAX_EVENT_GAP_S", 0.2)
+        monkeypatch.setattr(cli, "LISTEN_TIMEOUT_S", 0.2)
         assert within(1.5, self._render, workdir, tmp_path, 0) == 5
         assert "timed out" in capsys.readouterr().err
 
     def test_silent_client_exit_5(self, workdir, tmp_path, monkeypatch):
         """A client that sends one event and then nothing."""
-        monkeypatch.setattr(renderer, "MAX_EVENT_GAP_S", 0.2)
+        monkeypatch.setattr(cli, "LISTEN_TIMEOUT_S", 0.2)
         port, result = free_port(), []
         server = threading.Thread(
             target=lambda: result.append(self._render(workdir, tmp_path, port)), daemon=True)

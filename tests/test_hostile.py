@@ -1,6 +1,7 @@
 """Hostile-input corpus: every subcommand, run in-process through
 cli.main, with each of its input files in turn replaced by a broken one
-(the others stay valid), exits 0 or 2-5 and prints no traceback."""
+(the others stay valid), exits 0 or 2-5 and prints no traceback, within
+a time bound.  A valid CSV input with a row of several MB is accepted."""
 
 import io
 import json
@@ -15,7 +16,7 @@ from hapstep.profiles import SpeedProfileTable, Triangle, TriangularProfile
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
-from conftest import make_curve
+from conftest import make_curve, within
 
 
 def _table():
@@ -80,6 +81,21 @@ def _wrong_header(text):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _widen_first_row(text, field):
+    """``text`` with each field of its first row below the header
+    rewritten by ``field``."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    lines[k] = ",".join(map(field, lines[k].split(",")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _million_digits(field):
+    """``field`` as the same number of a million digits: zeros after its sign."""
+    sign = "-" if field.startswith("-") else ""
+    return sign + "0" * 10 ** 6 + field[len(sign):]
+
+
 HOSTILE = {
     "empty": lambda valid: b"",
     "not-utf8": lambda valid: b"\xff\xfe" + valid.encode(),
@@ -103,6 +119,16 @@ HOSTILE_TABLES = {f"{field}={value}": _table().replace(f'"{field}": {old}',
 
 INPUTS = [(command, flag, kind) for command, (inputs, _) in SUBCOMMANDS.items()
           for flag, kind in inputs + [("--config", "config")]]
+
+#: valid CSV inputs whose first row is several MB: every field a number
+#: of a million digits, or led by a megabyte of spaces
+HUGE_ROWS = {
+    "million-digit-numbers": lambda valid: _widen_first_row(valid, _million_digits),
+    "megabyte-of-spaces": lambda valid: _widen_first_row(valid, lambda f: " " * 10 ** 6 + f),
+}
+#: seconds one run of a subcommand may take, on any input here (each took
+#: under 0.1 s on a 2-core Xeon VM)
+RUN_S = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +171,22 @@ def test_hostile_input_exits_cleanly(valid_paths, tmp_path, monkeypatch, capsys,
     corpus = {name: make(VALID[kind]) for name, make in HOSTILE.items()}
     if flag == "--table":
         corpus.update(HOSTILE_TABLES)
-    exits = {name: _exit(valid_paths, tmp_path, monkeypatch, capsys,
-                         command, flag, kind, content)
+    exits = {name: within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
+                          command, flag, kind, content)
              for name, content in corpus.items()}
     assert all(isinstance(code, int) for code in exits.values()), exits
     if flag == "--table":
         assert all(exits[name] == 2 for name in HOSTILE_TABLES), exits
+
+
+@pytest.mark.parametrize("case", HUGE_ROWS)
+@pytest.mark.parametrize("command,flag,kind",
+                         [i for i in INPUTS if i[2] in ("trace", "points", "commands")],
+                         ids=lambda v: v.lstrip("-"))
+def test_huge_valid_row_reads_like_valid_input(valid_paths, tmp_path, monkeypatch, capsys,
+                                               command, flag, kind, case):
+    """The same exit as the input it widens, within RUN_S."""
+    run = [valid_paths, tmp_path, monkeypatch, capsys, command, flag, kind]
+    content = HUGE_ROWS[case](VALID[kind])
+    assert len(content) > 2 * 10 ** 6
+    assert within(RUN_S, _exit, *run, content) == _exit(*run, VALID[kind].encode())

@@ -115,6 +115,17 @@ class TestRenderer:
         with pytest.raises(ConfigError):
             hs.Renderer(knot_table, fwd, bwd, tick_rate_hz=0)
 
+    def test_envelope_bounded_by_event_gap(self, knot_table, monkeypatch):
+        """An envelope may last as long as the longest gap between events."""
+        fwd, bwd = clamp_free_curves()
+        longest = max(e.duration_s for e in knot_table.entries)
+        monkeypatch.setattr("hapstep.renderer.MAX_EVENT_GAP_S", longest)
+        hs.Renderer(knot_table, fwd, bwd)
+        monkeypatch.setattr("hapstep.renderer.MAX_EVENT_GAP_S",
+                            math.nextafter(longest, 0))
+        with pytest.raises(ConfigError, match="at most"):
+            hs.Renderer(knot_table, fwd, bwd)
+
 
 class TestCommandStream:
     def _events(self):

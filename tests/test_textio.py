@@ -2,7 +2,9 @@
 reference loops, which are kept here as the specification."""
 
 import io
+import warnings
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,6 +88,22 @@ CORPUS = {
     "one-column": "x\n1\n2\n\n3\n",
     "bad-then-short": BODY + "0.002,x,6\n0.003,7\n",
     "short-then-bad": BODY + "0.002,7\n0.003,x,6\n",
+    "empty-and-blank-lines-between-rows": "t,a,b\n0,1,2\n\n\r\n  \n\t\xa0\n0.001,3,4\n\n",
+    "nul-in-field": BODY + "0.002,5\x00,6\n",
+    "nul-before-field": BODY + "0.002,\x005,6\n",
+    "nbsp-and-line-separator-padding": "t,a,b\n\xa00.0\xa0,\u20281,2\u2028\n",
+    # whitespace to str.strip and numpy, not to float() of an ASCII field
+    "x1c-padding-inside-row": BODY + "0.002,5\x1c,6\n",
+    "x1f-padding-inside-row": BODY + "0.002,\x1f5,6\n",
+    "x1c-padding-at-line-edges": BODY + "\x1c0.002,5,6\x1d\n",
+    "x1c-beside-non-ascii": BODY + "0.002,\xa0\x1c5,6\n",
+    "quoted-field": BODY + '0.002,"5",6\n',
+    "hex": BODY + "0.002,0x1,6\n",
+    "signed-nan-overflow": BODY + "+nan,1e400,-1e400\n",
+    "trailing-comma": BODY + "0.002,5,6,\n",
+    "trailing-comma-every-row": "t,a,b\n0,1,2,\n0.001,3,4,\n",
+    "bom-before-row": BODY + "\ufeff0.002,5,6\n",
+    "form-feed-padding": BODY + "\x0c0.002,5\x0b,6\n",
 }
 
 
@@ -94,18 +112,66 @@ def test_read_csv_equals_per_line_reference(text, tmp_path):
     assert_reads_like_reference(text, tmp_path)
 
 
+ODD_LINES = {
+    "bad-float": "0.5,bad,1", "short": "0.5,1", "comment": "# note", "blank": "  ",
+    "empty": "", "whitespace": "\t\xa0\u2028 ", "nul": "0.5,1\x00,2",
+    "padding": "\xa00.5,\u20281\x85,\x0c2\xa0", "x1c": "0.5,\x1c1,2",
+    "quoted": '0.5,"1",2', "hex": "0.5,0x1,2", "nan-overflow": "+nan,1e400,-1e400",
+    "trailing-comma": "0.5,1,2,", "underscore": "0.5,1_0,2", "lone-cr": "0.5,1,2\r\r",
+}
+
+
 @pytest.mark.parametrize("hint", [1, 40, 100])
-@pytest.mark.parametrize("kind", ["bad-float", "short", "comment", "blank"])
+@pytest.mark.parametrize("kind", ODD_LINES)
 def test_block_boundaries(kind, hint, tmp_path, monkeypatch):
-    """A bad line, comment or blank line at every position of a file
-    read in blocks of one to a few lines."""
+    """An odd line (bad, comment, blank, padded, ...) at every position
+    of a file read in blocks of one to a few lines; at hint 1 an empty
+    line is a block of its own."""
     monkeypatch.setattr(textio, "_READ_HINT", hint)
     rows = [f"{i / 1000!r},{i * 0.1!r},{-i!r}" for i in range(12)]
-    odd = {"bad-float": "0.5,bad,1", "short": "0.5,1",
-           "comment": "# note", "blank": "  "}[kind]
+    odd = ODD_LINES[kind]
     for at in range(len(rows) + 1):
         lines = ["# rate_hz=1000.0", "t,a,b", *rows[:at], odd, *rows[at:]]
         assert_reads_like_reference("\n".join(lines) + "\n", tmp_path)
+
+
+#: fields float() and numpy's reader may treat alike or apart
+FIELDS = ["0", "-2", "1.5", "1e-05", "5e-324", "-0.0", "nan", "-nan", "+nan", "Infinity",
+          "-inf", "1e400", "1_0", "1__0", "_1", "\u0661\u0662", "\U0001d7cf", "0x1", '"1"',
+          "", "#", "5#", "oops", "\ufeff1", "1\x00", "\x001"]
+PADDING = ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\x85", "\u2028", "\u3000",
+           "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
+
+
+@pytest.fixture(scope="module")
+def prop_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop")
+
+
+@st.composite
+def csv_text(draw):
+    """A header of one to three columns, plain rows, and odd lines with
+    fields, padding and line ends from the lists above."""
+    width = draw(st.integers(1, 3))
+    plain = st.lists(st.sampled_from(FIELDS[:12]), min_size=width, max_size=width)
+    field = st.tuples(*[st.sampled_from(PADDING), st.sampled_from(FIELDS),
+                        st.sampled_from(PADDING)]).map("".join)
+    odd = st.one_of(st.lists(field, min_size=1, max_size=4),
+                    st.sampled_from([[""], [" "], ["# c"], ["\xa0"]]),
+                    plain.map(lambda f: [*f, ""]))
+    lines = draw(st.lists(st.one_of(plain, plain, plain, odd), max_size=120))
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+    header = ",".join("tab"[:width])
+    return "".join(line + draw(ends) for line in [header, *map(",".join, lines)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_text(), hint=st.integers(1, 200))
+def test_read_csv_property(text, hint, prop_dir):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(textio, "_READ_HINT", hint):
+            assert_reads_like_reference(text, prop_dir)
 
 
 def test_default_block_size_crossed(tmp_path):
