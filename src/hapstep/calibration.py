@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -67,12 +66,13 @@ def fit_calibration(points, direction: str,
     Parameters
     ----------
     points : sequence of (duty, peak_force)
-        Duty in [0, 1], force magnitude in N, both finite (FormatError
-        otherwise).  At least two distinct duty values are required.
+        Duty in [0, 1], force magnitude in N, finite and >= 0
+        (FormatError otherwise).  At least two distinct duty values are
+        required.
     """
     pts = [(float(d), float(f)) for d, f in points]
-    if not all(map(math.isfinite, chain.from_iterable(pts))):
-        raise FormatError("calibration points must be finite")
+    if not all(0 <= d <= 1 and 0 <= f < math.inf for d, f in pts):
+        raise FormatError("calibration points need a duty in [0, 1] and a finite force >= 0")
     duties = np.array([p[0] for p in pts])
     forces = np.array([p[1] for p in pts])
     if len(set(duties.tolist())) < 2:

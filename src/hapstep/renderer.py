@@ -1,13 +1,13 @@
 """Deterministic 1 kHz envelope renderer.
 
 Foot-grounded events select a speed-interpolated triangular envelope,
-whose signed duty is sampled once for all its ticks: force on the tick
-grid through the per-direction calibration curves.  Negative duty drives
-the backward-towing motor (brake phase), positive the forward motor, and
-the brake phase always precedes the drive phase within an envelope.  A
-new event preempts and replaces any active envelope at the next tick
-boundary; the renderer's schedule records which envelope plays from
-which tick.  For a file, stdin or a TCP feed alike, command_blocks
+whose signed duty is sampled as its ticks are composed: force on the
+tick grid through the per-direction calibration curves.  Negative duty
+drives the backward-towing motor (brake phase), positive the forward
+motor, and the brake phase always precedes the drive phase within an
+envelope.  A new event preempts and replaces any active envelope at the
+next tick boundary; the renderer's schedule records which envelope plays
+from which tick.  For a file, stdin or a TCP feed alike, command_blocks
 composes the ticks a block at a time, each block ending where the one
 event read ahead applies.
 
@@ -81,8 +81,8 @@ class Renderer:
     or the next one starts.  A newer event replaces an envelope that
     has not started yet.  ``end_t`` is the latest end time of any
     envelope scheduled so far, 0 when idle.  Events apply before
-    ``next_tick``, the first tick not yet composed.  Only the sampled
-    duties of the envelopes that may still play are held.
+    ``next_tick``, the first tick not yet composed.  An envelope is
+    sampled as its ticks are composed, so a preempted tick never is.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -101,11 +101,10 @@ class Renderer:
         self.end_t = 0.0
         self.next_tick = 0
         self._last_event_t = -math.inf
-        self._live: dict[int, np.ndarray] = {}  # schedule index -> duty per tick
 
     def on_event(self, event: GaitEvent) -> None:
         """Schedule the envelope for this footfall, applied before tick
-        ``next_tick``, and sample its duties.
+        ``next_tick``.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
@@ -120,31 +119,29 @@ class Renderer:
             self.schedule[-1] = entry
         else:
             self.schedule.append(entry)
-        start_t = entry.start_tick / rate
-        stop_t = start_t + profile.duration_s
-        t = np.arange(entry.start_tick,
-                      entry.start_tick + int(profile.duration_s * rate) + 2) / rate
-        force = profile.force_at(t[t < stop_t] - start_t)
-        # 0 - duty is exactly -duty, and both directions map 0 N to 0
-        self._live[len(self.schedule) - 1] = (
-            force_to_duty(self.forward_curve, np.maximum(force, 0.0))
-            - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
-        self.end_t = max(self.end_t, stop_t)
+        self.end_t = max(self.end_t, entry.start_tick / rate + profile.duration_s)
 
     def compose(self, n: int) -> np.ndarray:
-        """The signed duty of the next ``n`` ticks; they are then composed."""
-        b, e, sched = self.next_tick, self.next_tick + n, self.schedule
+        """The signed duty of the next ``n`` ticks; they are then composed.
+
+        Only the last two schedule entries can play from ``next_tick``
+        on: an entry is appended, not replaced, only once ``next_tick``
+        is past its predecessor's start, so every earlier entry has
+        already ended.
+        """
+        rate, b, e, sched = self.tick_rate_hz, self.next_tick, self.next_tick + n, self.schedule
         duty = np.zeros(n)
-        for k, d in self._live.items():
-            s = sched[k].start_tick
+        for k in range(max(len(sched) - 2, 0), len(sched)):
+            s, profile = sched[k]
             stop = sched[k + 1].start_tick if k + 1 < len(sched) else e
-            lo, hi = max(s, b), min(s + len(d), stop, e)
+            lo, hi = max(s, b), min(stop, e, s + int(profile.duration_s * rate) + 2)
             if lo < hi:
-                duty[lo - b:hi - b] = d[lo - s:hi - s]
-        # an envelope is done once it ends or the next one has started:
-        # one starting at tick e may still be replaced
-        self._live = {k: d for k, d in self._live.items() if sched[k].start_tick + len(d) > e
-                      and (k + 1 == len(sched) or sched[k + 1].start_tick >= e)}
+                t = np.arange(lo, hi) / rate
+                force = profile.force_at(t[t < s / rate + profile.duration_s] - s / rate)
+                # 0 - duty is exactly -duty, and both directions map 0 N to 0
+                duty[lo - b:lo - b + len(force)] = (
+                    force_to_duty(self.forward_curve, np.maximum(force, 0.0))
+                    - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
         self.next_tick = e
         return duty
 

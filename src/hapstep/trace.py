@@ -13,7 +13,9 @@ trace-CSV layout::
     0.0,0.12,-0.40,...
 
 The ``t`` column is optional on ingest (rate may come from the header);
-when present its spacing must be uniform to within 1%.
+when present its spacing must be uniform to within 1%, and a header rate
+must match it to within 1%.  A header rate must be finite and > 0, a
+header speed finite and >= 0.
 """
 
 from __future__ import annotations
@@ -104,13 +106,17 @@ def _parse_header_meta(comments) -> dict[str, str]:
     return meta
 
 
-def _header_float(header_meta: dict[str, str], key: str, default):
+def _header_float(header_meta: dict[str, str], key: str, default, positive: bool = False):
+    """The finite, non-negative (or positive) value of a header key."""
     if key not in header_meta:
         return default
     try:
-        return float(header_meta[key])
+        value = float(header_meta[key])
     except ValueError:
-        raise FormatError(f"bad {key} header value {header_meta[key]!r}") from None
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise FormatError(f"bad {key} header value {header_meta[key]!r}")
+    return value
 
 
 def rate_from_times(t: np.ndarray) -> float:
@@ -143,10 +149,14 @@ def load_trace(source) -> ForceTrace:
         raise FormatError(f"unexpected columns {columns}")
     cols = {name: data[:, i] for i, name in enumerate(columns)}
 
-    rate = _header_float(header_meta, "rate_hz", None)
+    rate = _header_float(header_meta, "rate_hz", None, positive=True)
     if "t" in cols and len(data) >= 2:
         t_rate = rate_from_times(cols["t"])
-        rate = t_rate if rate is None else rate
+        if rate is None:
+            rate = t_rate
+        elif abs(rate - t_rate) > TIME_JITTER_TOL * t_rate:
+            raise FormatError(f"header rate_hz={rate!r} does not match the time "
+                              f"column's {t_rate:g} Hz")
     if rate is None:
         raise FormatError("sample rate not declared in header and no time column")
 

@@ -99,6 +99,21 @@ class TestIngest:
         assert res.returncode == 3
         assert "speed_kmh" in res.stderr
 
+    @pytest.mark.parametrize("body", ["t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,0.3,0.4\n",
+                                      "thenar_y,heel_y\n0.1,0.2\n0.3,0.4\n"],
+                             ids=["t", "no-t"])
+    @pytest.mark.parametrize("header", ["rate_hz=nan", "rate_hz=inf", "rate_hz=0",
+                                        "rate_hz=-1000", "rate_hz=1000 speed_kmh=nan",
+                                        "rate_hz=1000 speed_kmh=-inf",
+                                        "rate_hz=1000 speed_kmh=-3"])
+    def test_unusable_header_value_exit_3(self, tmp_path, capsys, header, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# {header}\n{body}")
+        out = tmp_path / "x.csv"
+        assert cli.main(["ingest", "--trace", str(bad), "--out", str(out)]) == 3
+        assert header.split()[-1].split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSegmentAndPhases:
     def test_segment_finds_thirty_steps(self, workdir, tmp_path):
@@ -186,6 +201,20 @@ class TestCalibrate:
         res = run_cli("calibrate", "--points", str(pts),
                       "--direction", "forward", "--out", str(out))
         assert res.returncode == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0.37,1.3\n1.5,4.7\n1.0,3.2\n",
+                                      "-0.5,0.2\n0.69,2.3\n1.0,3.2\n",
+                                      "0.37,1.3\n0.69,-2.4\n1.0,3.2\n",
+                                      "1.5,1.2\n2.0,1.8\n-0.5,-2.4\n"],
+                             ids=["duty-above-1", "negative-duty", "negative-force", "all"])
+    def test_impossible_point_exit_3(self, tmp_path, capsys, rows):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("duty,peak_force\n" + rows)
+        out = tmp_path / "c.json"
+        assert cli.main(["calibrate", "--points", str(pts), "--direction", "forward",
+                         "--out", str(out)]) == 3
+        assert "duty in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
 

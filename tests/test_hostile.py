@@ -29,7 +29,9 @@ def _table():
 def _valid_files():
     trace = io.StringIO()
     write_trace(synthetic_walk(n_steps=14, rng=np.random.default_rng(0))[0], trace)
-    rows = [(i / 1000, 0.5 if 100 <= i < 300 else 0.0) for i in range(500)]
+    # a brake pulse, then a drive pulse
+    rows = [(i / 1000, -0.5 if 100 <= i < 300 else 0.5 if 500 <= i < 700 else 0.0)
+            for i in range(900)]
     return {
         "trace": trace.getvalue(),
         "points": "duty,peak_force\n0.4,1.2\n0.6,1.8\n0.8,2.4\n1.0,3.0\n",
@@ -177,6 +179,15 @@ def test_hostile_input_exits_cleanly(valid_paths, tmp_path, monkeypatch, capsys,
     assert all(isinstance(code, int) for code in exits.values()), exits
     if flag == "--table":
         assert all(exits[name] == 2 for name in HOSTILE_TABLES), exits
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_valid_inputs_exit_0(valid_paths, tmp_path, monkeypatch, capsys, command):
+    """Every subcommand exits 0 on VALID, so each hostile case changes
+    one input of a run that reaches the subcommand's analysis."""
+    flag, kind = SUBCOMMANDS[command][0][0]
+    assert _exit(valid_paths, tmp_path, monkeypatch, capsys, command, flag, kind,
+                 VALID[kind].encode()) == 0
 
 
 @pytest.mark.parametrize("case", HUGE_ROWS)

@@ -483,15 +483,15 @@ def pulled_by(applied, i):
     return min(len(applied), sum(a <= i for a in applied) + 1)
 
 
-def expected_duties(table, fwd, bwd, events, duration_s, rate, tail_s=0.0):
-    """Per-tick oracle.  A tick plays the latest event applied at or
-    before it (the first tick i with t <= i / rate) whose envelope has
-    started, at floor(t * rate) + 1, and was not replaced before it
-    started: a newer event replaces an envelope if it is applied at or
-    before that envelope's start tick.  The envelope is sampled at
-    tick - start and is 0 past its end.  Without a duration the run
-    ends at the last event's apply tick or ``tail_s`` after the latest
-    envelope end, whichever is later."""
+def playing_envelopes(table, events, duration_s, rate, tail_s=0.0):
+    """Per-tick oracle of what plays.  A tick plays the latest event
+    applied at or before it (the first tick i with t <= i / rate) whose
+    envelope has started, at floor(t * rate) + 1, and was not replaced
+    before it started: a newer event replaces an envelope if it is
+    applied at or before that envelope's start tick.  The envelope plays
+    until its end.  Without a duration the run ends at the last event's
+    apply tick or ``tail_s`` after the latest envelope end, whichever is
+    later.  Each tick's (start, profile), None where nothing plays."""
     applied = [apply_tick(e.t, rate) for e in events]
     starts = [math.floor(e.t * rate) + 1 for e in events]
     profiles = [hs.interpolate(table, e.speed_kmh) for e in events]
@@ -504,16 +504,27 @@ def expected_duties(table, fwd, bwd, events, duration_s, rate, tail_s=0.0):
     out = []
     for i in range(n):
         playing = [k for k in range(len(events)) if kept[k] and starts[k] <= i]
+        k = playing[-1] if playing else None
+        if k is not None and i / rate < starts[k] / rate + profiles[k].duration_s:
+            out.append((starts[k], profiles[k]))
+        else:
+            out.append(None)
+    return out
+
+
+def expected_duties(table, fwd, bwd, events, duration_s, rate, tail_s=0.0):
+    """Per-tick oracle: the envelope playing_envelopes picks, sampled at
+    tick - start, 0 where none plays."""
+    out = []
+    for i, playing in enumerate(playing_envelopes(table, events, duration_s, rate, tail_s)):
         duty = 0.0
-        if playing:
-            k = playing[-1]
-            start, profile = starts[k], profiles[k]
-            if i / rate < start / rate + profile.duration_s:
-                force = float(profile.force_at(i / rate - start / rate))
-                if force < 0:
-                    duty = -hs.force_to_duty(bwd, -force)
-                elif force > 0:
-                    duty = hs.force_to_duty(fwd, force)
+        if playing is not None:
+            start, profile = playing
+            force = float(profile.force_at(i / rate - start / rate))
+            if force < 0:
+                duty = -hs.force_to_duty(bwd, -force)
+            elif force > 0:
+                duty = hs.force_to_duty(fwd, force)
         out.append(duty)
     return out
 
@@ -544,3 +555,29 @@ def test_preemption_invariants(knot_table, events, duration):
     assert bits(streamed(knot_table, fwd, bwd, events, duration)[0]) == expected
     blocks = blocked(knot_table, fwd, bwd, events, duration)[0]
     assert bits([d for _, bd in blocks for d in bd.tolist()]) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_preempted_ticks_are_never_sampled(knot_table, monkeypatch, block):
+    """The block pass converts the force of each tick that plays once,
+    and never that of a tick a later event preempts."""
+    if block is not None:
+        monkeypatch.setattr(textio, "WRITE_ROWS", block)
+    fwd, bwd = fitted_curves()
+    sampled = []
+
+    def counted(curve, force):
+        if curve is fwd:
+            sampled.append(np.size(force))
+        return hs.force_to_duty(curve, force)
+
+    monkeypatch.setattr("hapstep.renderer.force_to_duty", counted)
+    events = random_log(np.random.default_rng(5), 30)
+    playing = playing_envelopes(knot_table, events, None, TICK_RATE_HZ)
+    played = sum(p is not None for p in playing)
+    whole = sum(int(hs.interpolate(knot_table, e.speed_kmh).duration_s * TICK_RATE_HZ)
+                for e in events)
+    assert played < whole - 1000  # envelopes preempt each other
+    blocks = blocked(knot_table, fwd, bwd, events)[0]
+    assert sum(len(d) for _, d in blocks) == len(playing)
+    assert sum(sampled) == played

@@ -287,7 +287,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_write_then_load_trace_is_bit_exact(data, n, rate, with_z):
     channels = ("thenar_y", "heel_y", "thenar_z", "heel_z")[:4 if with_z else 2]
     values = {c: data.draw(arrays(np.float64, n, elements=finite)) for c in channels}
-    tr = ForceTrace(sample_rate_hz=rate, meta=TraceMeta(data.draw(finite), "p01"),
+    # a header speed is finite and >= 0
+    speed = data.draw(st.floats(0.0, allow_infinity=False))
+    tr = ForceTrace(sample_rate_hz=rate, meta=TraceMeta(speed, "p01"),
                     **values)
     buf = io.StringIO()
     write_trace(tr, buf)

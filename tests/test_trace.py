@@ -61,6 +61,20 @@ def test_rate_inferred_from_time_column():
     assert tr.sample_rate_hz == pytest.approx(500.0)
 
 
+@pytest.mark.parametrize("header_rate, ok", [(1009.0, True), (991.0, True),
+                                             (1011.0, False), (989.0, False),
+                                             (500.0, False)])
+def test_header_rate_must_match_time_column(header_rate, ok):
+    """Within TIME_JITTER_TOL of the time column the header rate wins."""
+    csv = f"# rate_hz={header_rate!r}\nt,thenar_y,heel_y\n" + \
+          "".join(f"{i / 1000},0.0,0.0\n" for i in range(5))
+    if ok:
+        assert load_trace(csv.encode()).sample_rate_hz == header_rate
+    else:
+        with pytest.raises(FormatError, match="does not match"):
+            load_trace(csv.encode())
+
+
 def test_malformed_row_reports_line_number():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,oops,0.4\n"
     with pytest.raises(FormatError, match="line 4"):
