@@ -15,7 +15,8 @@ trace-CSV layout::
 The ``t`` column is optional on ingest (rate may come from the header);
 when present its spacing must be uniform to within 1%, and a header rate
 must match it to within 1%.  A header rate must be finite and > 0, a
-header speed finite and >= 0.
+header speed finite and >= 0; a ForceTrace checks the same of its own
+rate and speed, so that every trace written reads back.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class ForceTrace:
     def __post_init__(self):
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
             raise ConfigError("sample_rate_hz must be positive and finite")
+        if not (self.meta.walking_speed_kmh >= 0 and math.isfinite(self.meta.walking_speed_kmh)):
+            raise ConfigError("walking_speed_kmh must be finite and >= 0")
         object.__setattr__(self, "thenar_y", np.asarray(self.thenar_y, dtype=float))
         object.__setattr__(self, "heel_y", np.asarray(self.heel_y, dtype=float))
         if len(self.thenar_y) != len(self.heel_y):

@@ -232,6 +232,20 @@ EDGES = {
     "largest": [1.7976931348623157e308, 1.0],
     "ms-grid": [0.0, 0.001, 0.01, 0.1, 0.12, 1.0, 29.998, 59.999, 86_400.0],
     "ms-grid-and-one-other": [0.0, 0.001, 0.002, 0.0025],
+    # the bounds of the short decimals the digit writer takes
+    "1e-4-and-the-double-below": [1e-4, float(np.nextafter(1e-4, 0))],
+    "1e-4-alone": [1e-4, 0.5],
+    "15-digit-integer-and-1e15": [999_999_999_999_999.0, 1e15],
+    "15-digit-integer": [999_999_999_999_999.0, -123_456_789_012_345.0],
+    "powers-of-10": [float(f"1e{e}") for e in range(-4, 15)],
+    "powers-of-10-and-one-above": [x for e in range(-4, 15)
+                                   for x in (float(f"1e{e}"),
+                                             float(np.nextafter(float(f"1e{e}"), 2.0)))],
+    "15-significant-digits": [0.000123456789012345, 1234567.89012345],
+    "16-significant-digits": [0.1234567890123456, 1.5],
+    "negative-zero-among-decimals": [0.5, -0.0, 2.0, -1.25, 0.0],
+    "all-zero": [0.0, 0.0, 0.0],
+    "all-negative-zero": [-0.0, -0.0],
 }
 
 
@@ -253,21 +267,31 @@ def test_write_blocks_skips_an_empty_block():
     assert buf.getvalue() == "a,b\n1.0,0.5\n2.0,-0.0\n"
 
 
+#: +-k / 10**q with k < 10**15 and q <= 18, clipped to 1e-4 <= |v| < 1e15
+decimal = st.builds(lambda k, q, sign: sign * min(max(k / 10 ** q, 1e-4), 999_999_999_999_999.0),
+                    st.integers(0, 10 ** 15 - 1), st.integers(0, 18), st.sampled_from([1.0, -1.0]))
+
+
 def column(kind, n):
     """A strategy for ``n`` floats: a few values repeated, a grid of
-    whole milliseconds, or any floats."""
+    whole milliseconds, short decimals (one in ten of them zero), or any
+    floats."""
     if kind == "few":
         return st.lists(st.floats(), min_size=1, max_size=4).flatmap(
             lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     if kind == "ms":
         return st.lists(st.integers(0, 10 ** 17), min_size=n, max_size=n).map(
             lambda k: [i / 1000 for i in k])
+    if kind == "decimal":
+        return st.lists(st.one_of(*[decimal] * 9, st.sampled_from([0.0, -0.0])),
+                        min_size=n, max_size=n)
     return st.lists(st.floats(), min_size=n, max_size=n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60),
-       kinds=st.lists(st.sampled_from(["few", "ms", "any"]), min_size=1, max_size=4))
+       kinds=st.lists(st.sampled_from(["few", "ms", "decimal", "decimal", "any"]),
+                      min_size=1, max_size=4))
 def test_write_columns_of_mixed_columns(data, n, kinds):
     cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
     for col in cols:
@@ -276,6 +300,45 @@ def test_write_columns_of_mixed_columns(data, n, kinds):
     buf = io.StringIO()
     assert textio.write_columns(buf, names, *cols) == n
     assert buf.getvalue() == reference_rows(names, *cols)
+
+
+def is_short_decimal(v):
+    """v is 0 or its repr is fixed-point in [1e-4, 1e15) with at most 15
+    significant digits, which is when it is k / 10**q for whole
+    k < 10**15 and q <= 18."""
+    text = repr(abs(v))
+    return v == 0 or (1e-4 <= abs(v) < 1e15 and "e" not in text
+                      and len(text.replace(".", "").strip("0")) <= 15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40),
+       kinds=st.lists(st.sampled_from(["decimal", "decimal", "ms", "few"]),
+                      min_size=1, max_size=3))
+def test_decimal_writer_takes_exactly_the_short_decimals(data, n, kinds):
+    cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
+    text = textio._decimal_rows(cols)
+    assert (text is not None) == all(map(is_short_decimal, np.concatenate(cols).tolist()))
+    if text is not None:
+        assert text == reference_rows(kinds, *cols).split("\n", 1)[1]
+
+
+def test_all_decimal_block_is_written_from_digits(monkeypatch):
+    """A block of short decimals never reaches _reprs, and a block with
+    one other value does."""
+    def refuse(col):
+        raise AssertionError("_reprs called")
+
+    t = np.arange(5000) / 1000
+    force = np.round(np.sin(t) * 3, 9)
+    force[::7] = -0.0
+    monkeypatch.setattr(textio, "_reprs", refuse)
+    buf = io.StringIO()
+    assert textio.write_columns(buf, ("t", "f"), t, force) == 5000
+    assert buf.getvalue() == reference_rows(("t", "f"), t, force)
+    force[4321] = 1e-5
+    with pytest.raises(AssertionError, match="_reprs called"):
+        textio.write_columns(io.StringIO(), ("t", "f"), t, force)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from hapstep.errors import EmptyInputError, FormatError
+from hapstep.errors import ConfigError, EmptyInputError, FormatError
 from hapstep.trace import ForceTrace, TraceMeta, dump_trace, load_trace, write_trace
 
 from conftest import no_unclosed_files
@@ -52,6 +52,14 @@ def test_write_trace_to_file(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(tr, path)
     assert np.array_equal(load_trace(str(path)).thenar_y, tr.thenar_y)
+
+
+@pytest.mark.parametrize("speed", [-1.0, float("nan"), float("inf")])
+def test_trace_speed_must_be_finite_and_not_negative(speed):
+    """A speed the trace-CSV header could not hold is refused where the
+    trace is built, not only when its file is read back."""
+    with pytest.raises(ConfigError, match="walking_speed_kmh"):
+        ForceTrace(1000.0, [0.1], [0.3], TraceMeta(speed, "p01"))
 
 
 def test_rate_inferred_from_time_column():
