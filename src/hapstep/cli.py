@@ -224,6 +224,10 @@ def cmd_render(args) -> int:
     with _event_lines(args) as lines:
         blocks = renderer.command_blocks(rend, renderer.events_from_ndjson(lines),
                                          args.duration)
+        if args.listen is None and args.events != "-":
+            # a file's events never wait, so its log goes in full blocks;
+            # stdin and --listen write each block before the next pull
+            blocks = textio.full_blocks(blocks)
         n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
     print(f"{n} ticks -> {args.out}")
     return 0

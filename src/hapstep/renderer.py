@@ -267,11 +267,6 @@ def to_vibstep(duties: np.ndarray, tick_rate_hz: float = TICK_RATE_HZ,
     return t, _run_peaks(-duties), _run_peaks(duties)
 
 
-def event_to_json(event: GaitEvent) -> str:
-    return json.dumps({"t": event.t, "foot": event.foot,
-                       "kind": event.kind, "speed_kmh": event.speed_kmh})
-
-
 def parse_event(line: str) -> GaitEvent:
     try:
         data = json.loads(line)

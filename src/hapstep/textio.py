@@ -11,14 +11,19 @@ converts about _READ_HINT characters of lines with one call to numpy's
 C text reader (a per-line loop takes the header and the blocks that
 reader refuses), and write_blocks writes each block of column arrays
 (write_columns cuts its columns into WRITE_ROWS rows) in one call.
-write_blocks has two writers, which write the same text.  A block whose
-every value is a short decimal (+-0.0, or 1e-4 <= |v| < 1e15 and at
-most 15 significant digits, such as a trace recorded to a few decimals)
-is written from integer digits as one byte array (see _decimal_rows).
-Any other block is written row by row from its columns' _reprs, which
-format each distinct value of a column once, and a column of whole
-milliseconds, such as a tick clock, from its distinct seconds and a
-table of thousandths.
+write_blocks has one writer: a block becomes one byte array of
+fixed-width cells.  A value v with v == 0 or 1e-4 <= |v| < 1e15, where
+``repr`` is fixed-point, is written from the integer digits of the
+decimal ``repr`` prints, which _shortest finds for the whole column at
+once: of at most 15 digits by one division, of 16 or 17 from an exact
+product of v and a power of 10.  That decimal is ``repr``'s because
+v's rounding interval is symmetric (in range every power of 2, whose
+interval is not, has at most 15 digits) and ``repr`` prints the
+shortest decimal in it, and of those the nearest v.  Any other value
+(NaN, +-inf, |v| < 1e-4 or >= 1e15, where ``repr`` may switch to an
+exponent), a value whose candidates tie or lie within _TIE of the
+interval's edge, and every value of a column of fewer than _DIGIT_ROWS
+rows are written from their own ``repr`` into their cells.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 import os
 from array import array
 from contextlib import nullcontext
@@ -39,6 +43,15 @@ from .errors import FormatError
 _READ_HINT = 1 << 16
 #: rows per CSV write block, for write_columns and the offline render
 WRITE_ROWS = 4096
+#: a column of fewer rows is written from ``repr`` alone, which costs
+#: less there than the fixed cost of the digit pass
+_DIGIT_ROWS = 128
+#: Veltkamp's splitter 2**27 + 1: x * _SPLIT - (x * _SPLIT - x) is the
+#: upper half of x's bits, and the product of two such halves is exact
+_SPLIT = 134217729.0
+#: how near (in units of the 17th digit) a tie or the rounding bound may
+#: lie before _shortest leaves a value to ``repr``
+_TIE = 2.0 ** -20
 
 
 def opened(target, mode: str):
@@ -141,48 +154,191 @@ def write_columns(dest, names, *columns) -> int:
                                       for i in range(0, n, WRITE_ROWS)))
 
 
+def full_blocks(blocks):
+    """The column blocks ``blocks`` joined and cut anew into blocks of
+    WRITE_ROWS rows, the last one fewer.  A block is yielded only once
+    later blocks fill it, so this suits only a source that never waits
+    for input."""
+    pending, n = [], 0
+    for columns in blocks:
+        pending.append(columns)
+        n += len(columns[0])
+        while n >= WRITE_ROWS:
+            joined = [np.concatenate(c) for c in zip(*pending)]
+            yield [c[:WRITE_ROWS] for c in joined]
+            pending, n = [[c[WRITE_ROWS:] for c in joined]], n - WRITE_ROWS
+    if n:
+        yield [np.concatenate(c) for c in zip(*pending)]
+
+
 def write_blocks(dest, names, blocks) -> int:
     """Write the header ``names``, then each block, a sequence of
     equal-length column arrays, as one line per row of float ``repr``s,
     a whole block per write.  Returns the row count.
 
-    A block whose every value is a short decimal is written from its
-    integer digits (see _decimal_rows); any other block from its
-    columns' _reprs, joined row by row.
+    A block becomes one uint8 array of fixed-width cells, one per value
+    (see _rows).  A value v is written from the digits _shortest finds
+    for it when it is +-0.0 or 1e-4 <= |v| < 1e15, where ``repr`` is
+    fixed-point.  Any other value (NaN, +-inf, |v| < 1e-4 or >= 1e15),
+    the few _shortest leaves open, and every value of a column of fewer
+    than _DIGIT_ROWS rows are written from their own ``repr`` into their
+    cells (see _fallback).
     """
     n = 0
     with opened(dest, "w") as fh:
         fh.write(",".join(names) + "\n")
         for columns in blocks:
             cols = [np.asarray(c, dtype=float) for c in columns]
-            if not len(cols[0]):
-                continue
-            text = _decimal_rows(cols)
-            if text is None:
-                strs = [_reprs(c) for c in cols]
-                text = "\n".join(map(",".join, zip(*strs))) + "\n"
-            fh.write(text)
-            n += len(cols[0])
+            if len(cols[0]):
+                fh.write(_rows(cols))
+                n += len(cols[0])
     return n
 
 
+def _rows(cols) -> str:
+    """The CSV lines of a non-empty block of equal-length float columns.
+
+    Each row becomes one line of fixed-width cells in one uint8 array:
+    per value its sign byte, integer digits, point and fraction digits
+    (see _digit_fields) or its ``repr``, then a ``,`` or ``\\n``.  Bytes a
+    value does not use are 0, and are dropped at the end.
+    """
+    n = len(cols[0])
+    cells = [_cells(c) for c in cols]
+    width = sum(w for _, w, _, _ in cells) + len(cells)
+    text = bytearray(n * width)
+    out = np.frombuffer(text, np.uint8).reshape(n, width)
+    pos = 0
+    for fields, w, other, reprs in cells:
+        start = pos
+        for f in fields:
+            if f.itemsize == 1:
+                out[:, pos] = f
+            else:
+                np.ndarray((n,), np.uint32, out, pos, (width,))[:] = f
+            pos += f.itemsize
+        pos = start + w
+        if len(other):
+            out[other, start:pos] = reprs
+        out[:, pos] = ord(",")
+        pos += 1
+    out[:, -1] = ord("\n")
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _cells(col: np.ndarray):
+    """The cells of a column (see _rows): the fields of its digits, the
+    cell width, and the rows written from ``repr`` with their bytes,
+    0-padded to that width."""
+    a = np.abs(col)
+    digits = ((a == 0) | ((a >= 1e-4) & (a < 1e15))) & (len(col) >= _DIGIT_ROWS)
+    fields = []
+    if digits.any():
+        d, ei, open_ = _shortest(np.where(digits, a, 0.0))
+        digits &= ~open_
+        fields = _digit_fields(col, d, ei)
+    other = np.flatnonzero(~digits)
+    reprs = _fallback(col[other])
+    width = max([sum(f.itemsize for f in fields), *map(len, reprs)])
+    return fields, width, other, np.array(reprs, f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _fallback(values: np.ndarray) -> list[str]:
+    """``repr`` of each of ``values``, for the cells not written from
+    digits."""
+    return list(map(repr, values.tolist()))
+
+
 @functools.cache
-def _binade_scales() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """By binary exponent (inf and NaN last): the first of 5e-324 and
-    10**e for e in -4..15 above the binade's lowest value, and the
-    10.0**q of a short decimal below and above it (NaN where none is
-    one).  No binade holds two of them.  Built on first use, as the group
-    words are, so that importing costs nothing; read-only, as shared."""
-    edges = np.array(["5e-324", *(f"1e{e}" for e in range(-4, 16))], dtype=float)
-    scales = np.array([1.0, np.nan, *(float(10 ** q) for q in range(18, -1, -1)),
-                       np.nan, np.nan])
-    count = np.searchsorted(edges, np.append(np.ldexp(1.0, np.arange(-1023, 1024)), np.inf),
-                            "right")
-    count[0] = 0  # zero and the subnormals
-    tables = np.append(edges, np.nan)[count], scales[count], scales[count + 1]
+def _scales() -> tuple[np.ndarray, ...]:
+    """The tables of _shortest and _digit_fields, built on first use, as
+    the group words are, so that importing costs nothing; read-only, as
+    shared.
+
+    By binary exponent, for the binades of 0 and of 1e-4 <= v < 1e15:
+    the one power of 10 in the binade (no binade holds two), and e + 4
+    for the v below it, 10**e <= v < 10**(e + 1) (for 0, e is 14).  By
+    e + 4, for e in -4..14: 10.0**(14 - e), 10.0**(16 - e) and the upper
+    and lower halves of its bits, all exact doubles; and for the
+    f = 16 - e fraction digits of a 17-digit decimal, the int64 divisor
+    giving its integer part (10**f, or 10**17 when e < 0, for 0), the
+    divisor giving its first 12 fraction digits (10**(f - 12), or 1) and
+    the factors that shift those 12 and the last 8 in place among 20
+    (10**(12 - f), or 1, and 10**(20 - f), or 0 when f <= 12).
+    """
+    edges = np.array([f"1e{e}" for e in range(-4, 16)], dtype=float)
+    count = np.searchsorted(edges, np.ldexp(1.0, np.arange(-1023, 1024)), "right")
+    count[0] = 19  # zero and the subnormals
+    e = np.arange(-4, 15)
+    s17 = np.array([float(10 ** q) for q in (16 - e).tolist()])
+    s17_hi = s17 * _SPLIT - (s17 * _SPLIT - s17)
+    ints = np.array([[10 ** min(f, 17), 10 ** max(f - 12, 0), 10 ** max(12 - f, 0),
+                      10 ** (20 - f) if f > 12 else 0] for f in (16 - e).tolist()],
+                    dtype=np.int64)
+    tables = (np.append(edges, np.inf)[count], count - 1, s17 / 100, s17, s17_hi,
+              s17 - s17_hi, *ints.T.copy())
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+def _shortest(a: np.ndarray):
+    """(d, e + 4, open) for the magnitudes ``a``, each 0 or
+    1e-4 <= a < 1e15: ``repr``'s decimal of each a is d * 10**(e - 16),
+    for whole d < 10**17 and 10**e <= a < 10**(e + 1), except where
+    ``open`` marks the a whose decimal is left to ``repr``.
+
+    ``repr`` prints the decimal of fewest significant digits that rounds
+    to a, and of those the one nearest a.  A decimal rounds to a when it
+    lies in a's rounding interval, a +- half an ulp of a, which is
+    symmetric unless a is a power of 2 (whose ulp below is half the one
+    above).  So for a not a power of 2, some decimal of n digits rounds
+    to a exactly when the n-digit decimal nearest a does, and if no
+    shorter one rounds to a, that one is ``repr``'s:
+
+    - at most 15 digits: k = rint(a * 10**(14 - e)) is the nearest, and
+      k / 10**(14 - e) == a tests it (k and the power are exact doubles,
+      so the division is correctly rounded).  No two decimals of at most
+      15 digits round to one double (DBL_DIG), so this holds for a power
+      of 2 too, and every power of 2 in range, 2**-13 to 2**49, is such
+      a decimal;
+    - 16 and 17 digits, so a is not a power of 2: x = a * 10**(16 - e)
+      is computed exactly, as hi + lo (Dekker's product of a and the
+      power, each split in halves).  d17 is the integer nearest x.  The
+      16-digit decimal, the multiple of 10 nearest x, is taken when its
+      distance to x is below half an ulp of a times 10**(16 - e), an
+      exact double; otherwise d17 is, which always rounds to a, as it is
+      within 1/2 of x and that bound is above 10**16 * 2**-54 > 0.55.
+
+    Left open: an x within _TIE of that bound or of a tie between two
+    nearest candidates.
+    """
+    next_edge, e_below, s15, s17, s17_hi, s17_lo = _scales()[:6]
+    b = a.view(np.int64) >> 52
+    ei = e_below[b] + (a >= next_edge[b])
+    s = s15[ei]
+    k = np.rint(a * s)
+    short = k / s == a
+    if short.all():
+        return k.astype(np.int64) * 100, ei, ~short
+    s, s_hi, s_lo = s17[ei], s17_hi[ei], s17_lo[ei]
+    hi = a * s
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    r = np.rint(lo)
+    d17 = hi.astype(np.int64) + r.astype(np.int64)  # hi >= 10**16 is whole
+    t = lo - r                                       # x - d17
+    d16, u = np.divmod(d17, 10)
+    u = u + t                                        # x - 10 * d16
+    up = u > 5
+    dist = np.abs(u - 10 * up)
+    bound = np.spacing(a) * s / 2
+    take16 = dist < bound
+    open_ = ~short & ((np.abs(dist - bound) <= _TIE)
+                      | (np.where(take16, np.abs(u - 5), np.abs(np.abs(t) - 0.5)) <= _TIE))
+    d = np.where(short, k.astype(np.int64) * 100, np.where(take16, (d16 + up) * 10, d17))
+    return d, ei, open_
 
 
 @functools.cache
@@ -207,31 +363,24 @@ def _group_words(strip_left: bool) -> np.ndarray:
     return words.view(np.uint32).ravel()
 
 
-def _decimal_scale(a: np.ndarray):
-    """(k, 10.0**q) with a == k / 10**q bit for bit, for the magnitudes
-    ``a`` if each is a short decimal (see _decimal_rows), else None."""
-    next_edge, below, above = _binade_scales()
-    e = a.view(np.int64) >> 52
-    scale = np.where(a >= next_edge[e], above[e], below[e])
-    k = np.rint(a * scale)
-    return (k, scale) if (k / scale == a).all() else None
-
-
-def _decimal_fields(col, a, k, scale) -> list:
-    """The sign byte, integer words, point and fraction words of a column
-    of short decimals (see _decimal_rows), 0 bytes where a value has no
-    digit."""
+def _digit_fields(col, d, ei) -> list:
+    """The sign byte, integer words, point and fraction words of the
+    decimals d * 10**(e - 16) of a column (see _shortest), as ``repr``
+    writes them: with at least one digit on each side of the point and
+    leading integer and trailing fraction zeros as 0 bytes.  Digits come
+    4 at a time from integer division by 10**4 and a table of 4-digit
+    groups; the fraction as its first 12 and last 8 digits of 20."""
+    ip_div, frac_div, hi_shift, lo_shift = _scales()[6:]
+    ip, frac = np.divmod(d, ip_div[ei])
+    hi, lo = np.divmod(frac, frac_div[ei])
+    hi *= hi_shift[ei]
+    lo *= lo_shift[ei]
     int_words, frac_words = _group_words(True), _group_words(False)
-    ip = np.floor(a)
-    most = scale.max()
-    # k % 10**q (as ip == k // 10**q), shifted to the column's most digits
-    y = (k - ip * scale).astype(np.int64) * (most / scale).astype(np.int64)
-    ip = ip.astype(np.int64)
     fields = [np.signbit(col).view(np.uint8) * np.uint8(ord("-"))]
     # integer groups from the left, leading zeros dropped while the digits
     # up to the group are < 10**4, the last group keeping one
-    top = a.max()
-    n_int = 1 + int(top >= 1e4) + int(top >= 1e8) + int(top >= 1e12)
+    top = ip.max()
+    n_int = 1 + int(top >= 10 ** 4) + int(top >= 10 ** 8) + int(top >= 10 ** 12)
     for i in range(n_int - 1, -1, -1):      # i groups follow this one
         upto = ip // 10 ** (4 * i) if i else ip
         off = 10_000 if i else 20_000
@@ -242,93 +391,25 @@ def _decimal_fields(col, a, k, scale) -> list:
     fields.append(np.uint8(ord(".")))
     # fraction groups from the left, trailing zeros dropped where the rest
     # is 0, the first group keeping one, until the rest is 0 in every row
-    rest, off = round(math.log10(most)), 20_000
-    while rest > 4:
-        rest -= 4
-        g = y // 10 ** rest
-        y -= g * 10 ** rest
-        zero = y == 0
+    off = 20_000
+    for g, zero in _fraction_groups(hi, lo):
         fields.append(frac_words[g + off * zero])
-        if zero.all():
-            return fields
+        if np.all(zero):
+            break
         off = 10_000
-    fields.append(frac_words[y * 10 ** (4 - rest) + off])
     return fields
 
 
-def _decimal_rows(cols) -> str | None:
-    """The CSV lines of a block of equal-length columns if every value
-    is a short decimal, else None.
-
-    A value v is a short decimal when it is +-0.0, or when
-    1e-4 <= |v| < 1e15 and |v| == k / 10**q bit for bit, for whole
-    k < 10**15 and 0 <= q <= 18 (k and 10**q are exact doubles, so the
-    division is correctly rounded).  Its text here is the digits of k
-    with a point before the last q, less the leading and trailing zeros
-    but one on each side of the point.  That is ``repr(v)``: the decimal
-    k * 10**-q has at most 15 significant digits and rounds to v; no two
-    distinct decimals of at most 15 digits round to the same double
-    (DBL_DIG), so it is the shortest decimal that rounds to v, which
-    ``repr`` prints; and ``repr`` is fixed-point for 1e-4 <= |v| < 1e16.
-    q is 14 - e for 10**e <= |v| < 10**(e + 1); e comes from v's binary
-    exponent and one comparison, as no binade holds two powers of 10.
-
-    Each row becomes one line of fixed-width cells (sign, integer digits,
-    point, fraction digits, separator) in one uint8 array, bytes a value
-    does not use being 0, which are dropped at the end.  Digits come 4 at
-    a time from integer division by 10**4 and a table of 4-digit groups.
-    A strided sample of every column is checked first, so that most
-    blocks holding other values are refused at the cost of one check of
-    a few dozen values.
-    """
-    n = len(cols[0])
-    if _decimal_scale(np.abs(np.concatenate([c[::max(1, n // 16)] for c in cols]))) is None:
-        return None
-    checked = []
-    for col in cols:
-        a = np.abs(col)
-        ks = _decimal_scale(a)
-        if ks is None:
-            return None
-        checked.append((col, a, *ks))
-    fields = []
-    while checked:  # a column's arrays go once its fields are made
-        fields += [*_decimal_fields(*checked.pop(0)), np.uint8(ord(","))]
-    fields[-1] = np.uint8(ord("\n"))
-    width = sum(f.itemsize for f in fields)
-    text = bytearray(n * width)
-    out = np.frombuffer(text, np.uint8).reshape(n, width)
-    pos = 0
-    for f in fields:
-        if f.itemsize == 1:
-            out[:, pos] = f
-        else:
-            np.ndarray((n,), np.uint32, out, pos, (width,))[:] = f
-        pos += f.itemsize
-    return text.translate(None, b"\0").decode("ascii")
-
-
-_MS = np.array([".0", *(f".{m:03d}".rstrip("0") for m in range(1, 1000))], dtype=object)
-
-
-def _reprs(col: np.ndarray) -> list[str]:
-    """``repr`` of each float of ``col``, one ``repr`` per distinct bit
-    pattern (so -0.0 stays apart from 0.0 and NaN needs no comparison).
-
-    If every v has no sign bit, v < 1e12 and v = k / 1000 bit for bit
-    with k whole, the distinct seconds k // 1000 are joined to a table of
-    thousandths (_MS) instead.  That is ``repr(v)``: the decimal
-    k / 1000 rounds to v and has at most 15 (DBL_DIG) significant
-    digits, so no other decimal that short rounds to v; and v = 0 or
-    0.001 <= v < 1e12, where ``repr`` is fixed-point.
-    """
-    # col < 1e12 first, so that col * 1000 cannot overflow
-    if (not np.signbit(col).any() and (col < 1e12).all() and np.array_equal(
-            ((k := np.rint(col * 1000)) / 1000).view(np.int64), col.view(np.int64))):
-        sec, ms = np.divmod(k.astype(np.int64), 1000)
-        keys, inv = np.unique(sec, return_inverse=True)
-        strs = np.array(list(map(str, keys.tolist())), dtype=object)
-        return (strs[inv] + _MS[ms]).tolist()
-    keys, inv = np.unique(col.view(np.int64), return_inverse=True)
-    strs = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
-    return strs[inv].tolist()
+def _fraction_groups(hi, lo):
+    """The 4-digit groups of the 20 fraction digits whose first 12 are
+    ``hi`` and last 8 ``lo``, from the left, each with whether the
+    digits after it are all 0."""
+    lo_zero = lo == 0
+    g, rest = np.divmod(hi, 10 ** 8)
+    yield g, (rest == 0) & lo_zero
+    g, rest = np.divmod(rest, 10 ** 4)
+    yield g, (rest == 0) & lo_zero
+    yield rest, lo_zero
+    g, rest = np.divmod(lo, 10 ** 4)
+    yield g, rest == 0
+    yield rest, True

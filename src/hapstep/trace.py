@@ -21,7 +21,6 @@ rate and speed, so that every trace written reads back.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -179,10 +178,3 @@ def write_trace(trace: ForceTrace, dest) -> None:
                  f"speed_kmh={trace.meta.walking_speed_kmh!r} "
                  f"participant={trace.meta.participant_id}\n")
         textio.write_columns(fh, ("t", *trace.channels()), trace.times, *sensor)
-
-
-def dump_trace(trace: ForceTrace) -> str:
-    """Serialize a ForceTrace to trace-CSV text (sensor-frame values)."""
-    buf = io.StringIO()
-    write_trace(trace, buf)
-    return buf.getvalue()

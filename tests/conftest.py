@@ -1,5 +1,7 @@
 import contextlib
 import gc
+import io
+import json
 import os
 import threading
 import warnings
@@ -10,6 +12,7 @@ from hypothesis import settings
 
 import hapstep as hs
 from hapstep.synthetic import synthetic_walk
+from hapstep.trace import write_trace
 
 # HYPOTHESIS_PROFILE=ci: the same examples on every run, and no per-example
 # deadline on a shared runner; example counts stay as each test sets them
@@ -110,3 +113,16 @@ def within(seconds, fn, *args):
     thread.join(seconds)
     assert result, f"no return within {seconds} s"
     return result[0]
+
+
+def dump_trace(trace) -> str:
+    """A ForceTrace as trace-CSV text (sensor-frame values)."""
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    return buf.getvalue()
+
+
+def event_to_json(event) -> str:
+    """A GaitEvent as one NDJSON record."""
+    return json.dumps({"t": event.t, "foot": event.foot,
+                       "kind": event.kind, "speed_kmh": event.speed_kmh})

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import hapstep as hs
-from hapstep.renderer import event_to_json, events_from_ndjson
+from hapstep.renderer import events_from_ndjson
 from hapstep.synthetic import synthetic_walk
 
-from conftest import KNOT_SPEEDS, clamp_free_curves, random_profile
+from conftest import KNOT_SPEEDS, clamp_free_curves, event_to_json, random_profile
 
 FS = 1000.0
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hapstep import cli, renderer
+from hapstep import cli, renderer, textio
 from hapstep.calibration import save_curve
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
@@ -495,6 +495,24 @@ def render_in_process(workdir, tmp_path, monkeypatch, text, source, *extra):
     return cli.main(["render", "--events", str(events), "--table", workdir["table"],
                      "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"],
                      "--out", str(tmp_path / "out.csv"), *extra])
+
+
+def test_file_render_writes_full_blocks(workdir, tmp_path, monkeypatch):
+    """A file's log is written in blocks of WRITE_ROWS ticks, however
+    many events end the renderer's blocks, with the bytes stdin writes
+    a block per event."""
+    written, rows = [], textio._rows
+    monkeypatch.setattr(textio, "_rows", lambda cols: written.append(len(cols[0])) or rows(cols))
+    text = "".join(event_line(0.9 * k, (1.0, 2.5, 4.0)[k % 3]) for k in range(14))
+    outputs, blocks = [], []
+    for source in ("file", "stdin"):
+        written.clear()
+        assert render_in_process(workdir, tmp_path, monkeypatch, text, source) == 0
+        outputs.append((tmp_path / "out.csv").read_bytes())
+        assert sum(written) == outputs[-1].count(b"\n") - 1
+        blocks.append(len(written))
+    assert outputs[0] == outputs[1]
+    assert blocks[0] <= math.ceil(sum(written) / textio.WRITE_ROWS) < 14 <= blocks[1]
 
 
 class TestRunBound:

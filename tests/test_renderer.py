@@ -12,12 +12,11 @@ from hapstep.renderer import (
     TICK_RATE_HZ,
     command_blocks,
     command_stream,
-    event_to_json,
     events_from_ndjson,
     parse_event,
 )
 
-from conftest import clamp_free_curves
+from conftest import clamp_free_curves, event_to_json
 
 
 class TestGaitEvent:

@@ -4,6 +4,7 @@ reference loops, which are kept here as the specification."""
 import io
 import warnings
 from array import array
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hapstep as hs
 from hapstep import textio
 from hapstep.errors import FormatError
+from hapstep.plant import plate_forces
 from hapstep.trace import ForceTrace, TraceMeta, load_trace, write_trace
+
+from conftest import make_curve
 
 
 def reference_read_csv(source):
@@ -246,17 +251,50 @@ EDGES = {
     "negative-zero-among-decimals": [0.5, -0.0, 2.0, -1.25, 0.0],
     "all-zero": [0.0, 0.0, 0.0],
     "all-negative-zero": [-0.0, -0.0],
+    # 2**-13 to 2**49, 0.5 among them
+    "powers-of-2-in-range": [2.0 ** k for k in range(-13, 50)],
+    "16-and-17-digits": [0.1 + 0.2, 1 / 3, 2 / 3 * 1e14],
+    "neighbours-of-short-decimals": [float(np.nextafter(x, to))
+                                     for x in (1e-4, 0.1, 0.3, 1.5, 29.998, 123_456.789,
+                                               999_999_999_999_999.0)
+                                     for to in (0.0, np.inf)],
+    # two nearest candidates both round to the value: left to repr
+    "ties-of-16-digits": [600_000_000_000_000.25, 600_000_000_000_000.75],
+    "ties-of-17-digits": [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17],
+    "fixed-point-from-1e15": [1e15, 1_234_567_890_123_456.0, 9_999_999_999_999_998.0, 1e16],
 }
 
 
-@pytest.mark.filterwarnings("error")  # no overflow warning from the millisecond check
+def lines(names, *columns):
+    """reference_rows without its header: the lines of one block."""
+    return reference_rows(names, *columns).split("\n", 1)[1]
+
+
+@pytest.mark.filterwarnings("error")  # no overflow or cast warning from the digit pass
 @pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
-def test_reprs_edge_cases(values):
+def test_reprs_edge_cases(values, monkeypatch):
+    """Each edge value is written as repr writes it, from digits (in a
+    block of any row count) or from repr."""
     col = np.array(values)
-    assert textio._reprs(col) == list(map(repr, col.tolist()))
+    names = ("v", "w")
     buf = io.StringIO()
-    textio.write_columns(buf, ("v", "w"), col, col[::-1])
-    assert buf.getvalue() == reference_rows(("v", "w"), col, col[::-1])
+    textio.write_columns(buf, names, col, col[::-1])
+    assert buf.getvalue() == reference_rows(names, col, col[::-1])
+    monkeypatch.setattr(textio, "_DIGIT_ROWS", 1)
+    assert textio._rows([col, col[::-1]]) == lines(names, col, col[::-1])
+
+
+def test_every_power_of_2_in_range_is_a_short_decimal():
+    """So the digit pass may assume a symmetric rounding interval, which
+    a power of 2 does not have, for every value of 16 or 17 digits."""
+    powers = [2.0 ** k for k in range(-20, 60) if 1e-4 <= 2.0 ** k < 1e15]
+    assert (powers[0], powers[-1]) == (2.0 ** -13, 2.0 ** 49)
+    assert all(len(repr(p).replace(".", "").strip("0")) <= 15 for p in powers)
+
+
+def test_ties_are_left_to_repr():
+    col = np.array(EDGES["ties-of-16-digits"] + EDGES["ties-of-17-digits"])
+    assert textio._shortest(col)[2].all()
 
 
 def test_write_blocks_skips_an_empty_block():
@@ -294,51 +332,88 @@ def column(kind, n):
                       min_size=1, max_size=4))
 def test_write_columns_of_mixed_columns(data, n, kinds):
     cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
-    for col in cols:
-        assert textio._reprs(col) == list(map(repr, col.tolist()))
     names = [f"c{i}" for i in range(len(cols))]
     buf = io.StringIO()
     assert textio.write_columns(buf, names, *cols) == n
     assert buf.getvalue() == reference_rows(names, *cols)
-
-
-def is_short_decimal(v):
-    """v is 0 or its repr is fixed-point in [1e-4, 1e15) with at most 15
-    significant digits, which is when it is k / 10**q for whole
-    k < 10**15 and q <= 18."""
-    text = repr(abs(v))
-    return v == 0 or (1e-4 <= abs(v) < 1e15 and "e" not in text
-                      and len(text.replace(".", "").strip("0")) <= 15)
+    with mock.patch.object(textio, "_DIGIT_ROWS", 1):
+        assert textio._rows(cols) == lines(names, *cols)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40),
-       kinds=st.lists(st.sampled_from(["decimal", "decimal", "ms", "few"]),
-                      min_size=1, max_size=3))
-def test_decimal_writer_takes_exactly_the_short_decimals(data, n, kinds):
-    cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
-    text = textio._decimal_rows(cols)
-    assert (text is not None) == all(map(is_short_decimal, np.concatenate(cols).tolist()))
-    if text is not None:
-        assert text == reference_rows(kinds, *cols).split("\n", 1)[1]
+@given(data=st.data(), n=st.integers(1, 40))
+def test_shortest_gives_the_digits_of_every_short_decimal(data, n):
+    """repr's decimal of every short decimal, whole milliseconds of at
+    most 15 digits among them, none left open."""
+    ms = data.draw(st.lists(st.integers(0, 10 ** 15 - 1), min_size=n, max_size=n))
+    a = np.abs(np.array(data.draw(column("decimal", n)) + [k / 1000 for k in ms]))
+    d, ei, left_open = textio._shortest(a)
+    assert not left_open.any()
+    for v, digits, e in zip(a.tolist(), d.tolist(), (ei - 4).tolist()):
+        assert Decimal(digits).scaleb(e - 16) == Decimal(repr(v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, textio.WRITE_ROWS + 1), width=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_of_any_bit_patterns(n, width, seed):
+    """Whole blocks of uniform int64 bit patterns viewed as float64, so
+    NaN payloads, infinities and subnormals too."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64, endpoint=False).view(np.float64)
+            for _ in range(width)]
+    names = [f"c{i}" for i in range(width)]
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert textio.write_blocks(buf, names, [cols]) == n
+    assert buf.getvalue() == reference_rows(names, *cols)
+
+
+def fallback_values(monkeypatch) -> list:
+    """The values write_blocks sends to its repr fallback from now on."""
+    sent, fallback = [], textio._fallback
+
+    def counted(values):
+        sent.extend(values.tolist())
+        return fallback(values)
+
+    monkeypatch.setattr(textio, "_fallback", counted)
+    return sent
 
 
 def test_all_decimal_block_is_written_from_digits(monkeypatch):
-    """A block of short decimals never reaches _reprs, and a block with
-    one other value does."""
-    def refuse(col):
-        raise AssertionError("_reprs called")
-
-    t = np.arange(5000) / 1000
+    """A block of short decimals is written from digits alone, and with
+    one value below 1e-4 only that value goes to repr."""
+    sent = fallback_values(monkeypatch)
+    t = np.arange(textio.WRITE_ROWS) / 1000
     force = np.round(np.sin(t) * 3, 9)
     force[::7] = -0.0
-    monkeypatch.setattr(textio, "_reprs", refuse)
+    for expected in ([], [2.1476925e-05]):
+        if expected:
+            force[1234] = expected[0]
+        buf = io.StringIO()
+        assert textio.write_columns(buf, ("t", "f"), t, force) == len(t)
+        assert buf.getvalue() == reference_rows(("t", "f"), t, force)
+        assert sent == expected
+
+
+def test_plate_forces_take_the_digit_path(knot_table, monkeypatch):
+    """The plant force column of a rendered log (16- and 17-digit values)
+    is written from digits for every value with |v| >= 1e-4; only the
+    lag's tail below that goes to repr."""
+    fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
+    bwd = make_curve("backward", slope=1.7, intercept=0.15, min_duty=95 / 255)
+    events = [hs.GaitEvent(t=0.05 + 1.1 * k, foot="LR"[k % 2], speed_kmh=(1.0, 2.5, 4.0)[k % 3])
+              for k in range(6)]
+    _, duty = hs.render_events(knot_table, fwd, bwd, events)
+    force = plate_forces(hs.PlateModel(fwd, bwd), duty, 1 / 1000)
+    assert len(force) > textio.WRITE_ROWS
+    sent = fallback_values(monkeypatch)
     buf = io.StringIO()
-    assert textio.write_columns(buf, ("t", "f"), t, force) == 5000
-    assert buf.getvalue() == reference_rows(("t", "f"), t, force)
-    force[4321] = 1e-5
-    with pytest.raises(AssertionError, match="_reprs called"):
-        textio.write_columns(io.StringIO(), ("t", "f"), t, force)
+    textio.write_columns(buf, ("force",), force)
+    assert buf.getvalue() == reference_rows(("force",), force)
+    assert sent == force[(force != 0) & (np.abs(force) < 1e-4)].tolist()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

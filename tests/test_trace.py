@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hapstep.errors import ConfigError, EmptyInputError, FormatError
-from hapstep.trace import ForceTrace, TraceMeta, dump_trace, load_trace, write_trace
+from hapstep.trace import ForceTrace, TraceMeta, load_trace, write_trace
 
-from conftest import no_unclosed_files
+from conftest import dump_trace, no_unclosed_files
 
 HEADER = "# rate_hz=1000.0 speed_kmh=2.5 participant=p01\n"
 
