@@ -72,7 +72,8 @@ def step_plate(model: PlateModel, signed_duty: float, dt: float) -> float:
 
 def plate_forces(model: PlateModel, duties, dt: float) -> np.ndarray:
     """The force after each tick of step_plate over ``duties``, bit for
-    bit; only the lag and the clamp run per tick."""
+    bit; only the lag and the clamp run per tick, WRITE_ROWS ticks at a
+    time into one array, so no whole-run list of forces is built."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
     duties = np.asarray(duties, dtype=float)
@@ -85,17 +86,20 @@ def plate_forces(model: PlateModel, duties, dt: float) -> np.ndarray:
     gain = 1.0 - math.exp(-dt / model.tau_s)
     hi, lo = model.max_force, -model.max_force
     state = model.state_force
-    forces = []
-    push = forces.append
-    for target in targets.tolist():
-        state += (target - state) * gain
-        if state > hi:
-            state = hi
-        elif state < lo:
-            state = lo
-        push(state)
+    forces = np.empty_like(targets)
+    for b in range(0, len(targets), textio.WRITE_ROWS):
+        block = []
+        push = block.append
+        for target in targets[b:b + textio.WRITE_ROWS].tolist():
+            state += (target - state) * gain
+            if state > hi:
+                state = hi
+            elif state < lo:
+                state = lo
+            push(state)
+        forces[b:b + len(block)] = block
     model.state_force = state
-    return np.array(forces)
+    return forces
 
 
 @dataclass

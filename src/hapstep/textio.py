@@ -23,7 +23,10 @@ shortest decimal in it, and of those the nearest v.  Any other value
 (NaN, +-inf, |v| < 1e-4 or >= 1e15, where ``repr`` may switch to an
 exponent), a value whose candidates tie or lie within _TIE of the
 interval's edge, and every value of a column of fewer than _DIGIT_ROWS
-rows are written from their own ``repr`` into their cells.
+rows are written from their own ``repr`` into their cells.  A block
+column of long runs of one value (duty plateaus, VibStep rectangles)
+is converted only at the first row of each run and its cells repeated
+down the run: the bytes of a cell depend only on the bits of its value.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ WRITE_ROWS = 4096
 #: a column of fewer rows is written from ``repr`` alone, which costs
 #: less there than the fixed cost of the digit pass
 _DIGIT_ROWS = 128
+#: a block column whose runs of one value start on fewer than this share
+#: of its rows is written from the first row of each run (see _cells).
+#: VibStep and most duty blocks fall below it, clocks and forces far
+#: above; a higher share wrote the replay artifacts no faster
+_RUN_SHARE = 1 / 8
 #: Veltkamp's splitter 2**27 + 1: x * _SPLIT - (x * _SPLIT - x) is the
 #: upper half of x's bits, and the product of two such halves is exact
 _SPLIT = 134217729.0
@@ -182,7 +190,11 @@ def write_blocks(dest, names, blocks) -> int:
     fixed-point.  Any other value (NaN, +-inf, |v| < 1e-4 or >= 1e15),
     the few _shortest leaves open, and every value of a column of fewer
     than _DIGIT_ROWS rows are written from their own ``repr`` into their
-    cells (see _fallback).
+    cells (see _fallback).  In a column where runs of one bit pattern
+    start on fewer than _RUN_SHARE of the rows, only the first row of
+    each run is converted, and _DIGIT_ROWS counts those rows; the other
+    rows of the run get the same cell, which is the one their own value
+    would give (see _cells).
     """
     n = 0
     with opened(dest, "w") as fh:
@@ -229,7 +241,22 @@ def _rows(cols) -> str:
 def _cells(col: np.ndarray):
     """The cells of a column (see _rows): the fields of its digits, the
     cell width, and the rows written from ``repr`` with their bytes,
-    0-padded to that width."""
+    0-padded to that width.
+
+    A run is a stretch of rows of one int64 bit pattern, so 0.0 and
+    -0.0, or two NaN payloads, are different runs.  When fewer than
+    _RUN_SHARE of the rows start a run, the cells are found for the
+    first row of each run alone (_DIGIT_ROWS then counts those rows) and
+    repeated down the run: a cell's bytes depend on its value's bits
+    alone, so the text is the same as from every row.
+    """
+    bits = col.view(np.int64)
+    new = bits[1:] != bits[:-1]
+    lengths = None
+    if np.count_nonzero(new) + 1 < _RUN_SHARE * len(col):
+        heads = np.flatnonzero(np.append(True, new))
+        lengths = np.diff(heads, append=len(col))
+        col = col[heads]
     a = np.abs(col)
     digits = ((a == 0) | ((a >= 1e-4) & (a < 1e15))) & (len(col) >= _DIGIT_ROWS)
     fields = []
@@ -240,7 +267,12 @@ def _cells(col: np.ndarray):
     other = np.flatnonzero(~digits)
     reprs = _fallback(col[other])
     width = max([sum(f.itemsize for f in fields), *map(len, reprs)])
-    return fields, width, other, np.array(reprs, f"S{width}").view(np.uint8).reshape(-1, width)
+    reprs = np.array(reprs, f"S{width}").view(np.uint8).reshape(-1, width)
+    if lengths is not None:
+        fields = [np.repeat(f, lengths) if f.ndim else f for f in fields]
+        reprs = np.repeat(reprs, lengths[other], axis=0)
+        other = np.flatnonzero(np.repeat(~digits, lengths))
+    return fields, width, other, reprs
 
 
 def _fallback(values: np.ndarray) -> list[str]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hapstep as hs
+from hapstep import textio
 from hapstep.errors import ClockError, ConfigError
 from hapstep.plant import DEFAULT_TAU_S, plate_forces, save_sim_run
 
@@ -80,6 +81,22 @@ class TestPlateForces:
             if max_force < 1 and dt > tau:
                 assert np.any(forces == max_force) and np.any(forces == -max_force)
         assert len(plate_forces(a, [], 0.001)) == 0
+
+    def test_state_carries_across_blocks_while_saturated(self):
+        """The lag runs WRITE_ROWS ticks at a time; the force held at the
+        ceiling over one block boundary and at the floor over the next
+        is still step_plate's, bit for bit."""
+        rows = textio.WRITE_ROWS
+        duties = np.zeros(2 * rows + 700)
+        duties[rows - 300:rows + 300] = 1.0
+        duties[2 * rows - 300:2 * rows + 300] = -1.0
+        a, b = make_model(max_force=1.5), make_model(max_force=1.5)
+        forces = plate_forces(a, duties, 0.001)
+        ref = [hs.step_plate(b, d, 0.001) for d in duties.tolist()]
+        assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+        assert a.state_force == b.state_force
+        assert np.all(forces[rows - 1:rows + 1] == 1.5)
+        assert np.all(forces[2 * rows - 1:2 * rows + 1] == -1.5)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ConfigError):

@@ -310,10 +310,20 @@ decimal = st.builds(lambda k, q, sign: sign * min(max(k / 10 ** q, 1e-4), 999_99
                     st.integers(0, 10 ** 15 - 1), st.integers(0, 18), st.sampled_from([1.0, -1.0]))
 
 
+#: values the run strategies repeat: signed zeros and two NaN payloads,
+#: which are runs of their own, values left to repr and 17-digit ones
+RUN_VALUES = [0.0, -0.0, float("nan"), float(np.int64(0x7FF8_0000_0000_0001).view(np.float64)),
+              float("inf"), 2.1476925e-05, 1e15, 0.1 + 0.2, 1 / 3, 95 / 255]
+
+
 def column(kind, n):
     """A strategy for ``n`` floats: a few values repeated, a grid of
-    whole milliseconds, short decimals (one in ten of them zero), or any
-    floats."""
+    whole milliseconds, short decimals (one in ten of them zero), runs
+    of RUN_VALUES of random length, or any floats."""
+    if kind == "runs":
+        return st.lists(st.tuples(st.sampled_from(RUN_VALUES), st.integers(1, 2 * n)),
+                        min_size=1, max_size=n).map(
+            lambda runs: np.resize(np.repeat(*map(np.array, zip(*runs))), n).tolist())
     if kind == "few":
         return st.lists(st.floats(), min_size=1, max_size=4).flatmap(
             lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -328,7 +338,7 @@ def column(kind, n):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60),
-       kinds=st.lists(st.sampled_from(["few", "ms", "decimal", "decimal", "any"]),
+       kinds=st.lists(st.sampled_from(["few", "ms", "decimal", "decimal", "runs", "any"]),
                       min_size=1, max_size=4))
 def test_write_columns_of_mixed_columns(data, n, kinds):
     cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
@@ -370,6 +380,95 @@ def test_blocks_of_any_bit_patterns(n, width, seed):
     assert buf.getvalue() == reference_rows(names, *cols)
 
 
+BLOCK = textio.WRITE_ROWS
+
+
+def runs(values, lengths) -> np.ndarray:
+    return np.repeat(np.array(values, dtype=float), lengths)
+
+
+def heads_per_block(col) -> list:
+    """The number of runs of one bit pattern in each WRITE_ROWS block."""
+    blocks = np.split(col.view(np.int64), range(BLOCK, len(col), BLOCK))
+    return [1 + np.count_nonzero(b[1:] != b[:-1]) for b in blocks]
+
+
+def digit_lengths(monkeypatch) -> list:
+    """The lengths of the columns write_blocks sends to _shortest from
+    now on."""
+    lengths, shortest = [], textio._shortest
+
+    def counted(a):
+        lengths.append(len(a))
+        return shortest(a)
+
+    monkeypatch.setattr(textio, "_shortest", counted)
+    return lengths
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2 * BLOCK + 1), mean_run=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_of_runs(n, mean_run, seed):
+    """Runs of random length of RUN_VALUES and of random 17-digit
+    values, some blocks short of runs and some not, as repr writes them."""
+    rng = np.random.default_rng(seed)
+    k = n // mean_run + 1
+    values = np.where(rng.random(k) < 0.5, rng.choice(RUN_VALUES, k), rng.normal(size=k))
+    col = np.resize(runs(values, rng.integers(1, 2 * mean_run + 1, k)), n)
+    names = ("runs", "t")
+    buf = io.StringIO()
+    assert textio.write_columns(buf, names, col, np.arange(n) / 1000) == n
+    assert buf.getvalue() == reference_rows(names, col, np.arange(n) / 1000)
+
+
+RUNS = {
+    "alternating-signed-zeros": runs([0.0, -0.0] * 20, np.arange(1, 41) * 5),
+    "one-run-over-a-block": runs([95 / 255], [BLOCK]),
+    "runs-over-the-block-boundary": runs([0.0, 1 / 3, -0.0, float("nan")],
+                                         [BLOCK - 50, 100, BLOCK - 50, 7]),
+    "heads-below-digit-rows": runs(1 + np.arange(textio._DIGIT_ROWS - 1) / 3, 30),
+    "heads-at-digit-rows": runs(1 + np.arange(textio._DIGIT_ROWS) / 3, 30),
+}
+
+
+@pytest.mark.parametrize("col", RUNS.values(), ids=RUNS.keys())
+def test_runs_edge_cases(col, monkeypatch):
+    """Each block of runs is written as repr writes it; _DIGIT_ROWS
+    counts the runs of a block, not its rows."""
+    lengths = digit_lengths(monkeypatch)
+    buf = io.StringIO()
+    textio.write_columns(buf, ("v",), col)
+    assert buf.getvalue() == reference_rows(("v",), col)
+    assert lengths == [h for h in heads_per_block(col) if h >= textio._DIGIT_ROWS]
+
+
+def rendered_duty(knot_table):
+    """Fitted curves with the 95/255 floor and the duty log they render
+    for 6 events 1.1 s apart."""
+    fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
+    bwd = make_curve("backward", slope=1.7, intercept=0.15, min_duty=95 / 255)
+    events = [hs.GaitEvent(t=0.05 + 1.1 * k, foot="LR"[k % 2], speed_kmh=(1.0, 2.5, 4.0)[k % 3])
+              for k in range(6)]
+    return fwd, bwd, hs.render_events(knot_table, fwd, bwd, events)[1]
+
+
+def test_run_heads_alone_take_the_digit_pass(knot_table, monkeypatch):
+    """A VibStep column holds a few runs per block; only the first row
+    of each run goes through the digit pass (with every column taking
+    it), and at the default _DIGIT_ROWS those few rows go to repr."""
+    _, heel, _ = hs.to_vibstep(rendered_duty(knot_table)[2])
+    assert len(heel) > BLOCK
+    heads = heads_per_block(heel)
+    assert max(heads) < textio._DIGIT_ROWS
+    lengths = digit_lengths(monkeypatch)
+    monkeypatch.setattr(textio, "_DIGIT_ROWS", 1)
+    buf = io.StringIO()
+    textio.write_columns(buf, ("heel_duty",), heel)
+    assert buf.getvalue() == reference_rows(("heel_duty",), heel)
+    assert lengths == heads
+
+
 def fallback_values(monkeypatch) -> list:
     """The values write_blocks sends to its repr fallback from now on."""
     sent, fallback = [], textio._fallback
@@ -402,11 +501,7 @@ def test_plate_forces_take_the_digit_path(knot_table, monkeypatch):
     """The plant force column of a rendered log (16- and 17-digit values)
     is written from digits for every value with |v| >= 1e-4; only the
     lag's tail below that goes to repr."""
-    fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
-    bwd = make_curve("backward", slope=1.7, intercept=0.15, min_duty=95 / 255)
-    events = [hs.GaitEvent(t=0.05 + 1.1 * k, foot="LR"[k % 2], speed_kmh=(1.0, 2.5, 4.0)[k % 3])
-              for k in range(6)]
-    _, duty = hs.render_events(knot_table, fwd, bwd, events)
+    fwd, bwd, duty = rendered_duty(knot_table)
     force = plate_forces(hs.PlateModel(fwd, bwd), duty, 1 / 1000)
     assert len(force) > textio.WRITE_ROWS
     sent = fallback_values(monkeypatch)
