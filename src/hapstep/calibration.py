@@ -16,8 +16,7 @@ import numpy as np
 
 from . import textio
 from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
-from .profiles import FrictionProfile
-from .segmentation import runs
+from .profiles import FrictionProfile, runs
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
 

@@ -5,6 +5,10 @@ inputs, so re-running with unchanged inputs reproduces artifacts
 byte-for-byte.  Options may come from a key=value config file
 (``--config``); explicit flags win over the file.
 
+Start-up: each subcommand imports the modules it runs when it runs, so
+a fresh process loads only those (``render --listen`` alone loads
+``socket``).  Importing this module loads ``textio`` and ``errors``.
+
 Exit codes: 0 ok, 2 usage/config, 3 malformed input, 4 pipeline
 degenerate, 5 I/O failure.
 """
@@ -12,11 +16,10 @@ degenerate, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import socket
 import sys
 from contextlib import contextmanager
 
-from . import calibration, plant, profiles, renderer, scores, segmentation, textio, trace
+from . import textio
 from .errors import (
     ConfigError,
     FormatError,
@@ -25,8 +28,12 @@ from .errors import (
     PipelineError,
 )
 
+# The values below copy constants of modules this one does not import
+# until a subcommand runs; tests/test_imports.py checks that they agree.
+
 #: --listen waits this long for the connection and for each event line
-LISTEN_TIMEOUT_S = renderer.MAX_EVENT_GAP_S
+#: (renderer.MAX_EVENT_GAP_S)
+LISTEN_TIMEOUT_S = 3600.0
 
 DEFAULTS = {
     "onset_threshold": 0.3,
@@ -35,8 +42,8 @@ DEFAULTS = {
     "first": 4,
     "last": 13,
     "device_max_force": 3.0,
-    "min_duty": calibration.DEFAULT_MIN_DUTY,
-    "tau_s": plant.DEFAULT_TAU_S,
+    "min_duty": 95.0 / 255.0,  # calibration.DEFAULT_MIN_DUTY
+    "tau_s": 0.05,  # plant.DEFAULT_TAU_S
     "max_force": 20.0,
 }
 
@@ -71,7 +78,9 @@ def resolve(args, key):
     return DEFAULTS[key]
 
 
-def _seg_config(args) -> segmentation.SegmentationConfig:
+def _seg_config(args):
+    from . import segmentation
+
     return segmentation.SegmentationConfig(
         onset_threshold=resolve(args, "onset_threshold"),
         release_threshold=resolve(args, "release_threshold"),
@@ -80,6 +89,8 @@ def _seg_config(args) -> segmentation.SegmentationConfig:
 
 
 def cmd_ingest(args) -> int:
+    from . import trace
+
     tr = trace.load_trace(args.trace)
     trace.write_trace(tr, args.out)
     print(f"ingested {len(tr)} samples at {tr.sample_rate_hz:g} Hz "
@@ -89,6 +100,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from . import segmentation, trace
+
     tr = trace.load_trace(args.trace)
     segs = segmentation.segment_steps(tr, _seg_config(args))
     data = [{"index_in_walk": s.index_in_walk, "start_s": s.start_s,
@@ -101,6 +114,8 @@ def cmd_segment(args) -> int:
 def _phased_steps(segs, cfg):
     """(segment, phases) of each step with a brake/drive pattern; the
     other steps are reported on stderr and skipped."""
+    from . import segmentation
+
     for s in segs:
         try:
             ph = segmentation.detect_phases(s, cfg)
@@ -111,6 +126,8 @@ def _phased_steps(segs, cfg):
 
 
 def cmd_phases(args) -> int:
+    from . import segmentation, trace
+
     tr = trace.load_trace(args.trace)
     cfg = _seg_config(args)
     segs = segmentation.segment_steps(tr, cfg)
@@ -123,6 +140,8 @@ def cmd_phases(args) -> int:
 
 def _trace_to_profiles(tr, cfg, first, last):
     """Steady-window per-step friction profiles of one walk."""
+    from . import segmentation
+
     segs = segmentation.select_middle(
         segmentation.segment_steps(tr, cfg), first, last)
     out = [segmentation.combine_channels(s, ph) for s, ph in _phased_steps(segs, cfg)]
@@ -132,6 +151,8 @@ def _trace_to_profiles(tr, cfg, first, last):
 
 
 def cmd_compile(args) -> int:
+    from . import profiles, trace
+
     cfg = _seg_config(args)
     first = resolve(args, "first")
     last = resolve(args, "last")
@@ -163,6 +184,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import calibration
+
     duty, force = textio.read_columns(args.points, ("duty", "peak_force"), 0)
     curve = calibration.fit_calibration(zip(duty, force), args.direction,
                                         min_duty=resolve(args, "min_duty"))
@@ -174,6 +197,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_step_response(args) -> int:
+    from . import calibration, profiles, renderer, trace
+
     t_cmd, duty = renderer.read_commands(args.commanded)
     t, force = textio.read_columns(args.measured, ("t", "force"), 2)
     rate = trace.rate_from_times(t)
@@ -201,6 +226,8 @@ def _event_lines(args):
         return
     if not 0 <= args.listen <= 65535:
         raise ConfigError(f"--listen port must be in 0-65535, got {args.listen}")
+    import socket
+
     with socket.create_server(("127.0.0.1", args.listen)) as server:
         server.settimeout(LISTEN_TIMEOUT_S)
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
@@ -211,6 +238,8 @@ def _event_lines(args):
 
 
 def _load_curves(args):
+    from . import calibration
+
     fwd = calibration.load_curve(args.calib_forward)
     bwd = calibration.load_curve(args.calib_backward)
     if fwd.direction != "forward" or bwd.direction != "backward":
@@ -219,6 +248,8 @@ def _load_curves(args):
 
 
 def cmd_render(args) -> int:
+    from . import profiles, renderer
+
     fwd, bwd = _load_curves(args)
     rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
     with _event_lines(args) as lines:
@@ -234,6 +265,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_vibstep(args) -> int:
+    from . import renderer, trace
+
     t, duty = renderer.read_commands(args.commands)
     t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
                                           t0=float(t[0]))
@@ -244,12 +277,16 @@ def cmd_vibstep(args) -> int:
 
 
 def _default_curves(min_duty):
+    from . import calibration
+
     mk = lambda d: calibration.CalibrationCurve(
         direction=d, slope=3.0, intercept=0.0, r_squared=1.0, min_duty=min_duty)
     return mk("forward"), mk("backward")
 
 
 def cmd_simulate(args) -> int:
+    from . import plant, profiles, renderer
+
     if bool(args.events) != bool(args.table):
         raise ConfigError("closed-loop simulation needs both --events and --table")
     if args.calib_forward and args.calib_backward:
@@ -275,6 +312,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import scores
+
     raw = scores.read_scores(args.scores)
     normalized = scores.normalize_scores(raw)
     scores.write_normalized(raw, normalized, args.out)

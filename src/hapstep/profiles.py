@@ -23,7 +23,31 @@ from .errors import (
     EmptyInputError,
     PhaseInconsistencyError,
 )
-from .segmentation import PhaseTimings, runs
+
+
+def runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Start and exclusive stop index of every True run of ``mask``."""
+    mask = np.asarray(mask, dtype=bool)
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[::2], edges[1::2]
+
+
+@dataclass(frozen=True)
+class PhaseTimings:
+    """Phase landmarks of one step, seconds relative to step start."""
+
+    t_start: float
+    t_step1_peak: float
+    t_step2_present: bool
+    t_step3_peak: float
+    t_step4_start: float
+    t_end: float
+
+    def as_dict(self, step_index: int | None = None) -> dict:
+        out = asdict(self)
+        if step_index is not None:
+            out["step_index"] = step_index
+        return out
 
 
 @dataclass(frozen=True)

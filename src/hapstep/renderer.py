@@ -29,8 +29,7 @@ import numpy as np
 from . import textio
 from .calibration import CalibrationCurve, force_to_duty
 from .errors import ClockError, ConfigError, FormatError
-from .profiles import SpeedProfileTable, TriangularProfile, interpolate
-from .segmentation import runs
+from .profiles import SpeedProfileTable, TriangularProfile, interpolate, runs
 
 TICK_RATE_HZ = 1000
 

@@ -10,11 +10,12 @@ rendered, so profile extraction truncates at its onset.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientStepsError, PhaseDetectionError
+from .profiles import FrictionProfile, PhaseTimings, runs
 from .trace import ForceTrace
 
 
@@ -44,24 +45,6 @@ class StepSegment:
     trace: ForceTrace
     start_s: float
     index_in_walk: int  # 1-based position in the walk
-
-
-@dataclass(frozen=True)
-class PhaseTimings:
-    """Phase landmarks of one step, seconds relative to step start."""
-
-    t_start: float
-    t_step1_peak: float
-    t_step2_present: bool
-    t_step3_peak: float
-    t_step4_start: float
-    t_end: float
-
-    def as_dict(self, step_index: int | None = None) -> dict:
-        out = asdict(self)
-        if step_index is not None:
-            out["step_index"] = step_index
-        return out
 
 
 def segment_steps(trace: ForceTrace, cfg: SegmentationConfig | None = None) -> list[StepSegment]:
@@ -174,22 +157,13 @@ def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -
     )
 
 
-def runs(mask) -> tuple[np.ndarray, np.ndarray]:
-    """Start and exclusive stop index of every True run of ``mask``."""
-    mask = np.asarray(mask, dtype=bool)
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return edges[::2], edges[1::2]
-
-
-def combine_channels(segment: StepSegment, phases: PhaseTimings):
+def combine_channels(segment: StepSegment, phases: PhaseTimings) -> FrictionProfile:
     """Collapse both sites into the single rendering channel.
 
     Returns a FrictionProfile of thenar_y + heel_y truncated at the
     terminal spike onset (samples at/after it are dropped, since the
     spike is never rendered).
     """
-    from .profiles import FrictionProfile
-
     tr = segment.trace
     fs = tr.sample_rate_hz
     n_keep = int(round(phases.t_step4_start * fs))

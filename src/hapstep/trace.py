@@ -123,16 +123,22 @@ def _header_float(header_meta: dict[str, str], key: str, default, positive: bool
 
 def rate_from_times(t: np.ndarray) -> float:
     """Sample rate of a time column of two or more samples, 1 / median
-    step.  FormatError unless the column is strictly increasing and
-    every step is within TIME_JITTER_TOL of the median."""
-    dt = np.diff(t)
-    med = float(np.median(dt))
-    if not med > 0:
-        raise FormatError("time column must be strictly increasing")
-    if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
-        raise FormatError(
-            f"non-uniform time spacing beyond {TIME_JITTER_TOL:.0%} jitter")
-    return 1.0 / med
+    step.  FormatError unless the column is strictly increasing, every
+    step is within TIME_JITTER_TOL of the median and the rate is finite
+    and positive: 1 / a subnormal step overflows to inf, and a step past
+    the float range (inf) gives 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = np.diff(t)
+        med = float(np.median(dt))
+        if not med > 0:
+            raise FormatError("time column must be strictly increasing")
+        if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
+            raise FormatError(
+                f"non-uniform time spacing beyond {TIME_JITTER_TOL:.0%} jitter")
+    rate = 1.0 / med
+    if not 0 < rate < math.inf:
+        raise FormatError(f"time step {med!r} s has no finite, positive sample rate")
+    return rate
 
 
 def load_trace(source) -> ForceTrace:

@@ -1,7 +1,8 @@
 """Hostile-input corpus: every subcommand, run in-process through
 cli.main, with each of its input files in turn replaced by a broken one
 (the others stay valid), exits 0 or 2-5 and prints no traceback, within
-a time bound.  A valid CSV input with a row of several MB is accepted."""
+a time bound.  A time column on a subnormal clock exits 3.  A valid CSV
+input with a row of several MB is accepted."""
 
 import io
 import json
@@ -92,6 +93,19 @@ def _widen_first_row(text, field):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _subnormal_clock(text):
+    """``text`` with its t column rewritten to 0, 5e-324, 1e-323, ...:
+    strictly increasing and uniform, but 1 / step is inf."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    col = lines[k].split(",").index("t")
+    for n, i in enumerate(range(k + 1, len(lines))):
+        fields = lines[i].split(",")
+        fields[col] = repr(n * 5e-324)
+        lines[i] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
 def _million_digits(field):
     """``field`` as the same number of a million digits: zeros after its sign."""
     sign = "-" if field.startswith("-") else ""
@@ -179,6 +193,18 @@ def test_hostile_input_exits_cleanly(valid_paths, tmp_path, monkeypatch, capsys,
     assert all(isinstance(code, int) for code in exits.values()), exits
     if flag == "--table":
         assert all(exits[name] == 2 for name in HOSTILE_TABLES), exits
+
+
+@pytest.mark.parametrize("command,flag,kind",
+                         [i for i in INPUTS if i[2] in ("trace", "commands", "measured")],
+                         ids=lambda v: v.lstrip("-"))
+def test_subnormal_clock_is_malformed_input(valid_paths, tmp_path, monkeypatch, capsys,
+                                            command, flag, kind):
+    """A t column whose steps are subnormal has no finite rate: exit 3,
+    not a run on a made-up clock."""
+    content = _subnormal_clock(VALID[kind])
+    assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
+                  command, flag, kind, content) == 3
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -1,0 +1,104 @@
+"""What a fresh process loads: ``import hapstep`` resolves its names on
+first access, and the CLI's set-up path (import the CLI, load a table
+and both curves) loads none of the modules only other subcommands run."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+import hapstep as hs
+from hapstep import calibration, cli, plant, renderer
+
+from conftest import make_curve
+
+#: every name hapstep exported when its __init__ imported all modules
+#: eagerly, with the module that defines it
+EXPORTS = {
+    "calibration": ("CalibrationCurve", "StepResponseMetrics", "analyze_step_response",
+                    "duty_to_force", "fit_calibration", "force_to_duty"),
+    "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
+              "step_plate"),
+    "profiles": ("FrictionProfile", "ImpulsePair", "PhaseTimings", "SpeedProfileTable",
+                 "Triangle", "TriangularProfile", "align_durations", "average_profiles",
+                 "compile_triangular", "compute_impulses", "fit_device_scale",
+                 "interpolate", "treadmill_correct"),
+    "renderer": ("ActuatorCommand", "GaitEvent", "Renderer", "command_stream",
+                 "render_events", "to_vibstep"),
+    "scores": ("normalize_scores",),
+    "segmentation": ("SegmentationConfig", "StepSegment", "combine_channels",
+                     "detect_phases", "segment_steps", "select_middle"),
+    "trace": ("ForceTrace", "TraceMeta", "load_trace", "write_trace"),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+#: modules that loading a table and curves has no use for
+NOT_ON_SETUP = ("hapstep.renderer", "hapstep.plant", "hapstep.scores",
+                "hapstep.segmentation", "hapstep.trace", "hapstep.synthetic", "socket")
+
+_SETUP = """
+import json, sys
+import hapstep.cli
+from hapstep import calibration, profiles
+profiles.load_table(sys.argv[1])
+calibration.load_curve(sys.argv[2])
+calibration.load_curve(sys.argv[3])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _fresh(code, *argv):
+    """sys.modules of a fresh interpreter after ``code``, which prints it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hs.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout))
+
+
+def test_setup_loads_only_what_it_runs(tmp_path, knot_table):
+    paths = [tmp_path / "table.json", tmp_path / "fwd.json", tmp_path / "bwd.json"]
+    paths[0].write_text(json.dumps(asdict(knot_table)))
+    for path, direction in zip(paths[1:], ("forward", "backward")):
+        path.write_text(json.dumps(asdict(make_curve(direction, min_duty=0.2))))
+    loaded = _fresh(_SETUP, *map(str, paths))
+    assert {"hapstep.cli", "hapstep.profiles", "hapstep.calibration"} <= loaded
+    assert loaded.isdisjoint(NOT_ON_SETUP), sorted(loaded & set(NOT_ON_SETUP))
+
+
+def test_import_hapstep_loads_no_submodule():
+    loaded = _fresh("import json, sys, hapstep; print(json.dumps(sorted(sys.modules)))")
+    assert not [m for m in loaded if m.startswith("hapstep.")]
+
+
+@pytest.mark.parametrize("module,name", NAMES, ids=[n for _, n in NAMES])
+def test_export_is_its_module_attribute(module, name):
+    assert getattr(hs, name) is getattr(importlib.import_module(f"hapstep.{module}"), name)
+
+
+def test_dir_and_all_list_every_export():
+    names = {name for _, name in NAMES} | {"__version__"}
+    assert names <= set(dir(hs))
+    assert set(hs.__all__) == names
+    star = {}
+    exec("from hapstep import *", star)
+    assert names <= set(star)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hs.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hapstep import no_such_name", {})
+
+
+def test_cli_constants_match_their_modules():
+    """cli copies these so that importing it loads neither module."""
+    assert cli.LISTEN_TIMEOUT_S == renderer.MAX_EVENT_GAP_S
+    assert cli.DEFAULTS["min_duty"] == calibration.DEFAULT_MIN_DUTY
+    assert cli.DEFAULTS["tau_s"] == plant.DEFAULT_TAU_S

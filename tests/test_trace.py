@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hapstep.errors import ConfigError, EmptyInputError, FormatError
-from hapstep.trace import ForceTrace, TraceMeta, load_trace, write_trace
+from hapstep.trace import ForceTrace, TraceMeta, load_trace, rate_from_times, write_trace
 
 from conftest import dump_trace, no_unclosed_files
 
@@ -108,6 +108,20 @@ def test_time_column_must_increase(t):
     # checked even though the header declares the rate
     csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x},0,0\n" for x in t)
     with pytest.raises(FormatError, match="strictly increasing"):
+        load_trace(csv.encode())
+
+
+@pytest.mark.parametrize("t", [np.arange(8) * 5e-324, np.arange(8) * 1e-310,
+                               np.array([-1e308, 1e308])],
+                         ids=["smallest-subnormal", "subnormal", "overflowing"])
+def test_time_step_without_a_rate(t):
+    """1 / a subnormal step overflows to inf, and a step past the float
+    range is inf, whose rate is 0: neither is a rate, so the column is
+    malformed rather than on a 1 kHz grid or a 0.0 clock."""
+    with pytest.raises(FormatError, match="no finite, positive sample rate"):
+        rate_from_times(t)
+    csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x!r},0,0\n" for x in t.tolist())
+    with pytest.raises(FormatError, match="no finite, positive sample rate"):
         load_trace(csv.encode())
 
 
