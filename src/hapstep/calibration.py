@@ -106,8 +106,7 @@ def force_to_duty(curve: CalibrationCurve, force_magnitude):
     return duty if duty.ndim else float(duty)
 
 
-def analyze_step_response(duty, measured: FrictionProfile,
-                          flat_tol: float = FLAT_TOL) -> StepResponseMetrics:
+def analyze_step_response(duty, measured: FrictionProfile) -> StepResponseMetrics:
     """Response-time metrics from a commanded step pattern and the
     measured force.
 
@@ -115,7 +114,7 @@ def analyze_step_response(duty, measured: FrictionProfile,
     as ``measured`` and must contain one 0 -> max and one max -> 0 edge
     per direction (backward first).  rise_s follows the first-drop rule
     (time until the measured value first stops rising after the command
-    edge, to within ``flat_tol`` of the plateau); rise_10_90_s is the
+    edge, to within FLAT_TOL of the plateau); rise_10_90_s is the
     conventional 10-90% metric; transition_s is the gap from the end of
     the backward command to the forward peak.
     """
@@ -143,14 +142,14 @@ def analyze_step_response(duty, measured: FrictionProfile,
         plateau = float(np.max(window))
         if plateau <= 0:
             raise AnalysisError("no response detected after command edge")
-        rises.append(_first_stop(np.diff(window) > flat_tol * plateau,
+        rises.append(_first_stop(np.diff(window) > FLAT_TOL * plateau,
                                  window[:-1] > 0, dt))
         rises_1090.append(_crossing(window, 0.9 * plateau, dt)
                           - _crossing(window, 0.1 * plateau, dt))
 
         # decay from the last commanded tick up to the next command
         tail = mag[offset - 1:tail_stop]
-        falls.append(_first_stop(-np.diff(tail) > flat_tol * max(tail[0], 1e-300),
+        falls.append(_first_stop(-np.diff(tail) > FLAT_TOL * max(tail[0], 1e-300),
                                  False, dt))
         if sign > 0:
             fwd_peak_t = (onset + int(np.argmax(window))) * dt

@@ -289,7 +289,9 @@ def cmd_simulate(args) -> int:
 
     if bool(args.events) != bool(args.table):
         raise ConfigError("closed-loop simulation needs both --events and --table")
-    if args.calib_forward and args.calib_backward:
+    if bool(args.calib_forward) != bool(args.calib_backward):
+        raise ConfigError("give both --calib-forward and --calib-backward, or neither")
+    if args.calib_forward:
         fwd, bwd = _load_curves(args)
     else:
         fwd, bwd = _default_curves(resolve(args, "min_duty"))

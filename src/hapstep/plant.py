@@ -21,7 +21,7 @@ from .errors import ConfigError
 # interpolate and command_stream are no longer called here; they stay importable
 # because the per-layer benchmark (benchmarks/spans.py) wraps them at these attributes
 from .profiles import FrictionProfile, SpeedProfileTable, interpolate  # noqa: F401
-from .renderer import Renderer, command_blocks, command_stream  # noqa: F401
+from .renderer import TICK_RATE_HZ, Renderer, command_blocks, command_stream  # noqa: F401
 
 DEFAULT_TAU_S = 0.05
 
@@ -112,41 +112,27 @@ class SimRun:
     metrics: dict = field(default_factory=dict)
 
 
-def simulate_step_response(model: PlateModel, tick_rate_hz: int = 1000,
-                           max_duty: float = 1.0, lead_s: float = 0.1,
-                           hold_s: float = 0.5, gap_s: float = 0.5) -> SimRun:
-    """Drive the plant with the fast step pattern of the bench test.
+def simulate_step_response(model: PlateModel) -> SimRun:
+    """Drive the plant with the fixed step pattern of the bench test.
 
-    Backward pulse first, then forward: duty jumps 0 -> max, holds,
-    drops to 0, then the same in the opposite direction.  Returns logs
-    with rise/fall/transition metrics attached.
+    On the 1 kHz tick clock: 100 ticks at duty 0, 500 at -1 (backward),
+    500 at 0, 500 at +1 (forward), then 500 at 0.  Returns logs with
+    rise/fall/transition metrics attached.
     """
     model = model.fresh()
-    dt = 1.0 / tick_rate_hz
-    lead = int(round(lead_s * tick_rate_hz))
-    hold = int(round(hold_s * tick_rate_hz))
-    gap = int(round(gap_s * tick_rate_hz))
-    duty = np.concatenate([
-        np.zeros(lead),
-        -max_duty * np.ones(hold),
-        np.zeros(gap),
-        max_duty * np.ones(hold),
-        np.zeros(gap),
-    ])
+    dt = 1.0 / TICK_RATE_HZ
+    duty = np.repeat([0.0, -1.0, 0.0, 1.0, 0.0], [100, 500, 500, 500, 500])
     force = plate_forces(model, duty, dt)
     t = np.arange(len(duty)) * dt
-    measured = FrictionProfile(sample_rate_hz=tick_rate_hz, values=force)
-    metrics = analyze_step_response(duty, measured)
+    metrics = analyze_step_response(duty, FrictionProfile(TICK_RATE_HZ, force))
     return SimRun(t=t, command=duty, force=force, metrics=metrics.as_dict())
 
 
 def run_closed_loop(table: SpeedProfileTable,
                     forward_curve: CalibrationCurve,
                     backward_curve: CalibrationCurve,
-                    events, model: PlateModel,
-                    tick_rate_hz: int = 1000,
-                    tail_s: float | None = None) -> SimRun:
-    """The events' duty log, rendered offline, through the plant.
+                    events, model: PlateModel) -> SimRun:
+    """The events' duty log, rendered offline at 1 kHz, through the plant.
 
     Metrics:
       per_region_impulse_error - worst relative gap between achieved
@@ -158,19 +144,17 @@ def run_closed_loop(table: SpeedProfileTable,
       n_steps - envelopes in the renderer's schedule.
 
     Each scheduled envelope is scored over its ticks up to the next
-    one's start, the last up to the end of the run, ``tail_s`` after
-    the latest envelope end.  Events must be time-ordered (ClockError).
+    one's start, the last up to the end of the run, 10 tau_s after the
+    latest envelope end.  Events must be time-ordered (ClockError).
     """
     model = model.fresh()
-    dt = 1.0 / tick_rate_hz
-    if tail_s is None:
-        tail_s = 10.0 * model.tau_s
+    dt = 1.0 / TICK_RATE_HZ
 
-    renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
-    blocks = command_blocks(renderer, events, tail_s=tail_s)
+    renderer = Renderer(table, forward_curve, backward_curve)
+    blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s)
     duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
     force = plate_forces(model, duty, dt)
-    t = np.arange(len(duty)) / tick_rate_hz
+    t = np.arange(len(duty)) / TICK_RATE_HZ
 
     worst_region = 0.0
     worst_net = 0.0
@@ -190,7 +174,7 @@ def run_closed_loop(table: SpeedProfileTable,
         if region_ref > 0:
             worst_net = max(worst_net, abs(achieved_f - achieved_b) / region_ref)
 
-    bench = simulate_step_response(model.fresh(), tick_rate_hz)
+    bench = simulate_step_response(model.fresh())
     metrics = {
         "per_region_impulse_error": worst_region,
         "net_impulse": worst_net,

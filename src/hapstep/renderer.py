@@ -31,6 +31,7 @@ from .calibration import CalibrationCurve, force_to_duty
 from .errors import ClockError, ConfigError, FormatError
 from .profiles import SpeedProfileTable, TriangularProfile, interpolate, runs
 
+#: the one tick clock of the renderer, the plant and the closed loop
 TICK_RATE_HZ = 1000
 
 #: longest accepted gap between consecutive events (before the first
@@ -82,20 +83,17 @@ class Renderer:
     envelope scheduled so far, 0 when idle.  Events apply before
     ``next_tick``, the first tick not yet composed.  An envelope is
     sampled as its ticks are composed, so a preempted tick never is.
+    Ticks are on the fixed TICK_RATE_HZ clock.
     """
 
     def __init__(self, table: SpeedProfileTable,
                  forward_curve: CalibrationCurve,
-                 backward_curve: CalibrationCurve,
-                 tick_rate_hz: int = TICK_RATE_HZ):
-        if tick_rate_hz <= 0:
-            raise ConfigError("tick_rate_hz must be positive")
+                 backward_curve: CalibrationCurve):
         if max(e.duration_s for e in table.entries) > MAX_EVENT_GAP_S:
             raise ConfigError(f"envelope durations must be at most {MAX_EVENT_GAP_S:g} s")
         self.table = table
         self.forward_curve = forward_curve
         self.backward_curve = backward_curve
-        self.tick_rate_hz = tick_rate_hz
         self.schedule: list[ScheduledEnvelope] = []
         self.end_t = 0.0
         self.next_tick = 0
@@ -108,7 +106,7 @@ class Renderer:
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
-        rate = self.tick_rate_hz
+        rate = TICK_RATE_HZ
         if event.t < max((self.next_tick - 1) / rate, self._last_event_t):
             raise ClockError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
@@ -128,7 +126,7 @@ class Renderer:
         is past its predecessor's start, so every earlier entry has
         already ended.
         """
-        rate, b, e, sched = self.tick_rate_hz, self.next_tick, self.next_tick + n, self.schedule
+        rate, b, e, sched = TICK_RATE_HZ, self.next_tick, self.next_tick + n, self.schedule
         duty = np.zeros(n)
         for k in range(max(len(sched) - 2, 0), len(sched)):
             s, profile = sched[k]
@@ -147,7 +145,7 @@ class Renderer:
     def tick(self, t: float) -> ActuatorCommand:
         """Compose up to tick time ``t`` (on the tick grid, after the last
         composed tick) and emit its signed duty."""
-        i = round(t * self.tick_rate_hz)
+        i = round(t * TICK_RATE_HZ)
         if i < self.next_tick:
             raise ClockError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
         return ActuatorCommand(t, float(self.compose(i + 1 - self.next_tick)[-1]))
@@ -194,7 +192,7 @@ def _next_event(events, after_t: float):
 
 
 def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float):
-    rate, size = renderer.tick_rate_hz, textio.WRITE_ROWS
+    rate, size = TICK_RATE_HZ, textio.WRITE_ROWS
     pending = _next_event(events, 0.0)
     while True:
         b = renderer.next_tick
@@ -220,13 +218,12 @@ def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float)
 def render_events(table: SpeedProfileTable,
                   forward_curve: CalibrationCurve,
                   backward_curve: CalibrationCurve,
-                  events, duration_s: float | None = None,
-                  tick_rate_hz: int = TICK_RATE_HZ) -> tuple[np.ndarray, np.ndarray]:
+                  events, duration_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Offline render of an event log to (t, signed_duty) arrays."""
-    renderer = Renderer(table, forward_curve, backward_curve, tick_rate_hz)
+    renderer = Renderer(table, forward_curve, backward_curve)
     blocks = command_blocks(renderer, events, duration_s)
     duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
-    return np.arange(len(duty)) / tick_rate_hz, duty
+    return np.arange(len(duty)) / TICK_RATE_HZ, duty
 
 
 def read_commands(source) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,7 @@ SPEEDS = (1.0, 2.5, 4.0)
 ScoreSet = dict
 
 
-def normalize_scores(scores: ScoreSet,
-                     stimuli=STIMULI, speeds=SPEEDS) -> ScoreSet:
+def normalize_scores(scores: ScoreSet) -> ScoreSet:
     """Min-max normalize each participant-item grid into [0, 1].
 
     Raises IncompleteGridError when any stimulus/speed cell is missing.
@@ -33,14 +32,14 @@ def normalize_scores(scores: ScoreSet,
     for participant, items in scores.items():
         out[participant] = {}
         for item, grid in items.items():
-            missing = [(s, v) for s in stimuli for v in speeds
+            missing = [(s, v) for s in STIMULI for v in SPEEDS
                        if (s, v) not in grid]
             if missing:
                 raise IncompleteGridError(
                     f"participant {participant!r} item {item!r} missing cells: "
                     f"{missing}")
             cells = {key: grid[key] for key in
-                     ((s, v) for s in stimuli for v in speeds)}
+                     ((s, v) for s in STIMULI for v in SPEEDS)}
             x_min = min(cells.values())
             x_max = max(cells.values())
             if x_max == x_min:
@@ -51,23 +50,6 @@ def normalize_scores(scores: ScoreSet,
                     for key, val in cells.items()
                 }
     return out
-
-
-def mean_across_participants(normalized: ScoreSet) -> dict:
-    """Convenience reduction: mean normalized score per item and cell."""
-    sums: dict = {}
-    counts: dict = {}
-    for items in normalized.values():
-        for item, grid in items.items():
-            for key, val in grid.items():
-                sums.setdefault(item, {}).setdefault(key, 0.0)
-                counts.setdefault(item, {}).setdefault(key, 0)
-                sums[item][key] += val
-                counts[item][key] += 1
-    return {
-        item: {key: sums[item][key] / counts[item][key] for key in sums[item]}
-        for item in sums
-    }
 
 
 def read_scores(source) -> ScoreSet:
@@ -89,6 +71,8 @@ def read_scores(source) -> ScoreSet:
             if row["stimulus"] not in STIMULI:
                 raise FormatError(
                     f"line {lineno}: unknown stimulus {row['stimulus']!r}")
+            if speed not in SPEEDS:
+                raise FormatError(f"line {lineno}: speed {speed} is not one of {SPEEDS}")
             scores.setdefault(row["participant"], {}) \
                   .setdefault(row["item"], {})[(row["stimulus"], speed)] = score
     if not scores:

@@ -428,6 +428,17 @@ class TestSimulate:
                       "--out", str(tmp_path / "m.json"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flag, key", [("--calib-forward", "fwd"),
+                                           ("--calib-backward", "bwd")])
+    def test_one_calibration_file_exit_2(self, workdir, tmp_path, flag, key):
+        """A lone curve is refused, not replaced by the default curves."""
+        res = run_cli("simulate", "--events", workdir["events"],
+                      "--table", workdir["table"], flag, workdir[key],
+                      "--out", str(tmp_path / "m.json"))
+        assert res.returncode == 2
+        assert "--calib-forward and --calib-backward" in res.stderr
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestFilesClosed:
     def test_render_and_simulate_close_the_events_file(self, workdir, tmp_path, capsys):
@@ -451,6 +462,21 @@ class TestNormalize:
         res = run_cli("normalize", "--scores", str(scores), "--out", str(out))
         assert res.returncode == 0
         assert out.read_text().splitlines()[0].endswith(",normalized")
+
+    @pytest.mark.parametrize("speed", ["5.0", "nan"])
+    def test_unknown_speed_exit_3(self, tmp_path, speed):
+        scores = tmp_path / "scores.csv"
+        rows = [f"p1,realism,{s},{v},{10 * i}"
+                for i, (s, v) in enumerate(
+                    (s, v) for s in ("none", "vibration", "friction")
+                    for v in (1.0, 2.5, 4.0))]
+        rows.append(f"p1,realism,none,{speed},50")  # a full grid plus one cell
+        scores.write_text("participant,item,stimulus,speed_kmh,score\n"
+                          + "\n".join(rows) + "\n")
+        res = run_cli("normalize", "--scores", str(scores),
+                      "--out", str(tmp_path / "n.csv"))
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
 
     def test_incomplete_grid_exit_3(self, tmp_path):
         scores = tmp_path / "scores.csv"

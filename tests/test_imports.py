@@ -3,6 +3,7 @@ first access, and the CLI's set-up path (import the CLI, load a table
 and both curves) loads none of the modules only other subcommands run."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hapstep as hs
-from hapstep import calibration, cli, plant, renderer
+from hapstep import calibration, cli, plant, renderer, segmentation
 
 from conftest import make_curve
 
@@ -102,3 +103,10 @@ def test_cli_constants_match_their_modules():
     assert cli.LISTEN_TIMEOUT_S == renderer.MAX_EVENT_GAP_S
     assert cli.DEFAULTS["min_duty"] == calibration.DEFAULT_MIN_DUTY
     assert cli.DEFAULTS["tau_s"] == plant.DEFAULT_TAU_S
+    seg = segmentation.SegmentationConfig()
+    for key in ("onset_threshold", "release_threshold", "min_step_s"):
+        assert cli.DEFAULTS[key] == getattr(seg, key), key
+    middle = inspect.signature(segmentation.select_middle).parameters
+    assert cli.DEFAULTS["first"] == middle["first"].default
+    assert cli.DEFAULTS["last"] == middle["last"].default
+    assert cli.DEFAULTS["max_force"] == plant.PlateModel.max_force

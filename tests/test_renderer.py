@@ -109,11 +109,6 @@ class TestRenderer:
         with pytest.raises(ClockError):
             r.on_event(hs.GaitEvent(t=0.1, foot="L", speed_kmh=2.5))
 
-    def test_bad_tick_rate_rejected(self, knot_table):
-        fwd, bwd = clamp_free_curves()
-        with pytest.raises(ConfigError):
-            hs.Renderer(knot_table, fwd, bwd, tick_rate_hz=0)
-
     def test_envelope_bounded_by_event_gap(self, knot_table, monkeypatch):
         """An envelope may last as long as the longest gap between events."""
         fwd, bwd = clamp_free_curves()
@@ -329,19 +324,19 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0, rate=TICK_RATE_HZ):
+def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
     """Duties of command_stream, ticked on one by one up to ``tail_s``
     after the latest envelope end; also the renderer and the pulls."""
-    renderer, pulls = hs.Renderer(table, fwd, bwd, rate), Pulls(events)
+    renderer, pulls = hs.Renderer(table, fwd, bwd), Pulls(events)
     duty = [c.signed_duty for c in command_stream(renderer, pulls, duration_s)]
-    while duration_s is None and len(duty) / rate < renderer.end_t + tail_s:
-        duty.append(renderer.tick(len(duty) / rate).signed_duty)
+    while duration_s is None and len(duty) / TICK_RATE_HZ < renderer.end_t + tail_s:
+        duty.append(renderer.tick(len(duty) / TICK_RATE_HZ).signed_duty)
     return duty, renderer, pulls
 
 
-def blocked(table, fwd, bwd, events, duration_s=None, tail_s=0.0, rate=TICK_RATE_HZ):
+def blocked(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
     """command_blocks' (t, duty) blocks, the renderer and the pulls."""
-    renderer, pulls = hs.Renderer(table, fwd, bwd, rate), Pulls(events)
+    renderer, pulls = hs.Renderer(table, fwd, bwd), Pulls(events)
     blocks = list(command_blocks(renderer, pulls, duration_s, tail_s))
     return blocks, renderer, pulls
 
@@ -378,8 +373,8 @@ class TestCommandBlocks:
             monkeypatch.setattr(textio, "WRITE_ROWS", block)
         fwd, bwd = fitted_curves()
         rng = np.random.default_rng(11)
+        rate = TICK_RATE_HZ
         for case in range(40 if block else 150):
-            rate = TICK_RATE_HZ if case % 4 else 250
             events = random_log(rng, int(rng.integers(0, 12)), rate)
             end = events[-1].t if events else 1.0
             duration = [None, None, 0.0, end, end / 2, end + 2.0][case % 6]
@@ -388,7 +383,7 @@ class TestCommandBlocks:
                 tail = 0.0
             ref = bits(expected_duties(knot_table, fwd, bwd, events, duration, rate, tail))
             applied = [apply_tick(e.t, rate) for e in events]
-            blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration, tail, rate)
+            blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration, tail)
             duty = [d for _, block_duty in blocks for d in block_duty.tolist()]
             t = [x for block_t, _ in blocks for x in block_t.tolist()]
             assert bits(duty) == ref, (case, [e.t for e in events], duration)
@@ -406,7 +401,7 @@ class TestCommandBlocks:
                                    + hs.interpolate(knot_table, events[k].speed_kmh).duration_s
                                    for k in range(len(events)) if applied[k] <= n], default=0.0)
             if tail == 0.0:
-                assert bits(streamed(knot_table, fwd, bwd, events, duration, 0.0, rate)[0]) == ref
+                assert bits(streamed(knot_table, fwd, bwd, events, duration, 0.0)[0]) == ref
 
     def test_event_at_start_tick_replaces_it(self, knot_table):
         """An event at t = 0.011 is applied at tick 11, the start tick

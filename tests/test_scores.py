@@ -8,7 +8,6 @@ from hapstep.errors import FormatError, IncompleteGridError
 from hapstep.scores import (
     SPEEDS,
     STIMULI,
-    mean_across_participants,
     read_scores,
     write_normalized,
 )
@@ -73,16 +72,6 @@ class TestNormalizeScores:
         del grid["p1"]["realism"][("friction", 4.0)]
         with pytest.raises(IncompleteGridError, match="friction"):
             hs.normalize_scores(grid)
-
-
-class TestMeanAcrossParticipants:
-    def test_simple_mean(self):
-        scores = {"p1": {"item": full_grid([0] * 8 + [100])},
-                  "p2": {"item": full_grid([0] * 8 + [50])}}
-        norm = hs.normalize_scores(scores)
-        mean = mean_across_participants(norm)
-        assert mean["item"][("friction", 4.0)] == 1.0
-        assert mean["item"][("none", 1.0)] == 0.0
 
 
 CSV = "participant,item,stimulus,speed_kmh,score\n" + "".join(
