@@ -4,7 +4,8 @@ The actuator's peak friction force is linear in PWM duty rate per
 towing direction; the fitted line is inverted at render time.  Duties
 below ``min_duty`` are clamped up rather than down to zero because the
 minimum drive level is chosen to keep the stimulus perceivable
-(PWM 95/255 on the reference hardware).
+(PWM 95/255 on the reference hardware).  Step-response analysis takes
+the commanded duty and measured force as plain arrays and their rate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
-from .profiles import FrictionProfile, runs
+from .profiles import runs
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
 
@@ -106,23 +107,24 @@ def force_to_duty(curve: CalibrationCurve, force_magnitude):
     return duty if duty.ndim else float(duty)
 
 
-def analyze_step_response(duty, measured: FrictionProfile) -> StepResponseMetrics:
+def analyze_step_response(duty, force, rate_hz: float) -> StepResponseMetrics:
     """Response-time metrics from a commanded step pattern and the
     measured force.
 
-    ``duty`` is the per-tick signed duty command on the same time base
-    as ``measured`` and must contain one 0 -> max and one max -> 0 edge
-    per direction (backward first).  rise_s follows the first-drop rule
-    (time until the measured value first stops rising after the command
-    edge, to within FLAT_TOL of the plateau); rise_10_90_s is the
-    conventional 10-90% metric; transition_s is the gap from the end of
-    the backward command to the forward peak.
+    ``duty`` (signed) and ``force`` are per-tick arrays on one clock of
+    ``rate_hz`` samples per second; ``duty`` must contain one 0 -> max
+    and one max -> 0 edge per direction (backward first).  rise_s
+    follows the first-drop rule (time until the measured value first
+    stops rising after the command edge, to within FLAT_TOL of the
+    plateau); rise_10_90_s is the conventional 10-90% metric;
+    transition_s is the gap from the end of the backward command to the
+    forward peak.
     """
     duty = np.asarray(duty, dtype=float)
-    force = measured.values
+    force = np.asarray(force, dtype=float)
     if len(duty) != len(force):
         raise AnalysisError("commanded and measured logs differ in length")
-    dt = 1.0 / measured.sample_rate_hz
+    dt = 1.0 / rate_hz
 
     onsets, offsets = runs(duty != 0)
     if len(onsets) < 2 or offsets[1] == len(duty):

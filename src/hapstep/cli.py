@@ -7,7 +7,8 @@ byte-for-byte.  Options may come from a key=value config file
 
 Start-up: each subcommand imports the modules it runs when it runs, so
 a fresh process loads only those (``render --listen`` alone loads
-``socket``).  Importing this module loads ``textio`` and ``errors``.
+``socket``).  Importing this module loads only ``errors``, so ``--help``
+and usage errors load no numpy.
 
 Exit codes: 0 ok, 2 usage/config, 3 malformed input, 4 pipeline
 degenerate, 5 I/O failure.
@@ -19,7 +20,6 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from . import textio
 from .errors import (
     ConfigError,
     FormatError,
@@ -100,7 +100,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    from . import segmentation, trace
+    from . import segmentation, textio, trace
 
     tr = trace.load_trace(args.trace)
     segs = segmentation.segment_steps(tr, _seg_config(args))
@@ -126,7 +126,7 @@ def _phased_steps(segs, cfg):
 
 
 def cmd_phases(args) -> int:
-    from . import segmentation, trace
+    from . import segmentation, textio, trace
 
     tr = trace.load_trace(args.trace)
     cfg = _seg_config(args)
@@ -184,7 +184,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from . import calibration
+    from . import calibration, textio
 
     duty, force = textio.read_columns(args.points, ("duty", "peak_force"), 0)
     curve = calibration.fit_calibration(zip(duty, force), args.direction,
@@ -197,17 +197,20 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_step_response(args) -> int:
-    from . import calibration, profiles, renderer, trace
+    import numpy as np
+
+    from . import calibration, renderer, textio, trace
 
     t_cmd, duty = renderer.read_commands(args.commanded)
     t, force = textio.read_columns(args.measured, ("t", "force"), 2)
+    if not np.isfinite(force).all():
+        raise FormatError(f"{args.measured}: force must be finite")
     rate = trace.rate_from_times(t)
     # both logs must share one clock: same first time and rate
     if (abs(t_cmd[0] - t[0]) * rate > trace.TIME_JITTER_TOL
             or abs(trace.rate_from_times(t_cmd) - rate) > trace.TIME_JITTER_TOL * rate):
         raise FormatError(f"{args.commanded}: t is not on the measured log's clock")
-    measured = profiles.FrictionProfile(sample_rate_hz=rate, values=force)
-    metrics = calibration.analyze_step_response(duty, measured)
+    metrics = calibration.analyze_step_response(duty, force, rate)
     textio.write_json(args.out, metrics.as_dict())
     print(f"rise={metrics.rise_s:.4f}s (10-90% {metrics.rise_10_90_s:.4f}s) "
           f"fall={metrics.fall_s:.4f}s transition={metrics.transition_s:.4f}s "
@@ -220,6 +223,8 @@ def _event_lines(args):
     """NDJSON lines from one TCP connection, stdin or a file; closes
     whatever it opened.  Waiting for the connection or for a line times
     out (TimeoutError) after LISTEN_TIMEOUT_S."""
+    from . import textio
+
     if args.listen is None:
         with textio.opened(sys.stdin if args.events == "-" else args.events, "r") as fh:
             yield fh
@@ -248,7 +253,7 @@ def _load_curves(args):
 
 
 def cmd_render(args) -> int:
-    from . import profiles, renderer
+    from . import profiles, renderer, textio
 
     fwd, bwd = _load_curves(args)
     rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
@@ -265,7 +270,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_vibstep(args) -> int:
-    from . import renderer, trace
+    from . import renderer, textio, trace
 
     t, duty = renderer.read_commands(args.commands)
     t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
@@ -285,12 +290,15 @@ def _default_curves(min_duty):
 
 
 def cmd_simulate(args) -> int:
-    from . import plant, profiles, renderer
+    from . import plant, profiles, renderer, textio
 
     if bool(args.events) != bool(args.table):
         raise ConfigError("closed-loop simulation needs both --events and --table")
     if bool(args.calib_forward) != bool(args.calib_backward):
         raise ConfigError("give both --calib-forward and --calib-backward, or neither")
+    if args.calib_forward and args.min_duty is not None:
+        raise ConfigError("--min-duty sets the floor of the default curves only; "
+                          "the --calib-* files carry their own")
     if args.calib_forward:
         fwd, bwd = _load_curves(args)
     else:
@@ -405,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-backward", dest="calib_backward")
     p.add_argument("--tau-s", dest="tau_s", type=float)
     p.add_argument("--max-force", dest="max_force", type=float)
-    p.add_argument("--min-duty", dest="min_duty", type=float)
+    p.add_argument("--min-duty", dest="min_duty", type=float,
+                   help="floor of the default curves (not with --calib-*)")
     p.add_argument("--out", required=True, help="metrics JSON")
     p.add_argument("--out-log", dest="out_log", help="per-tick CSV log")
     p.set_defaults(func=cmd_simulate)

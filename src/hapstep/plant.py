@@ -6,12 +6,14 @@ tracks its command within roughly 0.1 s and its peak force is linear
 in duty, so a lag with tau = 0.05 s (10-90% rise 2.197*tau = 0.11 s)
 is the simplest consistent model.  At zero duty the plate recenters by
 skin elasticity; modeled as an instantaneous return toward zero force.
+A PlateModel holds settings only: the plate force is passed in and
+returned (step_plate, plate_forces), and every run starts at rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,13 +22,13 @@ from .calibration import CalibrationCurve, analyze_step_response, duty_to_force
 from .errors import ConfigError
 # interpolate and command_stream are no longer called here; they stay importable
 # because the per-layer benchmark (benchmarks/spans.py) wraps them at these attributes
-from .profiles import FrictionProfile, SpeedProfileTable, interpolate  # noqa: F401
+from .profiles import SpeedProfileTable, interpolate  # noqa: F401
 from .renderer import TICK_RATE_HZ, Renderer, command_blocks, command_stream  # noqa: F401
 
 DEFAULT_TAU_S = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlateModel:
     """First-order plant: commanded duty -> presented friction force."""
 
@@ -34,7 +36,6 @@ class PlateModel:
     backward_curve: CalibrationCurve
     tau_s: float = DEFAULT_TAU_S
     max_force: float = 20.0
-    state_force: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tau_s) and self.tau_s > 0):
@@ -42,20 +43,15 @@ class PlateModel:
         if not self.max_force > 0:
             raise ConfigError("max_force must be positive")
 
-    def fresh(self) -> "PlateModel":
-        return replace(self, state_force=0.0)
 
-
-def step_plate(model: PlateModel, signed_duty: float, dt: float) -> float:
-    """Advance the plant one tick and return the presented force.
+def step_plate(model: PlateModel, force: float, signed_duty: float) -> float:
+    """The presented force one 1 kHz tick after ``force``.
 
     The target force is the calibration line of the commanded
-    direction (zero below the perceivable minimum duty); the state
+    direction (zero below the perceivable minimum duty); the force
     relaxes toward it with time constant tau_s and is clamped to the
     device force ceiling.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     mag = abs(signed_duty)
     if signed_duty > 0:
         curve = model.forward_curve
@@ -65,17 +61,15 @@ def step_plate(model: PlateModel, signed_duty: float, dt: float) -> float:
         target = math.copysign(duty_to_force(curve, mag), signed_duty)
     else:
         target = 0.0
-    model.state_force += (target - model.state_force) * (1.0 - math.exp(-dt / model.tau_s))
-    model.state_force = max(-model.max_force, min(model.max_force, model.state_force))
-    return model.state_force
+    force += (target - force) * (1.0 - math.exp(-(1.0 / TICK_RATE_HZ) / model.tau_s))
+    return max(-model.max_force, min(model.max_force, force))
 
 
-def plate_forces(model: PlateModel, duties, dt: float) -> np.ndarray:
-    """The force after each tick of step_plate over ``duties``, bit for
-    bit; only the lag and the clamp run per tick, WRITE_ROWS ticks at a
-    time into one array, so no whole-run list of forces is built."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+def plate_forces(model: PlateModel, duties, force: float = 0.0) -> np.ndarray:
+    """The force after each tick of step_plate over ``duties`` from
+    ``force``, bit for bit, so the last element is the end state; only
+    the lag and the clamp run per tick, WRITE_ROWS ticks at a time into
+    one array, so no whole-run list of forces is built."""
     duties = np.asarray(duties, dtype=float)
     mag = np.abs(duties)
     targets = np.zeros_like(duties)
@@ -83,22 +77,20 @@ def plate_forces(model: PlateModel, duties, dt: float) -> np.ndarray:
                        (model.backward_curve, duties <= 0)):
         sel &= (mag >= curve.min_duty) & (mag > 0)
         targets[sel] = np.copysign(duty_to_force(curve, mag[sel]), duties[sel])
-    gain = 1.0 - math.exp(-dt / model.tau_s)
+    gain = 1.0 - math.exp(-(1.0 / TICK_RATE_HZ) / model.tau_s)
     hi, lo = model.max_force, -model.max_force
-    state = model.state_force
     forces = np.empty_like(targets)
     for b in range(0, len(targets), textio.WRITE_ROWS):
         block = []
         push = block.append
         for target in targets[b:b + textio.WRITE_ROWS].tolist():
-            state += (target - state) * gain
-            if state > hi:
-                state = hi
-            elif state < lo:
-                state = lo
-            push(state)
+            force += (target - force) * gain
+            if force > hi:
+                force = hi
+            elif force < lo:
+                force = lo
+            push(force)
         forces[b:b + len(block)] = block
-    model.state_force = state
     return forces
 
 
@@ -119,12 +111,11 @@ def simulate_step_response(model: PlateModel) -> SimRun:
     500 at 0, 500 at +1 (forward), then 500 at 0.  Returns logs with
     rise/fall/transition metrics attached.
     """
-    model = model.fresh()
     dt = 1.0 / TICK_RATE_HZ
     duty = np.repeat([0.0, -1.0, 0.0, 1.0, 0.0], [100, 500, 500, 500, 500])
-    force = plate_forces(model, duty, dt)
+    force = plate_forces(model, duty)
     t = np.arange(len(duty)) * dt
-    metrics = analyze_step_response(duty, FrictionProfile(TICK_RATE_HZ, force))
+    metrics = analyze_step_response(duty, force, TICK_RATE_HZ)
     return SimRun(t=t, command=duty, force=force, metrics=metrics.as_dict())
 
 
@@ -147,13 +138,11 @@ def run_closed_loop(table: SpeedProfileTable,
     one's start, the last up to the end of the run, 10 tau_s after the
     latest envelope end.  Events must be time-ordered (ClockError).
     """
-    model = model.fresh()
     dt = 1.0 / TICK_RATE_HZ
-
     renderer = Renderer(table, forward_curve, backward_curve)
     blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s)
     duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
-    force = plate_forces(model, duty, dt)
+    force = plate_forces(model, duty)
     t = np.arange(len(duty)) / TICK_RATE_HZ
 
     worst_region = 0.0
@@ -174,7 +163,7 @@ def run_closed_loop(table: SpeedProfileTable,
         if region_ref > 0:
             worst_net = max(worst_net, abs(achieved_f - achieved_b) / region_ref)
 
-    bench = simulate_step_response(model.fresh())
+    bench = simulate_step_response(model)
     metrics = {
         "per_region_impulse_error": worst_region,
         "net_impulse": worst_net,

@@ -28,7 +28,7 @@ class SegmentationConfig:
     step4_ratio: float = 2.0        # thenar spike onset = this x brake peak magnitude
     step2_min_s: float = 0.010      # minimum dual-site positive overlap
 
-    def validate(self):
+    def __post_init__(self):
         if not np.all(np.isfinite([self.onset_threshold, self.release_threshold,
                                    self.min_step_s])):
             raise ConfigError("thresholds and min_step_s must be finite")
@@ -57,7 +57,6 @@ def segment_steps(trace: ForceTrace, cfg: SegmentationConfig | None = None) -> l
     when the trace never crosses the onset threshold.
     """
     cfg = cfg or SegmentationConfig()
-    cfg.validate()
     fs = trace.sample_rate_hz
     activity = np.abs(trace.thenar_y) + np.abs(trace.heel_y)
     hold = max(1, int(round(cfg.release_hold_s * fs)))

@@ -99,7 +99,8 @@ class TestDutyForceMaps:
 
 def first_order_bench(tau, fs=1000, lead=0.1, hold=0.5, gap=0.5,
                       target=3.0):
-    """Analytic plant response to the two-pulse bench pattern."""
+    """Analytic plant response to the two-pulse bench pattern: duty,
+    force and rate."""
     dt = 1.0 / fs
     duty = np.concatenate([
         np.zeros(int(lead * fs)),
@@ -112,33 +113,29 @@ def first_order_bench(tau, fs=1000, lead=0.1, hold=0.5, gap=0.5,
     alpha = 1 - math.exp(-dt / tau)
     for i in range(1, len(duty)):
         force[i] = force[i - 1] + (target * duty[i] - force[i - 1]) * alpha
-    return duty, hs.FrictionProfile(fs, force)
+    return duty, force, fs
 
 
 class TestAnalyzeStepResponse:
     def test_rise_10_90_matches_time_constant(self):
         tau = 0.05
-        commanded, measured = first_order_bench(tau)
-        m = hs.analyze_step_response(commanded, measured)
+        m = hs.analyze_step_response(*first_order_bench(tau))
         assert m.rise_10_90_s == pytest.approx(tau * math.log(9), abs=0.002)
 
     def test_first_drop_rise_near_flat_tol_prediction(self):
         tau = 0.05
-        commanded, measured = first_order_bench(tau)
-        m = hs.analyze_step_response(commanded, measured)
+        m = hs.analyze_step_response(*first_order_bench(tau))
         # increments drop below flat_tol of the plateau at
         # t = tau * ln((dt/tau) / flat_tol) for an exponential approach
         predicted = tau * math.log((0.001 / tau) / FLAT_TOL)
         assert m.rise_s == pytest.approx(predicted, abs=0.003)
 
     def test_fall_time_close_to_rise(self):
-        commanded, measured = first_order_bench(0.05)
-        m = hs.analyze_step_response(commanded, measured)
+        m = hs.analyze_step_response(*first_order_bench(0.05))
         assert m.fall_s == pytest.approx(m.rise_s, abs=0.01)
 
     def test_transition_spans_gap_to_forward_peak(self):
-        commanded, measured = first_order_bench(0.05, gap=0.5, hold=0.5)
-        m = hs.analyze_step_response(commanded, measured)
+        m = hs.analyze_step_response(*first_order_bench(0.05, gap=0.5, hold=0.5))
         # forward force peaks at the end of the hold; offset of the
         # backward pulse to that peak is gap + hold
         assert m.transition_s == pytest.approx(1.0, abs=0.01)
@@ -150,17 +147,16 @@ class TestAnalyzeStepResponse:
         assert m_fast.rise_s < m_slow.rise_s
 
     def test_length_mismatch_rejected(self):
-        commanded, measured = first_order_bench(0.05)
+        commanded, force, fs = first_order_bench(0.05)
         with pytest.raises(AnalysisError):
-            hs.analyze_step_response(commanded[:-5], measured)
+            hs.analyze_step_response(commanded[:-5], force, fs)
 
     def test_missing_direction_rejected(self):
         fs = 1000
         duty = np.concatenate([np.zeros(100), np.ones(500), np.zeros(100),
                                np.ones(500), np.zeros(100)])
-        measured = hs.FrictionProfile(fs, duty * 2.0)
         with pytest.raises(AnalysisError):
-            hs.analyze_step_response(duty, measured)
+            hs.analyze_step_response(duty, duty * 2.0, fs)
 
     def test_as_dict_keys(self):
         m = hs.analyze_step_response(*first_order_bench(0.05))
@@ -212,7 +208,7 @@ class TestFirstStopExact:
             pulses = [(lead, lead + hold1, on2), (on2, on2 + hold2, len(duty))]
             mag = [np.clip(first * force, 0.0, None), np.clip(-first * force, 0.0, None)]
             try:
-                m = hs.analyze_step_response(duty, hs.FrictionProfile(fs, force))
+                m = hs.analyze_step_response(duty, force, fs)
             except AnalysisError:
                 continue
             assert (m.rise_s, m.fall_s) == reference_first_stops(mag, pulses, 1.0 / fs)

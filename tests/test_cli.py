@@ -386,6 +386,18 @@ class TestCommandLogDuty:
                                   "0.001,0.0,1.0\n0.002,0.0,0.0\n"
 
 
+class TestMeasuredForce:
+    @pytest.mark.parametrize("force", ["nan", "inf", "-inf"])
+    def test_non_finite_force_exit_3(self, tmp_path, capsys, force):
+        log, out = tmp_path / "log.csv", tmp_path / "sr.json"
+        log.write_text(f"t,signed_duty,force\n0.0,-1.0,0.0\n0.001,0.0,{force}\n"
+                       "0.002,1.0,0.5\n0.003,0.0,0.0\n")
+        assert cli.main(["step-response", "--commanded", str(log),
+                         "--measured", str(log), "--out", str(out)]) == 3
+        assert f"{log}: force must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_bench_metrics(self, tmp_path):
         out = tmp_path / "metrics.json"
@@ -402,7 +414,6 @@ class TestSimulate:
                       "--table", workdir["table"],
                       "--calib-forward", workdir["fwd"],
                       "--calib-backward", workdir["bwd"],
-                      "--min-duty", "0",
                       "--out", str(out), "--out-log", str(log))
         assert res.returncode == 0
         metrics = json.loads(out.read_text())
@@ -438,6 +449,19 @@ class TestSimulate:
         assert res.returncode == 2
         assert "--calib-forward and --calib-backward" in res.stderr
         assert not (tmp_path / "m.json").exists()
+
+    def test_min_duty_flag_with_calibration_files_exit_2(self, workdir, tmp_path, capsys):
+        """The curve files carry their own floor, so the flag is refused;
+        a config file's min_duty, shared by every subcommand, is not."""
+        inputs = ["--events", workdir["events"], "--table", workdir["table"],
+                  "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"]]
+        out = tmp_path / "m.json"
+        assert cli.main(["simulate", *inputs, "--min-duty", "0.9", "--out", str(out)]) == 2
+        assert "--min-duty" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "hapstep.cfg"
+        cfg.write_text("min_duty = 0.9\n")
+        assert cli.main(["--config", str(cfg), "simulate", *inputs, "--out", str(out)]) == 0
 
 
 class TestFilesClosed:

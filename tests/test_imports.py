@@ -1,8 +1,11 @@
 """What a fresh process loads: ``import hapstep`` resolves its names on
-first access, and the CLI's set-up path (import the CLI, load a table
-and both curves) loads none of the modules only other subcommands run."""
+first access, the CLI's set-up path (import the CLI, load a table and
+both curves) loads none of the modules only other subcommands run, and
+``--help`` or a usage error loads no numpy.  Also: every name the
+per-layer benchmark wraps still resolves."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -52,6 +55,17 @@ calibration.load_curve(sys.argv[3])
 print(json.dumps(sorted(sys.modules)))
 """
 
+_NO_SUBCOMMAND = """
+import contextlib, io, json, sys
+from hapstep import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
 
 def _fresh(code, *argv):
     """sys.modules of a fresh interpreter after ``code``, which prints it."""
@@ -70,6 +84,14 @@ def test_setup_loads_only_what_it_runs(tmp_path, knot_table):
     loaded = _fresh(_SETUP, *map(str, paths))
     assert {"hapstep.cli", "hapstep.profiles", "hapstep.calibration"} <= loaded
     assert loaded.isdisjoint(NOT_ON_SETUP), sorted(loaded & set(NOT_ON_SETUP))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ingest", "--bogus"]],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_no_numpy(argv):
+    loaded = _fresh(_NO_SUBCOMMAND, *argv)
+    assert "hapstep.cli" in loaded
+    assert loaded.isdisjoint({"numpy", "hapstep.textio"}), sorted(loaded)
 
 
 def test_import_hapstep_loads_no_submodule():
@@ -110,3 +132,18 @@ def test_cli_constants_match_their_modules():
     assert cli.DEFAULTS["first"] == middle["first"].default
     assert cli.DEFAULTS["last"] == middle["last"].default
     assert cli.DEFAULTS["max_force"] == plant.PlateModel.max_force
+
+
+def test_benchmark_tracer_names_resolve():
+    """benchmarks/spans.py wraps these module attributes and methods by
+    name; a rename in src/ would otherwise surface only in a traced run."""
+    path = Path(__file__).parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, attr, _, kind, _ in spans.LAYER_FUNCTIONS:
+        owner = importlib.import_module(modname)
+        if kind == "method":
+            cls, attr = attr.split(".")
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), f"{modname}.{attr}"

@@ -1,5 +1,7 @@
 import json
 import math
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,41 +20,37 @@ def make_model(tau=DEFAULT_TAU_S, min_duty=0.0, **kw):
     return hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau, **kw)
 
 
+def stepped(model, duties, force=0.0):
+    """The force after each tick of step_plate over ``duties`` from ``force``."""
+    return list(accumulate(np.asarray(duties).tolist(), partial(hs.step_plate, model),
+                           initial=force))[1:]
+
+
 class TestStepPlate:
     def test_matches_closed_form_exponential(self):
         tau, dt, target_duty = 0.05, 0.001, 1.0
-        model = make_model(tau=tau)
         target = 3.0 * target_duty  # slope 3, intercept 0
-        for i in range(1, 301):
-            f = hs.step_plate(model, target_duty, dt)
+        forces = stepped(make_model(tau=tau), np.full(300, target_duty))
+        for i, f in enumerate(forces, start=1):
             expected = target * (1 - math.exp(-i * dt / tau))
             assert f == pytest.approx(expected, rel=1e-9)
 
     def test_negative_duty_drives_backward(self):
-        model = make_model()
-        f = hs.step_plate(model, -1.0, 0.5)
-        assert f < 0
+        assert hs.step_plate(make_model(), 0.0, -1.0) < 0
 
     def test_dead_zone_below_min_duty(self):
         model = make_model(min_duty=0.4)
-        assert hs.step_plate(model, 0.2, 1.0) == 0.0
-        assert hs.step_plate(model, 0.4, 1.0) > 0.0
+        assert hs.step_plate(model, 0.0, 0.2) == 0.0
+        assert hs.step_plate(model, 0.0, 0.4) > 0.0
 
     def test_zero_duty_relaxes_to_zero(self):
-        model = make_model(tau=0.01)
-        hs.step_plate(model, 1.0, 1.0)
+        model = make_model(tau=1e-5)
         f = hs.step_plate(model, 0.0, 1.0)
-        assert abs(f) < 1e-10
+        assert f > 0
+        assert abs(hs.step_plate(model, f, 0.0)) < 1e-10
 
     def test_force_ceiling(self):
-        model = make_model(max_force=1.5)
-        for _ in range(100):
-            f = hs.step_plate(model, 1.0, 1.0)
-        assert f == 1.5
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ConfigError):
-            hs.step_plate(make_model(), 1.0, 0.0)
+        assert stepped(make_model(max_force=1.5), np.ones(100))[-1] == 1.5
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ConfigError):
@@ -60,27 +58,25 @@ class TestStepPlate:
 
 
 class TestPlateForces:
-    @pytest.mark.parametrize("max_force, state", [(20.0, 0.0), (0.9, 0.0), (0.9, -0.5),
+    @pytest.mark.parametrize("max_force, force", [(20.0, 0.0), (0.9, 0.0), (0.9, -0.5),
                                                   (math.inf, 3.0)])
-    def test_equals_step_plate_loop_bit_for_bit(self, max_force, state):
+    def test_equals_step_plate_loop_bit_for_bit(self, max_force, force):
         """Both directions, duties below min_duty, signed zeros, a
         negative intercept (copysign of a negative line value) and
-        max_force saturation, from rest and from a non-zero state."""
+        max_force saturation, from rest and from a non-zero force."""
         fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
         bwd = make_curve("backward", slope=1.7, intercept=-0.4, min_duty=0.2)
         levels = [0.0, -0.0, 0.1, -0.1, 95 / 255, -95 / 255, 0.2, -0.2, 0.21,
                   -0.21, 0.6, -0.6, 1.0, -1.0, 1e-300, -5e-324]
         duties = random_runs(np.random.default_rng(4), levels, 5000)
-        for tau, dt in ((0.05, 0.001), (1e-4, 0.001), (0.05, 0.25)):
-            a = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force, state_force=state)
-            b = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force, state_force=state)
-            forces = plate_forces(a, duties, dt)
-            ref = [hs.step_plate(b, d, dt) for d in duties.tolist()]
+        for tau in (0.05, 1e-4, 2e-4):
+            model = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force)
+            forces = plate_forces(model, duties, force)
+            ref = stepped(model, duties, force)
             assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
-            assert a.state_force == b.state_force
-            if max_force < 1 and dt > tau:
+            if max_force < 1 and tau < 0.001:
                 assert np.any(forces == max_force) and np.any(forces == -max_force)
-        assert len(plate_forces(a, [], 0.001)) == 0
+        assert len(plate_forces(model, [], force)) == 0
 
     def test_state_carries_across_blocks_while_saturated(self):
         """The lag runs WRITE_ROWS ticks at a time; the force held at the
@@ -90,17 +86,17 @@ class TestPlateForces:
         duties = np.zeros(2 * rows + 700)
         duties[rows - 300:rows + 300] = 1.0
         duties[2 * rows - 300:2 * rows + 300] = -1.0
-        a, b = make_model(max_force=1.5), make_model(max_force=1.5)
-        forces = plate_forces(a, duties, 0.001)
-        ref = [hs.step_plate(b, d, 0.001) for d in duties.tolist()]
+        model = make_model(max_force=1.5)
+        forces = plate_forces(model, duties)
+        ref = stepped(model, duties)
         assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
-        assert a.state_force == b.state_force
+        # a run split in two, the second part starting from the first's
+        # last force, is the same run
+        head = plate_forces(model, duties[:rows + 100])
+        tail = plate_forces(model, duties[rows + 100:], head[-1])
+        assert np.concatenate([head, tail]).tobytes() == forces.tobytes()
         assert np.all(forces[rows - 1:rows + 1] == 1.5)
         assert np.all(forces[2 * rows - 1:2 * rows + 1] == -1.5)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ConfigError):
-            plate_forces(make_model(), [1.0], 0.0)
 
 
 class TestSimulateStepResponse:
@@ -120,10 +116,11 @@ class TestSimulateStepResponse:
         assert run.command[nz[0]] < 0
         assert run.command[nz[-1]] > 0
 
-    def test_model_state_not_leaked(self):
+    def test_one_model_gives_identical_runs(self):
         model = make_model()
-        hs.simulate_step_response(model)
-        assert model.state_force == 0.0
+        a, b = hs.simulate_step_response(model), hs.simulate_step_response(model)
+        assert a.force.tobytes() == b.force.tobytes()
+        assert a.metrics == b.metrics
 
 
 class TestRunClosedLoop:

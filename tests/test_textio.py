@@ -502,7 +502,7 @@ def test_plate_forces_take_the_digit_path(knot_table, monkeypatch):
     is written from digits for every value with |v| >= 1e-4; only the
     lag's tail below that goes to repr."""
     fwd, bwd, duty = rendered_duty(knot_table)
-    force = plate_forces(hs.PlateModel(fwd, bwd), duty, 1 / 1000)
+    force = plate_forces(hs.PlateModel(fwd, bwd), duty)
     assert len(force) > textio.WRITE_ROWS
     sent = fallback_values(monkeypatch)
     buf = io.StringIO()
