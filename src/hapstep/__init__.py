@@ -14,14 +14,14 @@ _EXPORTS = {
                     "duty_to_force", "fit_calibration", "force_to_duty"),
     "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
               "step_plate"),
-    "profiles": ("FrictionProfile", "ImpulsePair", "PhaseTimings", "SpeedProfileTable",
+    "profiles": ("FrictionProfile", "ImpulsePair", "SpeedProfileTable",
                  "Triangle", "TriangularProfile", "align_durations", "average_profiles",
                  "compile_triangular", "compute_impulses", "fit_device_scale",
                  "interpolate", "treadmill_correct"),
     "renderer": ("ActuatorCommand", "GaitEvent", "Renderer", "command_stream",
                  "render_events", "to_vibstep"),
     "scores": ("normalize_scores",),
-    "segmentation": ("SegmentationConfig", "StepSegment", "combine_channels",
+    "segmentation": ("PhaseTimings", "SegmentationConfig", "StepSegment", "combine_channels",
                      "detect_phases", "segment_steps", "select_middle"),
     "trace": ("ForceTrace", "TraceMeta", "load_trace", "write_trace"),
 }

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import textio
 from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
-from .profiles import runs
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
 
@@ -120,6 +119,10 @@ def analyze_step_response(duty, force, rate_hz: float) -> StepResponseMetrics:
     transition_s is the gap from the end of the backward command to the
     forward peak.
     """
+    # imported here so that fitting a curve (``hapstep calibrate``) loads
+    # no profiles module
+    from .profiles import runs
+
     duty = np.asarray(duty, dtype=float)
     force = np.asarray(force, dtype=float)
     if len(duty) != len(force):

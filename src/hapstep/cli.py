@@ -111,14 +111,14 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _phased_steps(segs, cfg):
+def _phased_steps(segs):
     """(segment, phases) of each step with a brake/drive pattern; the
     other steps are reported on stderr and skipped."""
     from . import segmentation
 
     for s in segs:
         try:
-            ph = segmentation.detect_phases(s, cfg)
+            ph = segmentation.detect_phases(s)
         except PipelineError as exc:
             print(f"step {s.index_in_walk} rejected: {exc}", file=sys.stderr)
             continue
@@ -129,10 +129,9 @@ def cmd_phases(args) -> int:
     from . import segmentation, textio, trace
 
     tr = trace.load_trace(args.trace)
-    cfg = _seg_config(args)
-    segs = segmentation.segment_steps(tr, cfg)
+    segs = segmentation.segment_steps(tr, _seg_config(args))
     annotated = [ph.as_dict(step_index=s.index_in_walk)
-                 for s, ph in _phased_steps(segs, cfg)]
+                 for s, ph in _phased_steps(segs)]
     textio.write_json(args.out, annotated)
     print(f"{len(annotated)}/{len(segs)} steps annotated -> {args.out}")
     return 0
@@ -144,7 +143,7 @@ def _trace_to_profiles(tr, cfg, first, last):
 
     segs = segmentation.select_middle(
         segmentation.segment_steps(tr, cfg), first, last)
-    out = [segmentation.combine_channels(s, ph) for s, ph in _phased_steps(segs, cfg)]
+    out = [segmentation.combine_channels(s, ph) for s, ph in _phased_steps(segs)]
     if not out:
         raise PipelineError("no usable steps in trace")
     return out
@@ -171,8 +170,7 @@ def cmd_compile(args) -> int:
         averaged = profiles.average_profiles(profiles.align_durations(plist))
         corrected, balanced = profiles.treadmill_correct(averaged)
         measured = profiles.compute_impulses(averaged)
-        tri = profiles.compile_triangular(corrected, balanced, speed_kmh=speed)
-        raw_table[speed] = tri
+        raw_table[speed] = profiles.compile_triangular(corrected, balanced)
         print(f"{speed:g} km/h: B={measured.B:.4f} F={measured.F:.4f} "
               f"-> B'=F'={balanced.B:.4f} N*s (belt bias {measured.belt_bias:+.4f})")
 
@@ -270,11 +268,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_vibstep(args) -> int:
+    import numpy as np
+
     from . import renderer, textio, trace
 
     t, duty = renderer.read_commands(args.commands)
-    t, heel, thenar = renderer.to_vibstep(duty, tick_rate_hz=trace.rate_from_times(t),
-                                          t0=float(t[0]))
+    # the log's clock rebuilt from its first time and median rate
+    t = float(t[0]) + np.arange(len(duty)) / trace.rate_from_times(t)
+    heel, thenar = renderer.to_vibstep(duty)
     n = textio.write_columns(args.out, ("t", "heel_duty", "thenar_duty"),
                              t, heel, thenar)
     print(f"{n} ticks -> {args.out}")

@@ -1,10 +1,11 @@
 """Impulse-preserving compilation of friction profiles to device envelopes.
 
-Pipeline per walking speed: align step durations to the group mean,
-average, rebalance the brake/forward impulses (the treadmill belt
-inflates the backward area and deflates the forward one), compile each
-sign region to a triangle of equal area with its apex at the measured
-peak time, scale everything to the device force ceiling, and
+A friction profile is one step's samples and the times of its brake and
+drive peaks.  Pipeline per walking speed: align step durations to the
+group mean, average, rebalance the brake/forward impulses (the treadmill
+belt inflates the backward area and deflates the forward one), compile
+each sign region to a triangle of equal area with its apex at the
+measured peak time, scale everything to the device force ceiling, and
 interpolate the resulting table across walking speeds.
 """
 
@@ -33,34 +34,20 @@ def runs(mask) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PhaseTimings:
-    """Phase landmarks of one step, seconds relative to step start."""
-
-    t_start: float
-    t_step1_peak: float
-    t_step2_present: bool
-    t_step3_peak: float
-    t_step4_start: float
-    t_end: float
-
-    def as_dict(self, step_index: int | None = None) -> dict:
-        out = asdict(self)
-        if step_index is not None:
-            out["step_index"] = step_index
-        return out
-
-
-@dataclass(frozen=True)
 class FrictionProfile:
-    """Single-channel signed friction profile, forward-positive."""
+    """Single-channel signed friction profile, forward-positive, with
+    the times of its brake and drive peaks (seconds from its start)."""
 
     sample_rate_hz: float
     values: np.ndarray
-    phases: PhaseTimings | None = None
+    brake_peak_s: float
+    drive_peak_s: float
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ConfigError("sample_rate_hz must be finite and positive")
+        if not (math.isfinite(self.brake_peak_s) and math.isfinite(self.drive_peak_s)):
+            raise ConfigError("peak times must be finite")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("profile values must be finite")
@@ -85,8 +72,8 @@ class ImpulsePair:
     F: float
 
     def __post_init__(self):
-        if self.B < 0 or self.F < 0:
-            raise ConfigError("impulses must be non-negative")
+        if not (0 <= self.B < math.inf and 0 <= self.F < math.inf):
+            raise ConfigError("impulses must be finite and non-negative")
 
     @property
     def balanced_target(self) -> float:
@@ -182,7 +169,7 @@ class SpeedProfileTable:
 def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     """Linearly time-rescale every profile to the mean input duration.
 
-    Values are resampled at the first profile's rate; phase timings
+    Values are resampled at the first profile's rate; the peak times
     scale with the same factor, so each profile's impulse scales by
     mean_duration / original_duration.
     """
@@ -193,28 +180,17 @@ def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     n_out = int(round(mean_d * rate))
     out = []
     for p in profiles:
-        if p.phases is None:
-            raise AlignmentError("profiles must carry phase timings")
         k = mean_d / p.duration_s
         t_new = np.arange(n_out) / rate
         values = np.interp(t_new / k, p.times, p.values)
-        ph = p.phases
-        out.append(FrictionProfile(
-            sample_rate_hz=rate,
-            values=values,
-            phases=replace(
-                ph,
-                t_step1_peak=ph.t_step1_peak * k,
-                t_step3_peak=ph.t_step3_peak * k,
-                t_step4_start=ph.t_step4_start * k,
-                t_end=n_out / rate,
-            ),
-        ))
+        out.append(FrictionProfile(sample_rate_hz=rate, values=values,
+                                   brake_peak_s=p.brake_peak_s * k,
+                                   drive_peak_s=p.drive_peak_s * k))
     return out
 
 
 def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
-    """Pointwise mean of duration-aligned profiles; timings averaged too."""
+    """Pointwise mean of duration-aligned profiles; peak times averaged too."""
     if not aligned:
         raise EmptyInputError("no profiles to average")
     n = len(aligned[0])
@@ -223,19 +199,12 @@ def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
         if len(p) != n or p.sample_rate_hz != rate:
             raise AlignmentError("profiles must share duration and rate; "
                                  "run align_durations first")
-        if p.phases is None:
-            raise AlignmentError("profiles must carry phase timings")
-    values = np.mean([p.values for p in aligned], axis=0)
-    phs = [p.phases for p in aligned]
-    phases = PhaseTimings(
-        t_start=0.0,
-        t_step1_peak=float(np.mean([p.t_step1_peak for p in phs])),
-        t_step2_present=sum(p.t_step2_present for p in phs) * 2 >= len(phs),
-        t_step3_peak=float(np.mean([p.t_step3_peak for p in phs])),
-        t_step4_start=float(np.mean([p.t_step4_start for p in phs])),
-        t_end=float(np.mean([p.t_end for p in phs])),
+    return FrictionProfile(
+        sample_rate_hz=rate,
+        values=np.mean([p.values for p in aligned], axis=0),
+        brake_peak_s=float(np.mean([p.brake_peak_s for p in aligned])),
+        drive_peak_s=float(np.mean([p.drive_peak_s for p in aligned])),
     )
-    return FrictionProfile(sample_rate_hz=rate, values=values, phases=phases)
 
 
 def compute_impulses(profile: FrictionProfile) -> ImpulsePair:
@@ -263,9 +232,7 @@ def treadmill_correct(profile: FrictionProfile) -> tuple[FrictionProfile, Impuls
     target = measured.balanced_target
     v = profile.values
     scaled = np.where(v < 0, v * (target / measured.B), v * (target / measured.F))
-    corrected = FrictionProfile(sample_rate_hz=profile.sample_rate_hz,
-                                values=scaled, phases=profile.phases)
-    return corrected, ImpulsePair(B=target, F=target)
+    return replace(profile, values=scaled), ImpulsePair(B=target, F=target)
 
 
 def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
@@ -290,31 +257,28 @@ def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
     return t_on, t_off
 
 
-def compile_triangular(profile: FrictionProfile, impulses: ImpulsePair,
-                       speed_kmh: float = math.nan) -> TriangularProfile:
+def compile_triangular(profile: FrictionProfile, impulses: ImpulsePair) -> TriangularProfile:
     """Convert a corrected profile into two equal-area triangles.
 
     Each triangle spans its sign region (zero crossing to zero
-    crossing), peaks at the measured brake/drive peak time, and has
+    crossing), peaks at the profile's brake/drive peak time, and has
     height 2*impulse/span so that its area equals the target impulse.
+    The entry's speed is left for fit_device_scale to set.
     """
-    if profile.phases is None:
-        raise PhaseInconsistencyError("profile lacks phase timings")
     v = profile.values
     rate = profile.sample_rate_hz
-    i1 = int(round(profile.phases.t_step1_peak * rate))
-    i3 = int(round(profile.phases.t_step3_peak * rate))
+    i1 = int(round(profile.brake_peak_s * rate))
+    i3 = int(round(profile.drive_peak_s * rate))
     if not (0 <= i1 < len(v) and 0 <= i3 < len(v)):
         raise PhaseInconsistencyError("phase peak outside profile")
 
     b_on, b_off = _region_bounds(v, i1, rate, negative=True)
     d_on, d_off = _region_bounds(v, i3, rate, negative=False)
-    brake = Triangle(t_onset=b_on, t_peak=profile.phases.t_step1_peak,
+    brake = Triangle(t_onset=b_on, t_peak=profile.brake_peak_s,
                      t_offset=b_off, f_peak=-2.0 * impulses.B / (b_off - b_on))
-    drive = Triangle(t_onset=d_on, t_peak=profile.phases.t_step3_peak,
+    drive = Triangle(t_onset=d_on, t_peak=profile.drive_peak_s,
                      t_offset=d_off, f_peak=2.0 * impulses.F / (d_off - d_on))
-    return TriangularProfile(brake=brake, drive=drive,
-                             duration_s=profile.duration_s, speed_kmh=speed_kmh)
+    return TriangularProfile(brake=brake, drive=drive, duration_s=profile.duration_s)
 
 
 def fit_device_scale(raw_table: dict[float, TriangularProfile],

@@ -248,19 +248,17 @@ def _run_peaks(mag: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_vibstep(duties: np.ndarray, tick_rate_hz: float = TICK_RATE_HZ,
-               t0: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def to_vibstep(duties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rectangular covering envelopes for the dual-vibrator backend.
 
     Each sign region of the duty envelope becomes a rectangle of height
     max |duty| over exactly the region's span: brake (negative) regions
     drive the heel vibrator, drive (positive) regions the thenar one.
-    At most one vibrator is active per tick.  Returns (t, heel_duty,
+    At most one vibrator is active per tick.  Returns (heel_duty,
     thenar_duty) arrays, one entry per input tick.
     """
     duties = np.asarray(duties, dtype=float)
-    t = t0 + np.arange(len(duties)) / tick_rate_hz
-    return t, _run_peaks(-duties), _run_peaks(duties)
+    return _run_peaks(-duties), _run_peaks(duties)
 
 
 def parse_event(line: str) -> GaitEvent:

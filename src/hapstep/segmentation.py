@@ -5,18 +5,44 @@ magnitude, the steady mid-walk window is selected, and each step is
 annotated with the four characteristic phases of the sole friction
 pattern: brake (heel, backward), dual-site drive, thenar drive, and the
 terminal thenar load spike.  The spike phase is measured but never
-rendered, so profile extraction truncates at its onset.
+rendered, so profile extraction truncates at its onset and keeps,
+of the four phases, only the brake and drive peak times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientStepsError, PhaseDetectionError
-from .profiles import FrictionProfile, PhaseTimings, runs
+from .profiles import FrictionProfile, runs
 from .trace import ForceTrace
+
+#: a quiet run must last this long (s) to close a step
+RELEASE_HOLD_S = 0.05
+#: the terminal spike starts at a thenar excursion of this x the brake peak magnitude
+STEP4_RATIO = 2.0
+#: minimum dual-site positive overlap (s) for step 2 to count as present
+STEP2_MIN_S = 0.010
+
+
+@dataclass(frozen=True)
+class PhaseTimings:
+    """Phase landmarks of one step, seconds relative to step start."""
+
+    t_start: float
+    t_step1_peak: float
+    t_step2_present: bool
+    t_step3_peak: float
+    t_step4_start: float
+    t_end: float
+
+    def as_dict(self, step_index: int | None = None) -> dict:
+        out = asdict(self)
+        if step_index is not None:
+            out["step_index"] = step_index
+        return out
 
 
 @dataclass(frozen=True)
@@ -24,9 +50,6 @@ class SegmentationConfig:
     onset_threshold: float = 0.3    # N, combined |thenar|+|heel| to open a step
     release_threshold: float = 0.1  # N, must stay below this to close
     min_step_s: float = 0.2
-    release_hold_s: float = 0.05
-    step4_ratio: float = 2.0        # thenar spike onset = this x brake peak magnitude
-    step2_min_s: float = 0.010      # minimum dual-site positive overlap
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.onset_threshold, self.release_threshold,
@@ -52,14 +75,14 @@ def segment_steps(trace: ForceTrace, cfg: SegmentationConfig | None = None) -> l
 
     A step opens when |thenar_y| + |heel_y| crosses the onset threshold
     upward and closes at the start of the first quiet run (below the
-    release threshold) lasting at least ``release_hold_s``.  Steps
+    release threshold) lasting at least RELEASE_HOLD_S.  Steps
     shorter than ``min_step_s`` are discarded.  Returns an empty list
     when the trace never crosses the onset threshold.
     """
     cfg = cfg or SegmentationConfig()
     fs = trace.sample_rate_hz
     activity = np.abs(trace.thenar_y) + np.abs(trace.heel_y)
-    hold = max(1, int(round(cfg.release_hold_s * fs)))
+    hold = max(1, int(round(RELEASE_HOLD_S * fs)))
 
     # onsets before a step's close fall inside it; a quiet run the
     # trace ends in closes the last step however short it is
@@ -96,17 +119,16 @@ def select_middle(segments: list[StepSegment], first: int = 4, last: int = 13) -
     return [s for s in segments if first <= s.index_in_walk <= last]
 
 
-def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -> PhaseTimings:
+def detect_phases(segment: StepSegment) -> PhaseTimings:
     """Locate the four phase landmarks within one step.
 
     The combined (thenar + heel) force must show a leading negative
     (brake) region followed by a positive (drive) region; steps without
     that pattern are rejected with PhaseDetectionError.  The terminal
     spike onset is the start of the first thenar excursion reaching
-    ``step4_ratio`` times the brake peak magnitude; if none occurs the
-    step end is used.
+    STEP4_RATIO times the brake peak magnitude; if none occurs the step
+    end is used.
     """
-    cfg = cfg or SegmentationConfig()
     tr = segment.trace
     fs = tr.sample_rate_hz
     c = tr.thenar_y + tr.heel_y
@@ -132,8 +154,8 @@ def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -
     m = j + neg_after[0] if len(neg_after) else len(c)
     i3 = j + int(np.argmax(c[j:m]))
 
-    # terminal spike: thenar excursion beyond step4_ratio x brake peak
-    spike_mag = cfg.step4_ratio * abs(c[i1])
+    # terminal spike: thenar excursion beyond STEP4_RATIO x brake peak
+    spike_mag = STEP4_RATIO * abs(c[i1])
     spike_hits = np.flatnonzero(tr.thenar_y[i3:] <= -spike_mag)
     if len(spike_hits):
         # the spike starts where the negative run leading into it starts
@@ -144,7 +166,7 @@ def detect_phases(segment: StepSegment, cfg: SegmentationConfig | None = None) -
         i4 = len(c)
 
     overlap, overlap_stop = runs((tr.thenar_y > 0) & (tr.heel_y > 0))
-    step2 = bool(np.any(overlap_stop - overlap >= max(1, int(round(cfg.step2_min_s * fs)))))
+    step2 = bool(np.any(overlap_stop - overlap >= max(1, int(round(STEP2_MIN_S * fs)))))
 
     return PhaseTimings(
         t_start=0.0,
@@ -161,11 +183,11 @@ def combine_channels(segment: StepSegment, phases: PhaseTimings) -> FrictionProf
 
     Returns a FrictionProfile of thenar_y + heel_y truncated at the
     terminal spike onset (samples at/after it are dropped, since the
-    spike is never rendered).
+    spike is never rendered), with the step's brake and drive peak times.
     """
     tr = segment.trace
-    fs = tr.sample_rate_hz
-    n_keep = int(round(phases.t_step4_start * fs))
-    values = (tr.thenar_y + tr.heel_y)[:n_keep]
-    kept = replace(phases, t_step4_start=n_keep / fs, t_end=n_keep / fs)
-    return FrictionProfile(sample_rate_hz=fs, values=values, phases=kept)
+    n_keep = int(round(phases.t_step4_start * tr.sample_rate_hz))
+    return FrictionProfile(sample_rate_hz=tr.sample_rate_hz,
+                           values=(tr.thenar_y + tr.heel_y)[:n_keep],
+                           brake_peak_s=phases.t_step1_peak,
+                           drive_peak_s=phases.t_step3_peak)

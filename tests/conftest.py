@@ -25,7 +25,7 @@ PROFILE_FS = 1000.0
 
 
 def random_profile(rng, fs=PROFILE_FS):
-    """Random valid brake-then-drive profile with matching phase timings."""
+    """Random valid brake-then-drive profile with matching peak times."""
     b_dur = rng.uniform(0.15, 0.45)
     d_dur = rng.uniform(0.20, 0.50)
     gap = rng.uniform(0.0, 0.05)
@@ -39,9 +39,8 @@ def random_profile(rng, fs=PROFILE_FS):
                   left=0.0, right=0.0) \
         + np.interp(t, [b_dur + gap, b_dur + gap + d_apex, end],
                     [0.0, d_peak, 0.0], left=0.0, right=0.0)
-    phases = hs.PhaseTimings(0.0, b_apex, False,
-                             b_dur + gap + d_apex, end, end)
-    return hs.FrictionProfile(sample_rate_hz=fs, values=v, phases=phases)
+    return hs.FrictionProfile(sample_rate_hz=fs, values=v, brake_peak_s=b_apex,
+                              drive_peak_s=b_dur + gap + d_apex)
 
 
 def random_runs(rng, levels, n):
@@ -75,7 +74,7 @@ def build_knot_table(device_max_force=3.0, seed=0):
     for speed in KNOT_SPEEDS:
         averaged = walk_to_profile(speed, seed=seed)
         corrected, balanced = hs.treadmill_correct(averaged)
-        raw[speed] = hs.compile_triangular(corrected, balanced, speed_kmh=speed)
+        raw[speed] = hs.compile_triangular(corrected, balanced)
     return hs.fit_device_scale(raw, device_max_force)
 
 

@@ -169,7 +169,7 @@ def test_08_vibstep_covering_property(gate):
             corrected, balanced = hs.treadmill_correct(p)
             tri = hs.compile_triangular(corrected, balanced)
             duty = tri.sample(FS)
-            _, heel, thenar = hs.to_vibstep(duty)
+            heel, thenar = hs.to_vibstep(duty)
             assert np.all(heel >= np.clip(-duty, 0, None))
             assert np.all(thenar >= np.clip(duty, 0, None))
             i_b, i_d = int(np.argmin(duty)), int(np.argmax(duty))

@@ -1,8 +1,9 @@
 """What a fresh process loads: ``import hapstep`` resolves its names on
 first access, the CLI's set-up path (import the CLI, load a table and
-both curves) loads none of the modules only other subcommands run, and
-``--help`` or a usage error loads no numpy.  Also: every name the
-per-layer benchmark wraps still resolves."""
+both curves) loads none of the modules only other subcommands run,
+``calibrate`` loads no profiles module, and ``--help`` or a usage error
+loads no numpy.  Also: every name the per-layer benchmark wraps still
+resolves."""
 
 import importlib
 import importlib.util
@@ -28,14 +29,14 @@ EXPORTS = {
                     "duty_to_force", "fit_calibration", "force_to_duty"),
     "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
               "step_plate"),
-    "profiles": ("FrictionProfile", "ImpulsePair", "PhaseTimings", "SpeedProfileTable",
+    "profiles": ("FrictionProfile", "ImpulsePair", "SpeedProfileTable",
                  "Triangle", "TriangularProfile", "align_durations", "average_profiles",
                  "compile_triangular", "compute_impulses", "fit_device_scale",
                  "interpolate", "treadmill_correct"),
     "renderer": ("ActuatorCommand", "GaitEvent", "Renderer", "command_stream",
                  "render_events", "to_vibstep"),
     "scores": ("normalize_scores",),
-    "segmentation": ("SegmentationConfig", "StepSegment", "combine_channels",
+    "segmentation": ("PhaseTimings", "SegmentationConfig", "StepSegment", "combine_channels",
                      "detect_phases", "segment_steps", "select_middle"),
     "trace": ("ForceTrace", "TraceMeta", "load_trace", "write_trace"),
 }
@@ -55,7 +56,7 @@ calibration.load_curve(sys.argv[3])
 print(json.dumps(sorted(sys.modules)))
 """
 
-_NO_SUBCOMMAND = """
+_MAIN = """
 import contextlib, io, json, sys
 from hapstep import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -89,9 +90,19 @@ def test_setup_loads_only_what_it_runs(tmp_path, knot_table):
 @pytest.mark.parametrize("argv", [["--help"], ["ingest", "--bogus"]],
                          ids=["help", "usage-error"])
 def test_help_and_usage_errors_load_no_numpy(argv):
-    loaded = _fresh(_NO_SUBCOMMAND, *argv)
+    loaded = _fresh(_MAIN, *argv)
     assert "hapstep.cli" in loaded
     assert loaded.isdisjoint({"numpy", "hapstep.textio"}), sorted(loaded)
+
+
+def test_calibrate_loads_only_what_it_runs(tmp_path):
+    points, out = tmp_path / "points.csv", tmp_path / "curve.json"
+    points.write_text("duty,peak_force\n0.4,1.2\n0.9,2.7\n")
+    loaded = _fresh(_MAIN, "calibrate", "--points", str(points),
+                    "--direction", "forward", "--out", str(out))
+    assert calibration.load_curve(out).slope == pytest.approx(3.0)
+    assert {m for m in loaded if m.startswith("hapstep.")} \
+        == {"hapstep.cli", "hapstep.errors", "hapstep.textio", "hapstep.calibration"}
 
 
 def test_import_hapstep_loads_no_submodule():

@@ -93,24 +93,16 @@ class TestAlignDurations:
     def test_phases_scale_too(self):
         rng = np.random.default_rng(2)
         p = random_profile(rng)
-        short = hs.FrictionProfile(FS, p.values[: len(p) // 2],
-                                   phases=replace(p.phases,
-                                                  t_step3_peak=0.1,
-                                                  t_step4_start=0.12,
-                                                  t_end=len(p) // 2 / FS))
+        short = replace(p, values=p.values[: len(p) // 2], drive_peak_s=0.1)
         aligned = hs.align_durations([p, short])
-        k = np.mean([p.duration_s, short.duration_s]) / p.duration_s
-        assert aligned[0].phases.t_step1_peak == pytest.approx(
-            p.phases.t_step1_peak * k)
+        for orig, out in zip([p, short], aligned):
+            k = np.mean([p.duration_s, short.duration_s]) / orig.duration_s
+            assert out.brake_peak_s == orig.brake_peak_s * k
+            assert out.drive_peak_s == orig.drive_peak_s * k
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             hs.align_durations([])
-
-    def test_missing_phases_rejected(self):
-        bare = hs.FrictionProfile(FS, np.ones(100))
-        with pytest.raises(AlignmentError):
-            hs.align_durations([bare])
 
 
 class TestAverageProfiles:
@@ -125,8 +117,8 @@ class TestAverageProfiles:
         rng = np.random.default_rng(4)
         profs = hs.align_durations([random_profile(rng) for _ in range(3)])
         avg = hs.average_profiles(profs)
-        assert avg.phases.t_step1_peak == pytest.approx(
-            np.mean([p.phases.t_step1_peak for p in profs]))
+        assert avg.brake_peak_s == float(np.mean([p.brake_peak_s for p in profs]))
+        assert avg.drive_peak_s == float(np.mean([p.drive_peak_s for p in profs]))
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(5)
@@ -146,13 +138,13 @@ class TestComputeImpulses:
         t = np.arange(600) / FS
         v = np.interp(t, [0.0, 0.1, 0.2], [0, -1.0, 0], left=0, right=0) \
             + np.interp(t, [0.2, 0.4, 0.6], [0, 2.0, 0], left=0, right=0)
-        imp = hs.compute_impulses(hs.FrictionProfile(FS, v))
+        imp = hs.compute_impulses(hs.FrictionProfile(FS, v, 0.1, 0.4))
         assert imp.B == pytest.approx(0.5 * 1.0 * 0.2, rel=1e-3)
         assert imp.F == pytest.approx(0.5 * 2.0 * 0.4, rel=1e-3)
 
     def test_square_lobes(self):
         v = np.concatenate([-np.ones(1000), 2 * np.ones(1000)])
-        imp = hs.compute_impulses(hs.FrictionProfile(FS, v))
+        imp = hs.compute_impulses(hs.FrictionProfile(FS, v, 0.5, 1.5))
         assert imp.B == pytest.approx(1.0, rel=1e-3)
         assert imp.F == pytest.approx(2.0, rel=1e-3)
 
@@ -164,6 +156,25 @@ class TestComputeImpulses:
     def test_negative_impulse_rejected(self):
         with pytest.raises(ConfigError):
             hs.ImpulsePair(B=-0.1, F=1.0)
+
+    @pytest.mark.parametrize("B,F", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_impulse_rejected(self, B, F):
+        with pytest.raises(ConfigError):
+            hs.ImpulsePair(B=B, F=F)
+
+
+class TestFrictionProfile:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rate_must_be_finite(self, rate):
+        # a NaN rate would make duration_s and both impulses NaN, and an
+        # infinite one would make duration_s 0.0
+        with pytest.raises(ConfigError):
+            hs.FrictionProfile(rate, np.ones(10), 0.0, 0.0)
+
+    @pytest.mark.parametrize("brake,drive", [(np.nan, 0.005), (0.001, np.inf), (-np.inf, 0.005)])
+    def test_peak_times_must_be_finite(self, brake, drive):
+        with pytest.raises(ConfigError):
+            hs.FrictionProfile(FS, np.ones(10), brake, drive)
 
 
 class TestTreadmillCorrect:
@@ -188,12 +199,12 @@ class TestTreadmillCorrect:
         t = np.arange(400) / FS
         v = np.interp(t, [0.0, 0.05, 0.1], [0, -1.0, 0], left=0, right=0) \
             + np.interp(t, [0.1, 0.15, 0.2], [0, 1.0, 0], left=0, right=0)
-        p = hs.FrictionProfile(FS, v)
+        p = hs.FrictionProfile(FS, v, 0.05, 0.15)
         corrected, _ = hs.treadmill_correct(p)
         assert np.allclose(corrected.values, p.values, atol=1e-12)
 
     def test_zero_lobe_rejected(self):
-        p = hs.FrictionProfile(FS, np.abs(np.sin(np.arange(300) / 50)))
+        p = hs.FrictionProfile(FS, np.abs(np.sin(np.arange(300) / 50)), 0.0, 0.08)
         with pytest.raises(DegenerateProfileError):
             hs.treadmill_correct(p)
 
@@ -202,7 +213,7 @@ class TestCompileTriangular:
     def _compiled(self, seed):
         p = random_profile(np.random.default_rng(seed))
         corrected, balanced = hs.treadmill_correct(p)
-        return hs.compile_triangular(corrected, balanced, speed_kmh=2.5), \
+        return hs.compile_triangular(corrected, balanced), \
             corrected, balanced
 
     def test_areas_equal_impulses(self):
@@ -213,8 +224,8 @@ class TestCompileTriangular:
 
     def test_apex_at_measured_peak(self):
         tri, corrected, _ = self._compiled(21)
-        assert tri.brake.t_peak == corrected.phases.t_step1_peak
-        assert tri.drive.t_peak == corrected.phases.t_step3_peak
+        assert tri.brake.t_peak == corrected.brake_peak_s
+        assert tri.drive.t_peak == corrected.drive_peak_s
 
     def test_spans_cover_sign_regions(self):
         tri, corrected, _ = self._compiled(22)
@@ -232,15 +243,9 @@ class TestCompileTriangular:
         assert tri.brake.t_offset <= tri.drive.t_onset
         assert tri.brake.f_peak < 0 < tri.drive.f_peak
 
-    def test_missing_phases_rejected(self):
-        p = hs.FrictionProfile(FS, np.ones(100))
-        with pytest.raises(PhaseInconsistencyError):
-            hs.compile_triangular(p, hs.ImpulsePair(1.0, 1.0))
-
     def test_apex_outside_region_rejected(self):
         p = random_profile(np.random.default_rng(24))
-        wrong = hs.FrictionProfile(FS, p.values,
-                                   phases=replace(p.phases, t_step1_peak=p.phases.t_step3_peak))
+        wrong = replace(p, brake_peak_s=p.drive_peak_s)
         with pytest.raises(PhaseInconsistencyError):
             hs.compile_triangular(wrong, hs.ImpulsePair(1.0, 1.0))
 
@@ -391,11 +396,10 @@ def test_compiled_tables_keep_impulse_balance(steps, rate, device_max_force):
         values = np.concatenate([[0.0], -brake, np.zeros(gap), drive, [0.0]])
         b_apex = 1 + int(np.argmax(brake))
         d_apex = 1 + len(brake) + gap + int(np.argmax(drive))
-        end = len(values) / rate
-        phases = hs.PhaseTimings(0.0, b_apex / rate, False, d_apex / rate, end, end)
-        profile = hs.FrictionProfile(sample_rate_hz=rate, values=values, phases=phases)
+        profile = hs.FrictionProfile(sample_rate_hz=rate, values=values,
+                                     brake_peak_s=b_apex / rate, drive_peak_s=d_apex / rate)
         mean = hs.compute_impulses(profile).balanced_target
-        tri = hs.compile_triangular(*hs.treadmill_correct(profile), speed_kmh=float(speed))
+        tri = hs.compile_triangular(*hs.treadmill_correct(profile))
         assert abs(tri.brake.area) == pytest.approx(mean, rel=1e-12, abs=0)
         assert tri.drive.area == pytest.approx(mean, rel=1e-12, abs=0)
         raw[float(speed)], balanced[float(speed)] = tri, mean

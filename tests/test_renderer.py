@@ -179,31 +179,31 @@ class TestVibstep:
 
     def test_rectangles_cover_envelope(self, knot_table):
         duty = self._duties(knot_table)
-        _, heel, thenar = hs.to_vibstep(duty)
+        heel, thenar = hs.to_vibstep(duty)
         assert np.all(heel >= np.clip(-duty, 0, None))
         assert np.all(thenar >= np.clip(duty, 0, None))
 
     def test_equality_at_apexes(self, knot_table):
         duty = self._duties(knot_table)
-        _, heel, thenar = hs.to_vibstep(duty)
+        heel, thenar = hs.to_vibstep(duty)
         i_brake = int(np.argmin(duty))
         i_drive = int(np.argmax(duty))
         assert heel[i_brake] == -duty[i_brake]
         assert thenar[i_drive] == duty[i_drive]
 
     def test_heel_ends_before_thenar_starts(self, knot_table):
-        _, heel, thenar = hs.to_vibstep(self._duties(knot_table))
+        heel, thenar = hs.to_vibstep(self._duties(knot_table))
         heel_on = np.flatnonzero(heel > 0)
         thenar_on = np.flatnonzero(thenar > 0)
         assert heel_on[-1] < thenar_on[0]
 
     def test_one_vibrator_at_a_time(self, knot_table):
-        _, heel, thenar = hs.to_vibstep(self._duties(knot_table, speed=1.0))
+        heel, thenar = hs.to_vibstep(self._duties(knot_table, speed=1.0))
         assert np.all((heel == 0.0) | (thenar == 0.0))
 
     def test_zero_envelope_gives_silence(self):
-        t, heel, thenar = hs.to_vibstep(np.zeros(100))
-        assert len(t) == len(heel) == len(thenar) == 100
+        heel, thenar = hs.to_vibstep(np.zeros(100))
+        assert len(heel) == len(thenar) == 100
         assert np.all(heel == 0.0) and np.all(thenar == 0.0)
 
 
@@ -264,7 +264,7 @@ class TestKernelExact:
                  np.array([0.8]), np.array([-0.8, 0.0]), np.array([]),
                  rng.choice([-0.9, -0.4, 0.0, 0.0, 0.5, 1.0], size=500)]
         for duty in cases:
-            t, heel, thenar = hs.to_vibstep(duty, tick_rate_hz=999.7, t0=2.5)
+            heel, thenar = hs.to_vibstep(duty)
             ref_heel, ref_thenar = [0.0] * len(duty), [0.0] * len(duty)
             i = 0
             while i < len(duty):
@@ -279,7 +279,6 @@ class TestKernelExact:
                 i = j
             assert heel.tolist() == ref_heel
             assert thenar.tolist() == ref_thenar
-            assert t.tolist() == [2.5 + i / 999.7 for i in range(len(duty))]
 
 
 class TestEventJson:

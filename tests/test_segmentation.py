@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hapstep as hs
+from hapstep import segmentation
 from hapstep.errors import (
     ConfigError,
     InsufficientStepsError,
@@ -66,11 +67,11 @@ class TestSegmentSteps:
         tr = make_trace(np.zeros(1000), heel)
         assert hs.segment_steps(tr) == []
 
-    def test_quiet_run_of_hold_samples_closes_step(self):
-        cfg = SegmentationConfig(release_hold_s=0.001)  # hold of one sample
+    def test_quiet_run_of_hold_samples_closes_step(self, monkeypatch):
+        monkeypatch.setattr(segmentation, "RELEASE_HOLD_S", 0.001)  # hold of one sample
         for gap in (1, 2):
             active = np.r_[np.ones(300), np.zeros(gap), np.ones(300)]
-            segs = hs.segment_steps(make_trace(active, np.zeros(len(active))), cfg)
+            segs = hs.segment_steps(make_trace(active, np.zeros(len(active))))
             assert [(s.start_s, len(s.trace)) for s in segs] \
                 == [(0.0, 300), ((300 + gap) / FS, 300)]
 
@@ -231,7 +232,7 @@ def reference_spike_onset(thenar, i3, spike_mag):
 
 
 class TestRunScanExact:
-    def test_segment_steps_equals_per_sample_reference(self):
+    def test_segment_steps_equals_per_sample_reference(self, monkeypatch):
         rng = np.random.default_rng(7)
         n_steps = n_hold_one = 0
         for _ in range(600):
@@ -239,14 +240,14 @@ class TestRunScanExact:
             onset = rng.uniform(0.2, 1.0)
             cfg = SegmentationConfig(onset_threshold=onset,
                                      release_threshold=onset * rng.uniform(0.1, 0.9),
-                                     min_step_s=rng.uniform(0.001, 0.02),
-                                     release_hold_s=rng.uniform(0.0, 0.012))
+                                     min_step_s=rng.uniform(0.001, 0.02))
+            monkeypatch.setattr(segmentation, "RELEASE_HOLD_S", rng.uniform(0.0, 0.012))
             n = int(rng.integers(1, 200))
             level = random_runs(rng, [0.0, 0.05, 0.15, 0.5, 1.2], n)
             thenar = level * rng.choice([-1.0, 1.0], size=n)
             heel = random_runs(rng, [0.0, 0.0, -0.1, 0.3], n)
             activity = np.abs(thenar) + np.abs(heel)
-            hold = max(1, int(round(cfg.release_hold_s * fs)))
+            hold = max(1, int(round(segmentation.RELEASE_HOLD_S * fs)))
             expected = [(start / fs, stop - start) for start, stop in
                         reference_bounds(activity, cfg.onset_threshold,
                                          cfg.release_threshold, hold)
@@ -258,7 +259,7 @@ class TestRunScanExact:
             n_hold_one += len(segs) * (hold == 1)
         assert n_steps > 1000 and n_hold_one > 100
 
-    def test_step2_and_spike_onset_equal_per_sample_reference(self):
+    def test_step2_and_spike_onset_equal_per_sample_reference(self, monkeypatch):
         rng = np.random.default_rng(8)
         checked = present = spikes = 0
         for _ in range(600):
@@ -267,19 +268,19 @@ class TestRunScanExact:
             thenar = random_runs(rng, [-3.0, -0.5, 0.0, 0.5, 1.0], n)
             heel = random_runs(rng, [-1.0, 0.0, 0.3, 0.8], n)
             thenar[0], heel[0] = 0.0, -1.0  # leading brake sample
-            cfg = SegmentationConfig(step4_ratio=rng.uniform(0.3, 3.0),
-                                     step2_min_s=rng.uniform(0.0, 0.008))
+            monkeypatch.setattr(segmentation, "STEP4_RATIO", rng.uniform(0.3, 3.0))
+            monkeypatch.setattr(segmentation, "STEP2_MIN_S", rng.uniform(0.0, 0.008))
             try:
-                ph = hs.detect_phases(make_segment(thenar, heel, fs), cfg)
+                ph = hs.detect_phases(make_segment(thenar, heel, fs))
             except PhaseDetectionError:
                 continue
             i1, i3 = round(ph.t_step1_peak * fs), round(ph.t_step3_peak * fs)
-            spike_mag = cfg.step4_ratio * abs(thenar[i1] + heel[i1])
+            spike_mag = segmentation.STEP4_RATIO * abs(thenar[i1] + heel[i1])
             i4 = reference_spike_onset(thenar, i3, spike_mag)
             overlap = reference_longest_run((thenar > 0) & (heel > 0))
             assert ph.t_step4_start == i4 / fs
             assert ph.t_step2_present is (
-                overlap >= max(1, int(round(cfg.step2_min_s * fs))))
+                overlap >= max(1, int(round(segmentation.STEP2_MIN_S * fs))))
             checked += 1
             present += ph.t_step2_present
             spikes += i4 < n

@@ -457,7 +457,7 @@ def test_run_heads_alone_take_the_digit_pass(knot_table, monkeypatch):
     """A VibStep column holds a few runs per block; only the first row
     of each run goes through the digit pass (with every column taking
     it), and at the default _DIGIT_ROWS those few rows go to repr."""
-    _, heel, _ = hs.to_vibstep(rendered_duty(knot_table)[2])
+    heel, _ = hs.to_vibstep(rendered_duty(knot_table)[2])
     assert len(heel) > BLOCK
     heads = heads_per_block(heel)
     assert max(heads) < textio._DIGIT_ROWS
