@@ -10,8 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "calibration": ("CalibrationCurve", "StepResponseMetrics", "analyze_step_response",
-                    "duty_to_force", "fit_calibration", "force_to_duty"),
+    "calibration": ("CalibrationCurve", "analyze_step_response", "duty_to_force",
+                    "fit_calibration", "force_to_duty"),
     "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
               "step_plate"),
     "profiles": ("FrictionProfile", "ImpulsePair", "SpeedProfileTable",

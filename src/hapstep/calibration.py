@@ -47,17 +47,6 @@ class CalibrationCurve:
             raise ConfigError("min_duty must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class StepResponseMetrics:
-    rise_s: float          # first-drop rule: time until the response stops rising
-    fall_s: float
-    transition_s: float    # end of backward command to forward peak
-    rise_10_90_s: float    # conventional 10-90% rise time
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def fit_calibration(points, direction: str,
                     min_duty: float = DEFAULT_MIN_DUTY) -> CalibrationCurve:
     """Ordinary least-squares duty -> peak-force line.
@@ -106,9 +95,9 @@ def force_to_duty(curve: CalibrationCurve, force_magnitude):
     return duty if duty.ndim else float(duty)
 
 
-def analyze_step_response(duty, force, rate_hz: float) -> StepResponseMetrics:
+def analyze_step_response(duty, force, rate_hz: float) -> dict:
     """Response-time metrics from a commanded step pattern and the
-    measured force.
+    measured force, as a dict of four times in seconds.
 
     ``duty`` (signed) and ``force`` are per-tick arrays on one clock of
     ``rate_hz`` samples per second; ``duty`` must contain one 0 -> max
@@ -163,12 +152,12 @@ def analyze_step_response(duty, force, rate_hz: float) -> StepResponseMetrics:
 
     if fwd_peak_t is None or back_off_t is None:
         raise AnalysisError("need one backward and one forward pulse")
-    return StepResponseMetrics(
-        rise_s=float(np.mean(rises)),
-        fall_s=float(np.mean(falls)),
-        transition_s=fwd_peak_t - back_off_t,
-        rise_10_90_s=float(np.mean(rises_1090)),
-    )
+    return {
+        "rise_s": float(np.mean(rises)),
+        "fall_s": float(np.mean(falls)),
+        "transition_s": fwd_peak_t - back_off_t,
+        "rise_10_90_s": float(np.mean(rises_1090)),
+    }
 
 
 def _first_stop(moving: np.ndarray, armed, dt: float) -> float:

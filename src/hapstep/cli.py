@@ -130,7 +130,7 @@ def cmd_phases(args) -> int:
 
     tr = trace.load_trace(args.trace)
     segs = segmentation.segment_steps(tr, _seg_config(args))
-    annotated = [ph.as_dict(step_index=s.index_in_walk)
+    annotated = [{**vars(ph), "step_index": s.index_in_walk}
                  for s, ph in _phased_steps(segs)]
     textio.write_json(args.out, annotated)
     print(f"{len(annotated)}/{len(segs)} steps annotated -> {args.out}")
@@ -209,9 +209,9 @@ def cmd_step_response(args) -> int:
             or abs(trace.rate_from_times(t_cmd) - rate) > trace.TIME_JITTER_TOL * rate):
         raise FormatError(f"{args.commanded}: t is not on the measured log's clock")
     metrics = calibration.analyze_step_response(duty, force, rate)
-    textio.write_json(args.out, metrics.as_dict())
-    print(f"rise={metrics.rise_s:.4f}s (10-90% {metrics.rise_10_90_s:.4f}s) "
-          f"fall={metrics.fall_s:.4f}s transition={metrics.transition_s:.4f}s "
+    textio.write_json(args.out, metrics)
+    print(f"rise={metrics['rise_s']:.4f}s (10-90% {metrics['rise_10_90_s']:.4f}s) "
+          f"fall={metrics['fall_s']:.4f}s transition={metrics['transition_s']:.4f}s "
           f"-> {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ returned (step_plate, plate_forces), and every run starts at rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,12 +96,11 @@ def plate_forces(model: PlateModel, duties, force: float = 0.0) -> np.ndarray:
 
 @dataclass
 class SimRun:
-    """Per-tick logs plus metrics computed from the logs."""
+    """Per-tick logs on the 1 kHz tick clock, and their metrics."""
 
-    t: np.ndarray
     command: np.ndarray
     force: np.ndarray
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
 
 
 def simulate_step_response(model: PlateModel) -> SimRun:
@@ -111,12 +110,10 @@ def simulate_step_response(model: PlateModel) -> SimRun:
     500 at 0, 500 at +1 (forward), then 500 at 0.  Returns logs with
     rise/fall/transition metrics attached.
     """
-    dt = 1.0 / TICK_RATE_HZ
     duty = np.repeat([0.0, -1.0, 0.0, 1.0, 0.0], [100, 500, 500, 500, 500])
     force = plate_forces(model, duty)
-    t = np.arange(len(duty)) * dt
-    metrics = analyze_step_response(duty, force, TICK_RATE_HZ)
-    return SimRun(t=t, command=duty, force=force, metrics=metrics.as_dict())
+    return SimRun(command=duty, force=force,
+                  metrics=analyze_step_response(duty, force, TICK_RATE_HZ))
 
 
 def run_closed_loop(table: SpeedProfileTable,
@@ -143,7 +140,6 @@ def run_closed_loop(table: SpeedProfileTable,
     blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s)
     duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
     force = plate_forces(model, duty)
-    t = np.arange(len(duty)) / TICK_RATE_HZ
 
     worst_region = 0.0
     worst_net = 0.0
@@ -171,11 +167,12 @@ def run_closed_loop(table: SpeedProfileTable,
         "rise_10_90_s": bench.metrics["rise_10_90_s"],
         "n_steps": len(schedule),
     }
-    return SimRun(t=t, command=duty, force=force, metrics=metrics)
+    return SimRun(command=duty, force=force, metrics=metrics)
 
 
 def save_sim_run(run: SimRun, log_path, metrics_path) -> None:
-    """Persist per-tick logs as CSV and the metrics block as JSON."""
+    """Persist the logs as CSV, t the tick index / 1000, and the metrics as JSON."""
     textio.write_columns(log_path, ("t", "signed_duty", "force"),
-                         run.t, run.command, run.force)
+                         np.arange(len(run.command)) / TICK_RATE_HZ,
+                         run.command, run.force)
     textio.write_json(metrics_path, run.metrics)

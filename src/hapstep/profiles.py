@@ -12,6 +12,7 @@ interpolate the resulting table across walking speeds.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateProfileError,
     EmptyInputError,
     PhaseInconsistencyError,
+    PipelineError,
 )
 
 
@@ -166,6 +168,19 @@ class SpeedProfileTable:
             raise ConfigError("device_scale must be in (0, 1]")
 
 
+@contextmanager
+def _from_valid_profiles():
+    """Math on valid profiles: a value it derives past the float range (or
+    out of order) is the data's fault, so the ConfigError of the object it
+    would fill is a PipelineError, and numpy warns of nothing."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ConfigError as exc:
+        raise PipelineError(f"forces too large or degenerate to compile: {exc}") from None
+
+
+@_from_valid_profiles()
 def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     """Linearly time-rescale every profile to the mean input duration.
 
@@ -189,6 +204,7 @@ def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     return out
 
 
+@_from_valid_profiles()
 def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
     """Pointwise mean of duration-aligned profiles; peak times averaged too."""
     if not aligned:
@@ -207,6 +223,7 @@ def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
     )
 
 
+@_from_valid_profiles()
 def compute_impulses(profile: FrictionProfile) -> ImpulsePair:
     """Trapezoidal backward/forward impulse magnitudes of a profile."""
     dt = 1.0 / profile.sample_rate_hz
@@ -216,6 +233,7 @@ def compute_impulses(profile: FrictionProfile) -> ImpulsePair:
     return ImpulsePair(B=b, F=f)
 
 
+@_from_valid_profiles()
 def treadmill_correct(profile: FrictionProfile) -> tuple[FrictionProfile, ImpulsePair]:
     """Rebalance brake and drive impulses to their common mean.
 
@@ -257,6 +275,7 @@ def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
     return t_on, t_off
 
 
+@_from_valid_profiles()
 def compile_triangular(profile: FrictionProfile, impulses: ImpulsePair) -> TriangularProfile:
     """Convert a corrected profile into two equal-area triangles.
 

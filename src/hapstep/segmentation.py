@@ -11,7 +11,7 @@ of the four phases, only the brake and drive peak times.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,6 @@ class PhaseTimings:
     t_step3_peak: float
     t_step4_start: float
     t_end: float
-
-    def as_dict(self, step_index: int | None = None) -> dict:
-        out = asdict(self)
-        if step_index is not None:
-            out["step_index"] = step_index
-        return out
 
 
 @dataclass(frozen=True)

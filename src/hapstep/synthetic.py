@@ -36,10 +36,6 @@ class StepShape:
         return self.brake_dur_s / 2
 
     @property
-    def t_drive_peak(self) -> float:
-        return self.brake_dur_s + self.drive_dur_s / 2
-
-    @property
     def t_spike_start(self) -> float:
         return self.brake_dur_s + self.drive_dur_s
 

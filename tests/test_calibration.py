@@ -120,7 +120,7 @@ class TestAnalyzeStepResponse:
     def test_rise_10_90_matches_time_constant(self):
         tau = 0.05
         m = hs.analyze_step_response(*first_order_bench(tau))
-        assert m.rise_10_90_s == pytest.approx(tau * math.log(9), abs=0.002)
+        assert m["rise_10_90_s"] == pytest.approx(tau * math.log(9), abs=0.002)
 
     def test_first_drop_rise_near_flat_tol_prediction(self):
         tau = 0.05
@@ -128,23 +128,23 @@ class TestAnalyzeStepResponse:
         # increments drop below flat_tol of the plateau at
         # t = tau * ln((dt/tau) / flat_tol) for an exponential approach
         predicted = tau * math.log((0.001 / tau) / FLAT_TOL)
-        assert m.rise_s == pytest.approx(predicted, abs=0.003)
+        assert m["rise_s"] == pytest.approx(predicted, abs=0.003)
 
     def test_fall_time_close_to_rise(self):
         m = hs.analyze_step_response(*first_order_bench(0.05))
-        assert m.fall_s == pytest.approx(m.rise_s, abs=0.01)
+        assert m["fall_s"] == pytest.approx(m["rise_s"], abs=0.01)
 
     def test_transition_spans_gap_to_forward_peak(self):
         m = hs.analyze_step_response(*first_order_bench(0.05, gap=0.5, hold=0.5))
         # forward force peaks at the end of the hold; offset of the
         # backward pulse to that peak is gap + hold
-        assert m.transition_s == pytest.approx(1.0, abs=0.01)
+        assert m["transition_s"] == pytest.approx(1.0, abs=0.01)
 
     def test_faster_plant_rises_faster(self):
         m_fast = hs.analyze_step_response(*first_order_bench(0.01))
         m_slow = hs.analyze_step_response(*first_order_bench(0.1))
-        assert m_fast.rise_10_90_s < m_slow.rise_10_90_s
-        assert m_fast.rise_s < m_slow.rise_s
+        assert m_fast["rise_10_90_s"] < m_slow["rise_10_90_s"]
+        assert m_fast["rise_s"] < m_slow["rise_s"]
 
     def test_length_mismatch_rejected(self):
         commanded, force, fs = first_order_bench(0.05)
@@ -160,8 +160,7 @@ class TestAnalyzeStepResponse:
 
     def test_as_dict_keys(self):
         m = hs.analyze_step_response(*first_order_bench(0.05))
-        assert set(m.as_dict()) == {"rise_s", "fall_s", "transition_s",
-                                    "rise_10_90_s"}
+        assert set(m) == {"rise_s", "fall_s", "transition_s", "rise_10_90_s"}
 
 
 def reference_first_stops(mag, pulses, dt, flat_tol=FLAT_TOL):
@@ -211,7 +210,7 @@ class TestFirstStopExact:
                 m = hs.analyze_step_response(duty, force, fs)
             except AnalysisError:
                 continue
-            assert (m.rise_s, m.fall_s) == reference_first_stops(mag, pulses, 1.0 / fs)
+            assert (m["rise_s"], m["fall_s"]) == reference_first_stops(mag, pulses, 1.0 / fs)
             checked += 1
         assert checked > 200
 

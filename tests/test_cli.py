@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,20 @@ class TestCompile:
         assert res.returncode == 2
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("peak,code", [(1.5e308, 4), (1e307, 0)])
+    def test_forces_near_float_limit(self, tmp_path, peak, code):
+        """A walk whose finite forces average past the float range is
+        unusable content: exit 4 with one error line and no numpy warning."""
+        tr, _ = synthetic_walk(n_steps=20)
+        k = peak / max(np.abs(tr.thenar_y).max(), np.abs(tr.heel_y).max())
+        path = tmp_path / "walk.csv"
+        write_trace(replace(tr, thenar_y=tr.thenar_y * k, heel_y=tr.heel_y * k), path)
+        res = run_cli("compile", "--traces", str(path), "--out", str(tmp_path / "t.json"))
+        assert res.returncode == code
+        errors = res.stderr.splitlines()
+        assert len(errors) == (code != 0)
+        assert all(line.startswith("error: ") for line in errors)
+
 
 class TestCalibrate:
     def test_fit_and_save(self, tmp_path):
@@ -319,6 +334,21 @@ class TestVibstep:
 
 
 class TestTimeColumn:
+    @pytest.mark.parametrize("case", ["render", "simulate-events", "simulate-bench"])
+    def test_every_log_is_on_the_tick_clock(self, workdir, tmp_path, capsys, case):
+        """The t column of each 1 kHz log is the tick index / 1000, bit for bit."""
+        log, out = tmp_path / "log.csv", tmp_path / "m.json"
+        inputs = ["--events", workdir["events"], "--table", workdir["table"],
+                  "--calib-forward", workdir["fwd"], "--calib-backward", workdir["bwd"]]
+        argv = {"render": ["render", *inputs, "--out", str(log)],
+                "simulate-events": ["simulate", *inputs, "--out", str(out),
+                                    "--out-log", str(log)],
+                "simulate-bench": ["simulate", "--out", str(out), "--out-log", str(log)]}
+        assert cli.main(argv[case]) == 0
+        t = np.array([float(line.split(",", 1)[0])
+                      for line in log.read_text().splitlines()[1:]])
+        assert t.tobytes() == (np.arange(len(t)) / 1000).tobytes()
+
     def test_step_response_of_simulated_bench(self, tmp_path, capsys):
         log, bench, out = tmp_path / "run.csv", tmp_path / "bench.json", tmp_path / "sr.json"
         assert cli.main(["simulate", "--min-duty", "0", "--out", str(bench),

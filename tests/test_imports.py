@@ -25,8 +25,8 @@ from conftest import make_curve
 #: every name hapstep exported when its __init__ imported all modules
 #: eagerly, with the module that defines it
 EXPORTS = {
-    "calibration": ("CalibrationCurve", "StepResponseMetrics", "analyze_step_response",
-                    "duty_to_force", "fit_calibration", "force_to_duty"),
+    "calibration": ("CalibrationCurve", "analyze_step_response", "duty_to_force",
+                    "fit_calibration", "force_to_duty"),
     "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
               "step_plate"),
     "profiles": ("FrictionProfile", "ImpulsePair", "SpeedProfileTable",

@@ -14,6 +14,7 @@ from hapstep.errors import (
     DegenerateProfileError,
     EmptyInputError,
     PhaseInconsistencyError,
+    PipelineError,
 )
 from hapstep.profiles import (
     Triangle,
@@ -131,6 +132,13 @@ class TestAverageProfiles:
         with pytest.raises(EmptyInputError):
             hs.average_profiles([])
 
+    def test_mean_past_float_range_is_pipeline_error(self):
+        # each profile is finite, but their sum is not: no numpy warning
+        # (warnings fail tests here), and not the ConfigError of a caller
+        p = hs.FrictionProfile(FS, np.array([-1.5e308, 1.5e308]), 0.0, 0.001)
+        with pytest.raises(PipelineError, match="too large"):
+            hs.average_profiles([p, p])
+
 
 class TestComputeImpulses:
     def test_triangular_lobes_analytic(self):
@@ -162,6 +170,11 @@ class TestComputeImpulses:
         with pytest.raises(ConfigError):
             hs.ImpulsePair(B=B, F=F)
 
+    def test_impulse_past_float_range_is_pipeline_error(self):
+        v = np.concatenate([np.full(3, -1.5e308), np.full(3, 1.5e308)])
+        with pytest.raises(PipelineError, match="too large"):
+            hs.compute_impulses(hs.FrictionProfile(FS, v, 0.0, 0.005))
+
 
 class TestFrictionProfile:
     @pytest.mark.parametrize("rate", [np.nan, np.inf])
@@ -175,6 +188,11 @@ class TestFrictionProfile:
     def test_peak_times_must_be_finite(self, brake, drive):
         with pytest.raises(ConfigError):
             hs.FrictionProfile(FS, np.ones(10), brake, drive)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_values_must_be_finite(self, value):
+        with pytest.raises(ConfigError):
+            hs.FrictionProfile(FS, np.array([1.0, value]), 0.0, 0.0)
 
 
 class TestTreadmillCorrect:
