@@ -23,7 +23,7 @@ _EXPORTS = {
     "scores": ("normalize_scores",),
     "segmentation": ("PhaseTimings", "SegmentationConfig", "StepSegment", "combine_channels",
                      "detect_phases", "segment_steps", "select_middle"),
-    "trace": ("ForceTrace", "TraceMeta", "load_trace", "write_trace"),
+    "trace": ("ForceTrace", "load_trace", "write_trace"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -180,13 +180,14 @@ def _crossing(window: np.ndarray, level: float, dt: float) -> float:
 
 
 def curve_from_dict(data: dict) -> CalibrationCurve:
+    num = textio.json_number
     try:
         return CalibrationCurve(direction=data["direction"],
-                                slope=data["slope"],
-                                intercept=data["intercept"],
-                                r_squared=data["r_squared"],
-                                min_duty=data.get("min_duty", DEFAULT_MIN_DUTY))
-    except (KeyError, TypeError) as exc:
+                                slope=num(data["slope"]),
+                                intercept=num(data["intercept"]),
+                                r_squared=num(data["r_squared"]),
+                                min_duty=num(data.get("min_duty", DEFAULT_MIN_DUTY)))
+    except (KeyError, OverflowError, TypeError) as exc:
         raise ConfigError(f"bad calibration JSON: {exc}") from None
 
 

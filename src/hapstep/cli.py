@@ -94,8 +94,7 @@ def cmd_ingest(args) -> int:
     tr = trace.load_trace(args.trace)
     trace.write_trace(tr, args.out)
     print(f"ingested {len(tr)} samples at {tr.sample_rate_hz:g} Hz "
-          f"(speed {tr.meta.walking_speed_kmh:g} km/h, "
-          f"participant {tr.meta.participant_id}) -> {args.out}")
+          f"(speed {tr.speed_kmh:g} km/h, participant {tr.participant}) -> {args.out}")
     return 0
 
 
@@ -163,7 +162,7 @@ def cmd_compile(args) -> int:
         # one representative profile per participant and speed
         participant_profile = profiles.average_profiles(
             profiles.align_durations(steps))
-        by_speed.setdefault(tr.meta.walking_speed_kmh, []).append(participant_profile)
+        by_speed.setdefault(tr.speed_kmh, []).append(participant_profile)
 
     raw_table = {}
     for speed, plist in sorted(by_speed.items()):
@@ -300,23 +299,20 @@ def cmd_simulate(args) -> int:
     if args.calib_forward and args.min_duty is not None:
         raise ConfigError("--min-duty sets the floor of the default curves only; "
                           "the --calib-* files carry their own")
-    if args.calib_forward:
-        fwd, bwd = _load_curves(args)
-    else:
-        fwd, bwd = _default_curves(resolve(args, "min_duty"))
+    fwd, bwd = (_load_curves(args) if args.calib_forward
+                else _default_curves(resolve(args, "min_duty")))
     model = plant.PlateModel(forward_curve=fwd, backward_curve=bwd,
                              tau_s=resolve(args, "tau_s"),
                              max_force=resolve(args, "max_force"))
     if args.events:
         with textio.opened(args.events, "r") as fh:
-            run = plant.run_closed_loop(profiles.load_table(args.table), fwd, bwd,
+            run = plant.run_closed_loop(profiles.load_table(args.table),
                                         renderer.events_from_ndjson(fh), model)
     else:
         run = plant.simulate_step_response(model)
     if args.out_log:
-        plant.save_sim_run(run, args.out_log, args.out)
-    else:
-        textio.write_json(args.out, run.metrics)
+        plant.save_sim_run(run, args.out_log)
+    textio.write_json(args.out, run.metrics)
     summary = " ".join(f"{k}={v:.4g}" for k, v in sorted(run.metrics.items()))
     print(f"{summary} -> {args.out}")
     return 0

@@ -5,7 +5,7 @@ calibration line predicts for the commanded duty: the real device
 tracks its command within roughly 0.1 s and its peak force is linear
 in duty, so a lag with tau = 0.05 s (10-90% rise 2.197*tau = 0.11 s)
 is the simplest consistent model.  At zero duty the plate recenters by
-skin elasticity; modeled as an instantaneous return toward zero force.
+skin elasticity, modeled as the same tau_s lag toward zero force.
 A PlateModel holds settings only: the plate force is passed in and
 returned (step_plate, plate_forces), and every run starts at rest.
 """
@@ -116,11 +116,9 @@ def simulate_step_response(model: PlateModel) -> SimRun:
                   metrics=analyze_step_response(duty, force, TICK_RATE_HZ))
 
 
-def run_closed_loop(table: SpeedProfileTable,
-                    forward_curve: CalibrationCurve,
-                    backward_curve: CalibrationCurve,
-                    events, model: PlateModel) -> SimRun:
-    """The events' duty log, rendered offline at 1 kHz, through the plant.
+def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimRun:
+    """The events' duty log, rendered offline at 1 kHz with the model's
+    calibration curves, through the plant.
 
     Metrics:
       per_region_impulse_error - worst relative gap between achieved
@@ -136,7 +134,7 @@ def run_closed_loop(table: SpeedProfileTable,
     latest envelope end.  Events must be time-ordered (ClockError).
     """
     dt = 1.0 / TICK_RATE_HZ
-    renderer = Renderer(table, forward_curve, backward_curve)
+    renderer = Renderer(table, model.forward_curve, model.backward_curve)
     blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s)
     duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
     force = plate_forces(model, duty)
@@ -170,9 +168,8 @@ def run_closed_loop(table: SpeedProfileTable,
     return SimRun(command=duty, force=force, metrics=metrics)
 
 
-def save_sim_run(run: SimRun, log_path, metrics_path) -> None:
-    """Persist the logs as CSV, t the tick index / 1000, and the metrics as JSON."""
+def save_sim_run(run: SimRun, log_path) -> None:
+    """Persist the logs as CSV, t the tick index / 1000."""
     textio.write_columns(log_path, ("t", "signed_duty", "force"),
                          np.arange(len(run.command)) / TICK_RATE_HZ,
                          run.command, run.force)
-    textio.write_json(metrics_path, run.metrics)

@@ -362,18 +362,19 @@ def interpolate(table: SpeedProfileTable, speed_kmh: float) -> TriangularProfile
 
 
 def table_from_dict(data: dict) -> SpeedProfileTable:
+    num = textio.json_number
     try:
         entries = tuple(
             TriangularProfile(
-                brake=Triangle(**e["brake"]),
-                drive=Triangle(**e["drive"]),
-                duration_s=e["duration_s"],
-                speed_kmh=e["speed_kmh"],
+                brake=Triangle(**{k: num(v) for k, v in e["brake"].items()}),
+                drive=Triangle(**{k: num(v) for k, v in e["drive"].items()}),
+                duration_s=num(e["duration_s"]),
+                speed_kmh=num(e["speed_kmh"]),
             )
             for e in data["entries"]
         )
-        return SpeedProfileTable(entries=entries, device_scale=data["device_scale"])
-    except (KeyError, TypeError) as exc:
+        return SpeedProfileTable(entries=entries, device_scale=num(data["device_scale"]))
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ConfigError(f"bad table JSON: {exc}") from None
 
 

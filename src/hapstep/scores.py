@@ -81,13 +81,12 @@ def read_scores(source) -> ScoreSet:
 
 
 def write_normalized(scores: ScoreSet, normalized: ScoreSet, dest) -> None:
-    """Write the input schema plus a `normalized` column."""
+    """Write the input schema plus a `normalized` column, as read_scores reads it."""
     with textio.opened(dest, "w") as fh:
         fh.write("participant,item,stimulus,speed_kmh,score,normalized\n")
-        for participant in sorted(scores):
-            for item in sorted(scores[participant]):
-                grid = scores[participant][item]
+        rows = csv.writer(fh, lineterminator="\n")
+        for participant, items in sorted(scores.items()):
+            for item, grid in sorted(items.items()):
                 norm = normalized[participant][item]
-                for (stim, speed) in sorted(grid):
-                    fh.write(f"{participant},{item},{stim},{speed!r},"
-                             f"{grid[(stim, speed)]!r},{norm[(stim, speed)]!r}\n")
+                rows.writerows((participant, item, *cell, score, norm[cell])
+                               for cell, score in sorted(grid.items()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trace import ForceTrace, TraceMeta
+from .trace import ForceTrace
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,10 @@ def synthetic_walk(fs: float = 1000.0, n_steps: int = 30,
         chunks_h.append(np.zeros(gap))
         cursor += gap
 
-    meta = TraceMeta(walking_speed_kmh=speed_kmh, participant_id=participant)
-    trace = ForceTrace(sample_rate_hz=fs,
-                       thenar_y=np.concatenate(chunks_t),
-                       heel_y=np.concatenate(chunks_h),
-                       meta=meta)
-    return trace, truths
+    return ForceTrace(sample_rate_hz=fs,
+                      thenar_y=np.concatenate(chunks_t),
+                      heel_y=np.concatenate(chunks_h),
+                      speed_kmh=speed_kmh, participant=participant), truths
 
 
 def shape_for_speed(speed_kmh: float) -> StepShape:

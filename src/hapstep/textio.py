@@ -84,6 +84,13 @@ def read_json(source):
             raise FormatError(f"{getattr(fh, 'name', 'JSON')}: {exc}") from None
 
 
+def json_number(value) -> float:
+    """The float of a JSON number; TypeError for true, false, null or a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def write_json(dest, data) -> None:
     with opened(dest, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

@@ -15,8 +15,8 @@ trace-CSV layout::
 The ``t`` column is optional on ingest (rate may come from the header);
 when present its spacing must be uniform to within 1%, and a header rate
 must match it to within 1%.  A header rate must be finite and > 0, a
-header speed finite and >= 0; a ForceTrace checks the same of its own
-rate and speed, so that every trace written reads back.
+header speed finite and >= 0; a ForceTrace checks these, a finite
+duration and a participant without whitespace, so every trace reads back.
 """
 
 from __future__ import annotations
@@ -34,27 +34,25 @@ TIME_JITTER_TOL = 0.01
 
 
 @dataclass(frozen=True)
-class TraceMeta:
-    walking_speed_kmh: float
-    participant_id: str
-
-
-@dataclass(frozen=True)
 class ForceTrace:
-    """Uniformly sampled two-site longitudinal friction force signal."""
+    """Uniformly sampled two-site longitudinal friction force signal of
+    one walk, with the walk's header fields."""
 
     sample_rate_hz: float
     thenar_y: np.ndarray
     heel_y: np.ndarray
-    meta: TraceMeta
+    speed_kmh: float
+    participant: str
     thenar_z: np.ndarray | None = None
     heel_z: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
             raise ConfigError("sample_rate_hz must be positive and finite")
-        if not (self.meta.walking_speed_kmh >= 0 and math.isfinite(self.meta.walking_speed_kmh)):
-            raise ConfigError("walking_speed_kmh must be finite and >= 0")
+        if not (self.speed_kmh >= 0 and math.isfinite(self.speed_kmh)):
+            raise ConfigError("speed_kmh must be finite and >= 0")
+        if any(map(str.isspace, self.participant)):
+            raise ConfigError(f"participant {self.participant!r} must hold no whitespace")
         object.__setattr__(self, "thenar_y", np.asarray(self.thenar_y, dtype=float))
         object.__setattr__(self, "heel_y", np.asarray(self.heel_y, dtype=float))
         if len(self.thenar_y) != len(self.heel_y):
@@ -66,6 +64,8 @@ class ForceTrace:
             object.__setattr__(self, "heel_z", np.asarray(self.heel_z, dtype=float))
             if len(self.thenar_z) != len(self.thenar_y) or len(self.heel_z) != len(self.thenar_y):
                 raise FormatError("all channels must have equal length")
+        if not math.isfinite(self.duration_s):
+            raise ConfigError("duration_s must be finite")
         for chan in self.channels().values():
             if not np.all(np.isfinite(chan)):
                 raise FormatError("force values must be finite")
@@ -146,7 +146,7 @@ def load_trace(source) -> ForceTrace:
 
     Raw sensor forces are negated so stored values are sole-frame
     forward-positive.  Raises FormatError on malformed rows (with line
-    number), non-uniform timing, or header/column problems, and
+    number), non-uniform or overflowing timing, header/column problems, and
     EmptyInputError when the body has no rows.
     """
     comments, columns, data = textio.read_csv(source)
@@ -168,12 +168,13 @@ def load_trace(source) -> ForceTrace:
     if rate is None:
         raise FormatError("sample rate not declared in header and no time column")
 
-    meta = TraceMeta(
-        walking_speed_kmh=_header_float(header_meta, "speed_kmh", 0.0),
-        participant_id=header_meta.get("participant", "unknown"),
-    )
-    return ForceTrace(sample_rate_hz=rate, meta=meta,
-                      **{k: -c for k, c in cols.items() if k != "t"})
+    try:
+        return ForceTrace(sample_rate_hz=rate,
+                          speed_kmh=_header_float(header_meta, "speed_kmh", 0.0),
+                          participant=header_meta.get("participant", "unknown"),
+                          **{k: -c for k, c in cols.items() if k != "t"})
+    except ConfigError as exc:  # a clock whose duration overflows
+        raise FormatError(f"{len(data)} samples at {rate!r} Hz: {exc}") from None
 
 
 def write_trace(trace: ForceTrace, dest) -> None:
@@ -181,6 +182,5 @@ def write_trace(trace: ForceTrace, dest) -> None:
     sensor = [-c for c in trace.channels().values()]
     with textio.opened(dest, "w") as fh:
         fh.write(f"# rate_hz={trace.sample_rate_hz!r} "
-                 f"speed_kmh={trace.meta.walking_speed_kmh!r} "
-                 f"participant={trace.meta.participant_id}\n")
+                 f"speed_kmh={trace.speed_kmh!r} participant={trace.participant}\n")
         textio.write_columns(fh, ("t", *trace.channels()), trace.times, *sensor)

@@ -139,7 +139,7 @@ def test_06_end_to_end_impulse_fidelity(gate, knot_table):
                 model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd,
                                       tau_s=tau)
                 events = [hs.GaitEvent(t=0.05, foot="L", speed_kmh=speed)]
-                run = hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+                run = hs.run_closed_loop(knot_table, events, model)
                 assert run.metrics["per_region_impulse_error"] <= tol
                 assert run.metrics["net_impulse"] <= tol
 

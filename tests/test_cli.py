@@ -14,6 +14,7 @@ import pytest
 
 from hapstep import cli, renderer, textio
 from hapstep.calibration import save_curve
+from hapstep.scores import read_scores
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
@@ -531,6 +532,24 @@ class TestNormalize:
                       "--out", str(tmp_path / "n.csv"))
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
+
+    def test_output_reads_back_with_quoted_names(self, tmp_path):
+        """A participant holding a comma and an item holding a quote are
+        written quoted, so normalize reads its own output to the same scores."""
+        scores = tmp_path / "scores.csv"
+        rows = [f'"p,1","say ""hi""",{s},{v},{10 * i}'
+                for i, (s, v) in enumerate(
+                    (s, v) for s in ("none", "vibration", "friction")
+                    for v in (1.0, 2.5, 4.0))]
+        scores.write_text("participant,item,stimulus,speed_kmh,score\n"
+                          + "\n".join(rows) + "\n")
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert cli.main(["normalize", "--scores", str(scores), "--out", str(once)]) == 0
+        assert cli.main(["normalize", "--scores", str(once), "--out", str(twice)]) == 0
+        raw = read_scores(str(scores))
+        assert {(p, i) for p in raw for i in raw[p]} == {("p,1", 'say "hi"')}
+        assert read_scores(str(once)) == raw
+        assert twice.read_bytes() == once.read_bytes()
 
     def test_incomplete_grid_exit_3(self, tmp_path):
         scores = tmp_path / "scores.csv"

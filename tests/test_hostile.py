@@ -1,11 +1,13 @@
 """Hostile-input corpus: every subcommand, run in-process through
 cli.main, with each of its input files in turn replaced by a broken one
 (the others stay valid), exits 0 or 2-5 and prints no traceback, within
-a time bound.  A time column on a subnormal clock exits 3.  A valid CSV
-input with a row of several MB is accepted."""
+a time bound.  A bad value in a table or curve file exits 2, a trace or
+time column on a clock past the float range exits 3.  A valid CSV input
+with a row of several MB is accepted."""
 
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -106,6 +108,14 @@ def _subnormal_clock(text):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _subnormal_header_rate(text):
+    """Trace ``text`` without its t column and with header rate 5e-324:
+    a positive, finite rate whose trace lasts longer than the float range."""
+    header, *lines = text.splitlines()
+    rows = [line.split(",", 1)[1] for line in lines]
+    return "\n".join([re.sub(r"rate_hz=\S+", "rate_hz=5e-324", header), *rows, ""]).encode()
+
+
 def _million_digits(field):
     """``field`` as the same number of a million digits: zeros after its sign."""
     sign = "-" if field.startswith("-") else ""
@@ -125,13 +135,31 @@ HOSTILE = {
     "ragged-rows": lambda valid: _header_then(valid, lambda n: ["1", ",".join(["1"] * (n + 1))]),
 }
 
-#: tables with one field out of range: envelopes no run could sample
-HOSTILE_TABLES = {f"{field}={value}": _table().replace(f'"{field}": {old}',
-                                                       f'"{field}": {value}', 1).encode()
+
+def _set(field, old, value):
+    """A valid JSON file's text with ``field``'s first value ``old`` set to ``value``."""
+    return lambda valid: valid.replace(f'"{field}": {old}', f'"{field}": {value}', 1).encode()
+
+
+#: tables with one field out of range, or not a number: envelopes no run could sample
+HOSTILE_TABLES = {f"{field}={value}": _set(field, old, value)
                   for field, old, value in (("duration_s", "1.0", "Infinity"),
                                             ("duration_s", "1.0", "1e9"),
                                             ("f_peak", "-1.0", "-Infinity"),
-                                            ("t_onset", "0.0", "-Infinity"))}
+                                            ("t_onset", "0.0", "-Infinity"),
+                                            ("device_scale", "1.0", "true"),
+                                            ("f_peak", "-1.0", "false"),
+                                            ("duration_s", "1.0", "1" + "0" * 400))}
+#: calibration curves with a number field that holds another JSON value
+HOSTILE_CURVES = {f"{field}={value}": _set(field, old, value)
+                  for field, old, value in (("slope", "3.0", "true"),
+                                            ("intercept", "0.0", "false"),
+                                            ("r_squared", "1.0", '"x"'),
+                                            ("min_duty", "0.0", "false"),
+                                            ("intercept", "0.0", "1" + "0" * 400))}
+#: the cases of an input kind that must exit 2, as bad configuration
+HOSTILE_CONFIG = {"table": HOSTILE_TABLES, "forward": HOSTILE_CURVES,
+                  "backward": HOSTILE_CURVES}
 
 INPUTS = [(command, flag, kind) for command, (inputs, _) in SUBCOMMANDS.items()
           for flag, kind in inputs + [("--config", "config")]]
@@ -184,15 +212,13 @@ def _exit(valid_paths, tmp_path, monkeypatch, capsys, command, flag, kind, conte
                          ids=lambda v: v.lstrip("-"))
 def test_hostile_input_exits_cleanly(valid_paths, tmp_path, monkeypatch, capsys,
                                      command, flag, kind):
-    corpus = {name: make(VALID[kind]) for name, make in HOSTILE.items()}
-    if flag == "--table":
-        corpus.update(HOSTILE_TABLES)
+    bad_config = HOSTILE_CONFIG.get(kind, {})
+    corpus = {name: make(VALID[kind]) for name, make in {**HOSTILE, **bad_config}.items()}
     exits = {name: within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
                           command, flag, kind, content)
              for name, content in corpus.items()}
     assert all(isinstance(code, int) for code in exits.values()), exits
-    if flag == "--table":
-        assert all(exits[name] == 2 for name in HOSTILE_TABLES), exits
+    assert all(exits[name] == 2 for name in bad_config), exits
 
 
 @pytest.mark.parametrize("command,flag,kind",
@@ -203,6 +229,17 @@ def test_subnormal_clock_is_malformed_input(valid_paths, tmp_path, monkeypatch, 
     """A t column whose steps are subnormal has no finite rate: exit 3,
     not a run on a made-up clock."""
     content = _subnormal_clock(VALID[kind])
+    assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
+                  command, flag, kind, content) == 3
+
+
+@pytest.mark.parametrize("command,flag,kind", [i for i in INPUTS if i[2] == "trace"],
+                         ids=lambda v: v.lstrip("-"))
+def test_subnormal_header_rate_is_malformed_input(valid_paths, tmp_path, monkeypatch,
+                                                  capsys, command, flag, kind):
+    """A header rate whose trace would last past the float range: exit 3,
+    with no numpy warning, not a trace written with an inf clock."""
+    content = _subnormal_header_rate(VALID[kind])
     assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
                   command, flag, kind, content) == 3
 

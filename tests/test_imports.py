@@ -38,7 +38,7 @@ EXPORTS = {
     "scores": ("normalize_scores",),
     "segmentation": ("PhaseTimings", "SegmentationConfig", "StepSegment", "combine_channels",
                      "detect_phases", "segment_steps", "select_middle"),
-    "trace": ("ForceTrace", "TraceMeta", "load_trace", "write_trace"),
+    "trace": ("ForceTrace", "load_trace", "write_trace"),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

@@ -1,4 +1,3 @@
-import json
 import math
 from functools import partial
 from itertools import accumulate
@@ -127,7 +126,7 @@ class TestRunClosedLoop:
         fwd, bwd = clamp_free_curves()
         model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau)
         events = [hs.GaitEvent(t=0.05, foot="L", speed_kmh=speed)]
-        return hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+        return hs.run_closed_loop(knot_table, events, model)
 
     def test_impulse_tracking_at_knot_speeds(self, knot_table):
         for speed in KNOT_SPEEDS:
@@ -145,7 +144,7 @@ class TestRunClosedLoop:
         model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=0.01)
         events = [hs.GaitEvent(t=0.1 + 1.5 * i, foot="LR"[i % 2], speed_kmh=2.5)
                   for i in range(3)]
-        run = hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+        run = hs.run_closed_loop(knot_table, events, model)
         assert run.metrics["n_steps"] == 3
         assert run.metrics["per_region_impulse_error"] <= 0.05
 
@@ -156,7 +155,7 @@ class TestRunClosedLoop:
         model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=1e-4)
         events = [hs.GaitEvent(t=0.0105, foot="L", speed_kmh=2.5),
                   hs.GaitEvent(t=0.011, foot="R", speed_kmh=2.5)]
-        run = hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+        run = hs.run_closed_loop(knot_table, events, model)
         assert run.metrics["n_steps"] == 1
         assert run.metrics["per_region_impulse_error"] <= 0.005
 
@@ -166,7 +165,7 @@ class TestRunClosedLoop:
         events = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
                   hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
         with pytest.raises(ClockError):
-            hs.run_closed_loop(knot_table, fwd, bwd, events, model)
+            hs.run_closed_loop(knot_table, events, model)
 
     def test_metrics_include_bench_rise(self, knot_table):
         run = self._run(knot_table, 2.5, tau=DEFAULT_TAU_S)
@@ -174,11 +173,10 @@ class TestRunClosedLoop:
 
 
 class TestSaveSimRun:
-    def test_round_trip_of_logs_and_metrics(self, tmp_path):
+    def test_round_trip_of_logs(self, tmp_path):
         run = hs.simulate_step_response(make_model())
         log = tmp_path / "log.csv"
-        metrics = tmp_path / "metrics.json"
-        save_sim_run(run, log, metrics)
+        save_sim_run(run, log)
 
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "t,signed_duty,force"
@@ -187,11 +185,10 @@ class TestSaveSimRun:
         assert np.array_equal(data[:, 0], np.arange(len(run.command)) / 1000)
         assert np.array_equal(data[:, 1], run.command)
         assert np.array_equal(data[:, 2], run.force)
-        assert json.loads(metrics.read_text()) == run.metrics
 
     def test_stable_bytes(self, tmp_path):
         run = hs.simulate_step_response(make_model())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_sim_run(run, a, tmp_path / "a.json")
-        save_sim_run(run, b, tmp_path / "b.json")
+        save_sim_run(run, a)
+        save_sim_run(run, b)
         assert a.read_bytes() == b.read_bytes()

@@ -10,7 +10,7 @@ from hapstep.errors import (
 )
 from hapstep.segmentation import SegmentationConfig, StepSegment
 from hapstep.synthetic import StepShape, step_channels, synthetic_walk
-from hapstep.trace import ForceTrace, TraceMeta
+from hapstep.trace import ForceTrace
 
 from conftest import random_runs
 
@@ -18,8 +18,7 @@ FS = 1000.0
 
 
 def make_trace(thenar, heel, fs=FS):
-    return ForceTrace(fs, np.asarray(thenar), np.asarray(heel),
-                      TraceMeta(2.5, "t"))
+    return ForceTrace(fs, np.asarray(thenar), np.asarray(heel), 2.5, "t")
 
 
 def make_segment(thenar, heel, fs=FS):

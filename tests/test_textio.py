@@ -16,7 +16,7 @@ import hapstep as hs
 from hapstep import textio
 from hapstep.errors import FormatError
 from hapstep.plant import plate_forces
-from hapstep.trace import ForceTrace, TraceMeta, load_trace, write_trace
+from hapstep.trace import ForceTrace, load_trace, write_trace
 
 from conftest import make_curve
 
@@ -522,13 +522,12 @@ def test_write_then_load_trace_is_bit_exact(data, n, rate, with_z):
     values = {c: data.draw(arrays(np.float64, n, elements=finite)) for c in channels}
     # a header speed is finite and >= 0
     speed = data.draw(st.floats(0.0, allow_infinity=False))
-    tr = ForceTrace(sample_rate_hz=rate, meta=TraceMeta(speed, "p01"),
-                    **values)
+    tr = ForceTrace(sample_rate_hz=rate, speed_kmh=speed, participant="p01", **values)
     buf = io.StringIO()
     write_trace(tr, buf)
     back = load_trace(io.StringIO(buf.getvalue()))
     assert back.sample_rate_hz == tr.sample_rate_hz
-    assert back.meta == tr.meta
+    assert (back.speed_kmh, back.participant) == (tr.speed_kmh, tr.participant)
     assert back.channels().keys() == tr.channels().keys()
     for name, chan in tr.channels().items():
         assert np.array_equal(back.channels()[name].view(np.int64), chan.view(np.int64))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hapstep.errors import ConfigError, EmptyInputError, FormatError
-from hapstep.trace import ForceTrace, TraceMeta, load_trace, rate_from_times, write_trace
+from hapstep.trace import ForceTrace, load_trace, rate_from_times, write_trace
 
 from conftest import dump_trace, no_unclosed_files
 
@@ -16,8 +16,8 @@ def test_three_rows_at_1khz():
     tr = load_trace(csv.encode())
     assert len(tr) == 3
     assert tr.sample_rate_hz == 1000.0
-    assert tr.meta.walking_speed_kmh == 2.5
-    assert tr.meta.participant_id == "p01"
+    assert tr.speed_kmh == 2.5
+    assert tr.participant == "p01"
 
 
 def test_sign_negated_at_ingest():
@@ -34,21 +34,21 @@ def test_round_trip_is_identity():
         heel_y=rng.normal(size=250),
         thenar_z=rng.normal(size=250),
         heel_z=rng.normal(size=250),
-        meta=TraceMeta(walking_speed_kmh=4.0, participant_id="p02"),
+        speed_kmh=4.0,
+        participant="p02",
     )
     text = dump_trace(tr)
     back = load_trace(text.encode())
     for chan in ("thenar_y", "heel_y", "thenar_z", "heel_z"):
         assert np.array_equal(getattr(tr, chan), getattr(back, chan))
     assert back.sample_rate_hz == tr.sample_rate_hz
-    assert back.meta == tr.meta
+    assert (back.speed_kmh, back.participant) == (tr.speed_kmh, tr.participant)
     # and the writer is stable: re-dumping yields identical bytes
     assert dump_trace(back) == text
 
 
 def test_write_trace_to_file(tmp_path):
-    tr = ForceTrace(1000.0, [0.1, 0.2], [0.3, 0.4],
-                    TraceMeta(2.5, "p01"))
+    tr = ForceTrace(1000.0, [0.1, 0.2], [0.3, 0.4], 2.5, "p01")
     path = tmp_path / "t.csv"
     write_trace(tr, path)
     assert np.array_equal(load_trace(str(path)).thenar_y, tr.thenar_y)
@@ -58,8 +58,33 @@ def test_write_trace_to_file(tmp_path):
 def test_trace_speed_must_be_finite_and_not_negative(speed):
     """A speed the trace-CSV header could not hold is refused where the
     trace is built, not only when its file is read back."""
-    with pytest.raises(ConfigError, match="walking_speed_kmh"):
-        ForceTrace(1000.0, [0.1], [0.3], TraceMeta(speed, "p01"))
+    with pytest.raises(ConfigError, match="speed_kmh"):
+        ForceTrace(1000.0, [0.1], [0.3], speed, "p01")
+
+
+def test_trace_duration_must_be_finite():
+    """5e-324 Hz is a finite, positive rate, but two samples at it last
+    longer than the float range, so the written t column would hold inf."""
+    with pytest.raises(ConfigError, match="duration_s"):
+        ForceTrace(5e-324, [0.1, 0.2], [0.3, 0.4], 2.5, "p01")
+
+
+@pytest.mark.parametrize("participant", ["p 1", "p\t1", "p1\n", "p\u20281"])
+def test_trace_participant_must_hold_no_whitespace(participant):
+    """The header's whitespace-separated tokens could not hold it."""
+    with pytest.raises(ConfigError, match="whitespace"):
+        ForceTrace(1000.0, [0.1], [0.3], 2.5, participant)
+
+
+@pytest.mark.parametrize("body", [
+    "# rate_hz=5e-324\nthenar_y,heel_y\n0.0,0.0\n",
+    "t,thenar_y,heel_y\n-8e307,0,0\n0,0,0\n8e307,0,0\n1.6e308,0,0\n",
+], ids=["subnormal-header-rate", "huge-time-steps"])
+def test_clock_past_float_range_is_malformed(body):
+    """A clock whose duration overflows is a FormatError, without a numpy
+    warning (which fails the test)."""
+    with pytest.raises(FormatError, match="duration_s"):
+        load_trace(body.encode())
 
 
 def test_rate_inferred_from_time_column():
