@@ -56,7 +56,8 @@ def fit_calibration(points, direction: str,
     points : sequence of (duty, peak_force)
         Duty in [0, 1], force magnitude in N, finite and >= 0
         (FormatError otherwise).  At least two distinct duty values are
-        required.
+        required, and the fitted force must rise with duty
+        (UnderdeterminedFitError otherwise).
     """
     pts = [(float(d), float(f)) for d, f in points]
     if not all(0 <= d <= 1 and 0 <= f < math.inf for d, f in pts):
@@ -65,7 +66,10 @@ def fit_calibration(points, direction: str,
     forces = np.array([p[1] for p in pts])
     if len(set(duties.tolist())) < 2:
         raise UnderdeterminedFitError("need at least 2 distinct duty values")
-    slope, intercept = np.polyfit(duties, forces, 1)
+    # equal forces fit a slope of 0 give or take rounding, of either sign
+    slope, intercept = np.polyfit(duties, forces, 1) if np.ptp(forces) else (0.0, forces[0])
+    if not slope > 0:
+        raise UnderdeterminedFitError(f"fitted slope {slope:g} N/duty is not positive")
     residuals = forces - (slope * duties + intercept)
     ss_res = float(np.sum(residuals ** 2))
     ss_tot = float(np.sum((forces - forces.mean()) ** 2))

@@ -8,7 +8,9 @@ byte-for-byte.  Options may come from a key=value config file
 Start-up: each subcommand imports the modules it runs when it runs, so
 a fresh process loads only those (``render --listen`` alone loads
 ``socket``).  Importing this module loads only ``errors``, so ``--help``
-and usage errors load no numpy.
+and usage errors load no numpy.  A call builds the argument parser of
+its own subcommand alone; ``-h``, ``--config=FILE`` and an argv naming
+no subcommand get the parser of every subcommand.
 
 Exit codes: 0 ok, 2 usage/config, 3 malformed input, 4 pipeline
 degenerate, 5 I/O failure.
@@ -34,6 +36,10 @@ from .errors import (
 #: --listen waits this long for the connection and for each event line
 #: (renderer.MAX_EVENT_GAP_S)
 LISTEN_TIMEOUT_S = 3600.0
+
+#: the subcommands, in the order the parser lists them
+COMMANDS = ("ingest", "segment", "phases", "compile", "calibrate", "step-response",
+            "render", "vibstep", "simulate", "normalize")
 
 DEFAULTS = {
     "onset_threshold": 0.3,
@@ -154,6 +160,13 @@ def cmd_compile(args) -> int:
     cfg = _seg_config(args)
     first = resolve(args, "first")
     last = resolve(args, "last")
+    device_max_force = resolve(args, "device_max_force")
+    # checked before any trace is read, as select_middle and
+    # fit_device_scale check them only once traces are loaded
+    if not 1 <= first <= last:
+        raise ConfigError("require 1 <= first <= last")
+    if not device_max_force > 0:
+        raise ConfigError("device_max_force must be positive")
 
     by_speed: dict[float, list] = {}
     for path in args.traces:
@@ -173,7 +186,7 @@ def cmd_compile(args) -> int:
         print(f"{speed:g} km/h: B={measured.B:.4f} F={measured.F:.4f} "
               f"-> B'=F'={balanced.B:.4f} N*s (belt bias {measured.belt_bias:+.4f})")
 
-    table = profiles.fit_device_scale(raw_table, resolve(args, "device_max_force"))
+    table = profiles.fit_device_scale(raw_table, device_max_force)
     profiles.save_table(table, args.out)
     print(f"{len(table.entries)} speed entries, device_scale="
           f"{table.device_scale:.4f} -> {args.out}")
@@ -335,98 +348,106 @@ def _add_seg_flags(p):
     p.add_argument("--min-step-s", dest="min_step_s", type=float)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command`` alone, or of every one for
+    None; both print the same usage, which names all of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="hapstep",
         description="Gait friction-force capture, envelope compilation, and "
                     "1 kHz haptic rendering toolkit.")
     parser.add_argument("--config", help="key=value config file; flags override")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar only where the choices are not all built: with it, a
+    # missing command would be named by the metavar instead of "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and
+                                "{" + ",".join(COMMANDS) + "}")
+    add = lambda name, **kw: sub.add_parser(name, **kw) if command in (None, name) else None
 
-    p = sub.add_parser("ingest", help="validate and re-emit a trace CSV")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
+    if p := add("ingest", help="validate and re-emit a trace CSV"):
+        p.add_argument("--trace", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("segment", help="cut a walk trace into steps")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out", required=True)
-    _add_seg_flags(p)
-    p.set_defaults(func=cmd_segment)
+    if p := add("segment", help="cut a walk trace into steps"):
+        p.add_argument("--trace", required=True)
+        p.add_argument("--out", required=True)
+        _add_seg_flags(p)
+        p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("phases", help="annotate steps with phase timings")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--out", required=True)
-    _add_seg_flags(p)
-    p.set_defaults(func=cmd_phases)
+    if p := add("phases", help="annotate steps with phase timings"):
+        p.add_argument("--trace", required=True)
+        p.add_argument("--out", required=True)
+        _add_seg_flags(p)
+        p.set_defaults(func=cmd_phases)
 
-    p = sub.add_parser("compile",
-                       help="traces -> speed-indexed triangular profile table")
-    p.add_argument("--traces", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--device-max-force", dest="device_max_force", type=float)
-    p.add_argument("--first", type=int)
-    p.add_argument("--last", type=int)
-    _add_seg_flags(p)
-    p.set_defaults(func=cmd_compile)
+    if p := add("compile", help="traces -> speed-indexed triangular profile table"):
+        p.add_argument("--traces", nargs="+", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--device-max-force", dest="device_max_force", type=float)
+        p.add_argument("--first", type=int)
+        p.add_argument("--last", type=int)
+        _add_seg_flags(p)
+        p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("calibrate", help="fit a duty->force line")
-    p.add_argument("--points", required=True, help="CSV duty,peak_force")
-    p.add_argument("--direction", required=True, choices=["forward", "backward"])
-    p.add_argument("--min-duty", dest="min_duty", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate)
+    if p := add("calibrate", help="fit a duty->force line"):
+        p.add_argument("--points", required=True, help="CSV duty,peak_force")
+        p.add_argument("--direction", required=True, choices=["forward", "backward"])
+        p.add_argument("--min-duty", dest="min_duty", type=float)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("step-response",
-                       help="response metrics from command/measurement logs")
-    p.add_argument("--commanded", required=True, help="CSV t,signed_duty")
-    p.add_argument("--measured", required=True, help="CSV t,force")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_step_response)
+    if p := add("step-response", help="response metrics from command/measurement logs"):
+        p.add_argument("--commanded", required=True, help="CSV t,signed_duty")
+        p.add_argument("--measured", required=True, help="CSV t,force")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_step_response)
 
-    p = sub.add_parser("render", help="NDJSON gait events -> command log")
-    p.add_argument("--events", default="-",
-                   help="NDJSON file, or '-' for standard input")
-    p.add_argument("--table", required=True)
-    p.add_argument("--calib-forward", dest="calib_forward", required=True)
-    p.add_argument("--calib-backward", dest="calib_backward", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--listen", type=int,
-                   help="accept one NDJSON TCP connection on this port")
-    p.set_defaults(func=cmd_render)
+    if p := add("render", help="NDJSON gait events -> command log"):
+        p.add_argument("--events", default="-",
+                       help="NDJSON file, or '-' for standard input")
+        p.add_argument("--table", required=True)
+        p.add_argument("--calib-forward", dest="calib_forward", required=True)
+        p.add_argument("--calib-backward", dest="calib_backward", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--duration", type=float)
+        p.add_argument("--listen", type=int,
+                       help="accept one NDJSON TCP connection on this port")
+        p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("vibstep", help="command log -> vibrator rectangles")
-    p.add_argument("--commands", required=True, help="CSV t,signed_duty")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_vibstep)
+    if p := add("vibstep", help="command log -> vibrator rectangles"):
+        p.add_argument("--commands", required=True, help="CSV t,signed_duty")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_vibstep)
 
-    p = sub.add_parser("simulate",
-                       help="plant simulation (bench step test, or closed "
-                            "loop with --events/--table)")
-    p.add_argument("--events")
-    p.add_argument("--table")
-    p.add_argument("--calib-forward", dest="calib_forward")
-    p.add_argument("--calib-backward", dest="calib_backward")
-    p.add_argument("--tau-s", dest="tau_s", type=float)
-    p.add_argument("--max-force", dest="max_force", type=float)
-    p.add_argument("--min-duty", dest="min_duty", type=float,
-                   help="floor of the default curves (not with --calib-*)")
-    p.add_argument("--out", required=True, help="metrics JSON")
-    p.add_argument("--out-log", dest="out_log", help="per-tick CSV log")
-    p.set_defaults(func=cmd_simulate)
+    if p := add("simulate", help="plant simulation (bench step test, or closed "
+                                  "loop with --events/--table)"):
+        p.add_argument("--events")
+        p.add_argument("--table")
+        p.add_argument("--calib-forward", dest="calib_forward")
+        p.add_argument("--calib-backward", dest="calib_backward")
+        p.add_argument("--tau-s", dest="tau_s", type=float)
+        p.add_argument("--max-force", dest="max_force", type=float)
+        p.add_argument("--min-duty", dest="min_duty", type=float,
+                       help="floor of the default curves (not with --calib-*)")
+        p.add_argument("--out", required=True, help="metrics JSON")
+        p.add_argument("--out-log", dest="out_log", help="per-tick CSV log")
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("normalize", help="normalize questionnaire scores")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_normalize)
+    if p := add("normalize", help="normalize questionnaire scores"):
+        p.add_argument("--scores", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_normalize)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    i = 0
+    while argv[i:i + 1] == ["--config"]:  # skip exact --config VALUE pairs
+        i += 2
+    command = (argv[i:i + 1] or [None])[0]
+    # no command name there (-h, --config=FILE, none, a typo): all subparsers
+    args = build_parser(command if command in COMMANDS else None).parse_args(argv)
     try:
         args._config = read_config(args.config) if args.config else {}
         return args.func(args)

@@ -54,7 +54,8 @@ class DegenerateProfileError(PipelineError):
 
 
 class UnderdeterminedFitError(PipelineError):
-    """Too few distinct points to fit a calibration line."""
+    """Points fit no rising calibration line: fewer than 2 distinct
+    duties, or a fitted slope <= 0."""
 
 
 class AnalysisError(PipelineError):

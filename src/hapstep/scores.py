@@ -60,6 +60,7 @@ def read_scores(source) -> ScoreSet:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise FormatError(f"scores CSV must have columns {sorted(required)}")
         scores: ScoreSet = {}
+        lines = {}  # (participant, item, stimulus, speed) -> its line
         for lineno, row in enumerate(reader, start=2):
             try:
                 score = float(row["score"])
@@ -73,6 +74,10 @@ def read_scores(source) -> ScoreSet:
                     f"line {lineno}: unknown stimulus {row['stimulus']!r}")
             if speed not in SPEEDS:
                 raise FormatError(f"line {lineno}: speed {speed} is not one of {SPEEDS}")
+            cell = (row["participant"], row["item"], row["stimulus"], speed)
+            if cell in lines:
+                raise FormatError(f"line {lineno}: repeats the cell of line {lines[cell]}")
+            lines[cell] = lineno
             scores.setdefault(row["participant"], {}) \
                   .setdefault(row["item"], {})[(row["stimulus"], speed)] = score
     if not scores:

@@ -6,10 +6,14 @@ left open; readers also accept ``bytes``.  Files are UTF-8 with ``\\n``
 line ends.  JSON is written with sorted keys and CSV floats as their
 ``repr``, so re-running a stage reproduces its artifacts byte for byte.
 
-CSV bodies go a block at a time, never a whole file at once: read_csv
-converts about _READ_HINT characters of lines with one call to numpy's
-C text reader (a per-line loop takes the header and the blocks that
-reader refuses), and write_blocks writes each block of column arrays
+CSV bodies are never held whole as text.  read_csv hands numpy's C
+reader the body of a regular file whose name numpy opens as plain text
+by the file's path, so such a file is read twice, by a scan and by
+numpy, and must not change during the call.  Any other body (a stream,
+bytes, a FIFO such as /dev/stdin, a .gz name), or one the scan or numpy
+refuses, goes to that reader about _READ_HINT characters of lines at a
+time (a per-line loop takes the header and the blocks that reader
+refuses).  write_blocks writes each block of column arrays
 (write_columns cuts its columns into WRITE_ROWS rows) in one call.
 write_blocks has one writer: a block becomes one byte array of
 fixed-width cells.  A value v with v == 0 or 1e-4 <= |v| < 1e15, where
@@ -35,6 +39,7 @@ import functools
 import io
 import json
 import os
+import stat
 from array import array
 from contextlib import nullcontext
 
@@ -105,18 +110,21 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
     later line must hold one number per header field, or FormatError
     names its line.  Rows come back as one 2-D array.
 
-    A block of body lines is converted by numpy's C reader, which parses
-    a field with float()'s own PyOS_string_to_double.  The per-line loop
-    takes the header and each block that reader refuses or does not read
-    as one row per line (a blank, ``#`` or bad line, ``1_0``, non-ASCII
-    digits), one of blank lines only, and one holding \\x1c-\\x1f, which
-    numpy strips from a field as whitespace and float() does not.
+    The body is converted by numpy's C reader, which parses a field with
+    float()'s own PyOS_string_to_double, from a file by its path (see
+    _body_by_path, which reads the file twice) or a block of lines at a
+    time.  The per-line loop takes the header and each block that reader
+    refuses or does not read as one row per line (a blank, ``#`` or bad
+    line, ``1_0``, non-ASCII digits), one of blank lines only, and one
+    holding \\x1c-\\x1f, which numpy strips from a field as whitespace and
+    float() does not.
     """
     comments, header, blocks = [], [], []
     with opened(source, "r") as fh:
         where = f"{fh.name}: line" if hasattr(fh, "name") else "line"
         lineno = 0
-        # one line at a time up to the header, then blocks of lines
+        # one line at a time up to the header, then the body by path or
+        # blocks of lines
         while lines := fh.readlines(_READ_HINT if header else 1):
             first, lineno = lineno + 1, lineno + len(lines)
             text = "".join(lines)
@@ -138,6 +146,8 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
                     comments.append((n, line))
                 elif not header:
                     header = [h.strip() for h in line.split(",")]
+                    if isinstance(source, (str, os.PathLike)):
+                        blocks.append(_body_by_path(fh, lineno, len(header)))
                 else:
                     parts = line.split(",")
                     if len(parts) != len(header):
@@ -149,6 +159,41 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
                         raise FormatError(f"{where} {n}: {exc}") from None
     values = np.concatenate(blocks) if blocks else np.empty(0)
     return comments, header, values.reshape(-1, max(len(header), 1))
+
+
+def _body_by_path(fh, skip: int, width: int) -> np.ndarray:
+    """The raveled rows of file ``fh`` past its first ``skip`` lines, read
+    by numpy from its path, with ``fh`` at the end; or none, with ``fh``
+    back after those lines.  Only a regular file (a FIFO such as
+    /dev/stdin cannot be read twice) that numpy opens as plain text (no
+    .gz, .bz2, .xz, .lzma or ``scheme://`` name) is read so, and twice:
+    a scan of _READ_HINT characters at a time counts its \\n line ends and
+    refuses a body of whitespace or holding \\r or \\x1c-\\x1f, then
+    numpy's rows are kept if one per line (it skips empty lines) and
+    header field.
+    """
+    name = os.fsdecode(fh.name)
+    if ("://" in name or name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+            or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        return np.empty(0)
+    lines, blank, odd, last = 0, True, False, "\n"
+    try:
+        while chunk := fh.read(_READ_HINT):
+            lines += chunk.count("\n")
+            blank = blank and chunk.isspace()
+            odd = odd or any(map(chunk.__contains__, "\r\x1c\x1d\x1e\x1f"))
+            last = chunk[-1]
+        if not (blank or odd):
+            rows = np.loadtxt(name, delimiter=",", comments=None, ndmin=2,
+                              skiprows=skip, encoding="utf-8")
+            if rows.shape == (lines + (last != "\n"), width):
+                return rows.ravel()
+    except (UnicodeDecodeError, ValueError):
+        pass  # the block loop reports the first fault in the file
+    fh.seek(0)  # readlines disabled tell(), so no seek to the body's offset
+    for _ in range(skip):
+        fh.readline()
+    return np.empty(0)
 
 
 def read_columns(source, names, min_rows: int) -> list[np.ndarray]:

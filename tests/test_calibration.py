@@ -45,8 +45,8 @@ class TestFitCalibration:
             hs.fit_calibration([(0.2, 1.0), (0.8, 3.0)], "sideways")
 
     def test_constant_force_has_unit_r2_but_zero_slope_rejected(self):
-        # flat data fits slope 0, which the curve type refuses
-        with pytest.raises(ConfigError):
+        # flat data fits a slope of 0 (to rounding), which no rising line has
+        with pytest.raises(UnderdeterminedFitError, match="fitted slope"):
             hs.fit_calibration([(0.2, 1.0), (0.8, 1.0)], "forward")
 
 

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import math
+import os
 import socket
 import subprocess
 import sys
@@ -72,6 +74,77 @@ class TestUsage:
         assert run_cli("ingest", "--bogus").returncode == 2
 
 
+#: a valid argv of each subcommand, past its name, setting most options
+VALID_ARGV = {
+    "ingest": ["--trace", "w.csv", "--out", "o.csv"],
+    "segment": ["--trace", "w.csv", "--out", "s.json", "--onset-threshold", "0.2"],
+    "phases": ["--min-step-s", "0.3", "--trace", "w.csv", "--out", "p.json"],
+    "compile": ["--traces", "a.csv", "b.csv", "--out", "t.json", "--first", "3",
+                "--last", "9", "--device-max-force", "2", "--release-threshold", "0.05"],
+    "calibrate": ["--points", "p.csv", "--direction", "backward", "--min-duty", "0.2",
+                  "--out", "c.json"],
+    "step-response": ["--commanded", "c.csv", "--measured", "m.csv", "--out", "r.json"],
+    "render": ["--table", "t.json", "--calib-forward", "f.json", "--calib-backward",
+               "b.json", "--out", "c.csv", "--duration", "2", "--listen", "0"],
+    "vibstep": ["--commands", "c.csv", "--out", "v.csv"],
+    "simulate": ["--events", "e.ndjson", "--table", "t.json", "--tau-s", "0.02",
+                 "--max-force", "5", "--out", "m.json", "--out-log", "l.csv"],
+    "normalize": ["--scores", "s.csv", "--out", "n.csv"],
+}
+
+
+def parse_exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends the process."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestOneSubparser:
+    """main builds the parser of the command it runs alone; it parses
+    and fails as the parser of every command does."""
+
+    def full(self, argv):
+        return cli.build_parser().parse_args(argv)
+
+    def test_names_are_the_full_parsers_choices(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == cli.COMMANDS
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_same_namespace(self, command, tmp_path, monkeypatch):
+        cfg = tmp_path / "hapstep.cfg"
+        cfg.write_text("first = 4\n")
+        argv = ["--config", str(cfg), command, *VALID_ARGV[command]]
+        built, ran = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c) or build(c))
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            lambda args: ran.append(vars(args)) or 0)
+        assert cli.main(argv) == 0
+        assert built == [command]
+        assert ran == [{**vars(self.full(argv)), "_config": {"first": 4}}]
+
+    @pytest.mark.parametrize("extra", [["-h"], [], ["--bogus"], ["extra"]],
+                             ids=["help", "missing", "unknown-flag", "extra-argument"])
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_same_help_and_usage_errors(self, command, extra, capsys):
+        argvs = [[command, *extra], ["--config", "x.cfg", command, *extra]]
+        if extra:  # also after a valid argv
+            argvs.append([command, *VALID_ARGV[command], *extra])
+        for argv in argvs:
+            assert parse_exit(cli.main, argv, capsys) == parse_exit(self.full, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--config"],
+                                      ["--config", "x.cfg"], ["--config=x.cfg", "ingest"],
+                                      ["--conf", "x.cfg", "ingest", "--bogus"]])
+    def test_no_command_name_found(self, argv, capsys):
+        """argv where the scan finds no command gets the full parser."""
+        assert parse_exit(cli.main, argv, capsys) == parse_exit(self.full, argv, capsys)
+
+
 class TestIngest:
     def test_round_trip(self, workdir, tmp_path):
         out = tmp_path / "echo.csv"
@@ -87,6 +160,14 @@ class TestIngest:
                       str(tmp_path / "x.csv"))
         assert res.returncode == 3
         assert "error:" in res.stderr
+
+    def test_plain_text_named_like_a_compressed_file(self, workdir, tmp_path):
+        """numpy would decompress a path ending in .gz; ingest reads the
+        text the file holds."""
+        gz, out = tmp_path / "walk.csv.gz", tmp_path / "out.csv"
+        gz.write_bytes(Path(workdir["traces"][0]).read_bytes())
+        assert cli.main(["ingest", "--trace", str(gz), "--out", str(out)]) == 0
+        assert out.read_bytes() == gz.read_bytes()
 
     def test_missing_file_exit_5(self, tmp_path):
         res = run_cli("ingest", "--trace", str(tmp_path / "nope.csv"),
@@ -173,6 +254,18 @@ class TestCompile:
         assert res.returncode == 2
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("option", [["--device-max-force", "nan"],
+                                        ["--device-max-force", "-1"], ["--first", "0"],
+                                        ["--first", "5", "--last", "4"]],
+                             ids=["nan-force", "negative-force", "first-0", "last-before-first"])
+    def test_bad_option_exit_2_before_reading_a_trace(self, tmp_path, capsys, option):
+        out = tmp_path / "t.json"
+        assert cli.main(["compile", "--traces", str(tmp_path / "missing.csv"), *option,
+                         "--out", str(out)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("peak,code", [(1.5e308, 4), (1e307, 0)])
     def test_forces_near_float_limit(self, tmp_path, peak, code):
         """A walk whose finite forces average past the float range is
@@ -232,6 +325,31 @@ class TestCalibrate:
                          "--out", str(out)]) == 3
         assert "duty in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0.4,1.2\n0.9,1.2\n", "0.1,1.0\n0.2,1.0\n0.3,1.0\n",
+                                      "0.4,2.7\n0.9,1.2\n"],
+                             ids=["flat", "flat-fit-above-0", "falling"])
+    def test_no_rising_line_exit_4(self, tmp_path, capsys, rows):
+        pts, out = tmp_path / "pts.csv", tmp_path / "c.json"
+        pts.write_text("duty,peak_force\n" + rows)
+        assert cli.main(["calibrate", "--points", str(pts), "--direction", "forward",
+                         "--out", str(out)]) == 4
+        assert "fitted slope" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_points_from_a_pipe(self, tmp_path):
+        """/dev/stdin on a pipe is no regular file, which numpy could read
+        a second time by its name: the points give the curve they give
+        from a file."""
+        text = "# bench\nduty,peak_force\n0.37,1.3\n0.69,2.3\n1.0,3.2\n"
+        pts, outs = tmp_path / "pts.csv", (tmp_path / "file.json", tmp_path / "pipe.json")
+        pts.write_text(text)
+        for points, out, stdin in ((str(pts), outs[0], None), ("/dev/stdin", outs[1], text)):
+            res = run_cli("calibrate", "--points", points, "--direction", "forward",
+                          "--out", str(out), stdin=stdin)
+            assert res.returncode == 0, res.stderr
+        assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 BIG = "1" + "0" * 400
@@ -550,6 +668,21 @@ class TestNormalize:
         assert {(p, i) for p in raw for i in raw[p]} == {("p,1", 'say "hi"')}
         assert read_scores(str(once)) == raw
         assert twice.read_bytes() == once.read_bytes()
+
+    def test_repeated_cell_exit_3(self, tmp_path, capsys):
+        """A second score for one cell is refused, not kept in place of
+        the first, and the error names both lines."""
+        scores, out = tmp_path / "scores.csv", tmp_path / "n.csv"
+        rows = [f"p1,realism,{s},{v},{10 * i}"
+                for i, (s, v) in enumerate(
+                    (s, v) for s in ("none", "vibration", "friction")
+                    for v in (1.0, 2.5, 4.0))]
+        rows.append("p1,realism,vibration,2.50,70")  # the cell of line 6
+        scores.write_text("participant,item,stimulus,speed_kmh,score\n"
+                          + "\n".join(rows) + "\n")
+        assert cli.main(["normalize", "--scores", str(scores), "--out", str(out)]) == 3
+        assert "line 11: repeats the cell of line 6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_incomplete_grid_exit_3(self, tmp_path):
         scores = tmp_path / "scores.csv"

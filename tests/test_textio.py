@@ -167,12 +167,15 @@ def csv_text(draw):
     lines = draw(st.lists(st.one_of(plain, plain, plain, odd), max_size=120))
     ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
     header = ",".join("tab"[:width])
-    return "".join(line + draw(ends) for line in [header, *map(",".join, lines)])
+    text = "".join(line + draw(ends) for line in [header, *map(",".join, lines)])
+    return text if draw(st.booleans()) else text.rstrip("\r\n")  # no final line end
 
 
 @settings(max_examples=150, deadline=None)
 @given(text=csv_text(), hint=st.integers(1, 200))
 def test_read_csv_property(text, hint, prop_dir):
+    """bytes, a stream and a regular file, whose body numpy reads by its
+    path unless the scan or the shape check refuses, read alike."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(textio, "_READ_HINT", hint):
@@ -188,6 +191,32 @@ def test_default_block_size_crossed(tmp_path):
     assert len(text) > 3 * textio._READ_HINT
     assert_reads_like_reference(text, tmp_path)
     assert_reads_like_reference(text + "1,2,x\n" + rows[0] + "\n", tmp_path)
+
+
+def test_body_by_path_only_from_a_plain_regular_file(tmp_path, monkeypatch):
+    """numpy gets the path of a regular file whose name it would not
+    decompress, and lists of lines from anything else, or after its read
+    by path is refused."""
+    loaded = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda src, *a, **k: loaded.append(
+        src if isinstance(src, str) else "lines") or loadtxt(src, *a, **k))
+    plain, gz = tmp_path / "walk.csv", tmp_path / "walk.csv.gz"
+    empty_line, space_line = tmp_path / "empty_line.csv", tmp_path / "space_line.csv"
+    for path, text in ((plain, BODY), (gz, BODY), (empty_line, BODY + "\n" + BODY[6:]),
+                       (space_line, BODY + " \n" + BODY[6:])):
+        path.write_text(text)
+    for source, via in ((str(plain), [str(plain)]), (plain, [str(plain)]),
+                        (BODY.encode(), ["lines"]), (str(gz), ["lines"]),
+                        (str(empty_line), [str(empty_line), "lines"]),
+                        (str(space_line), [str(space_line), "lines"])):
+        loaded.clear()
+        assert outcome(textio.read_csv, source) == outcome(reference_read_csv, source)
+        assert loaded == via
+    with open(plain, encoding="utf-8", newline="") as fh:
+        loaded.clear()
+        textio.read_csv(fh)
+        assert loaded == ["lines"]
 
 
 def reference_rows(names, *columns):
