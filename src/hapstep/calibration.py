@@ -41,8 +41,8 @@ class CalibrationCurve:
             raise ConfigError(f"direction must be one of {_DIRECTIONS}")
         if not (math.isfinite(self.slope) and self.slope > 0):
             raise ConfigError("slope must be positive and finite")
-        if not math.isfinite(self.intercept):
-            raise ConfigError("intercept must be finite")
+        if not (math.isfinite(self.intercept) and math.isfinite(self.r_squared)):
+            raise ConfigError("intercept and r_squared must be finite")
         if not 0 <= self.min_duty < 1:
             raise ConfigError("min_duty must be in [0, 1)")
 
@@ -56,8 +56,8 @@ def fit_calibration(points, direction: str,
     points : sequence of (duty, peak_force)
         Duty in [0, 1], force magnitude in N, finite and >= 0
         (FormatError otherwise).  At least two distinct duty values are
-        required, and the fitted force must rise with duty
-        (UnderdeterminedFitError otherwise).
+        required, and the fitted force must rise with duty, with a
+        finite line and r2 (UnderdeterminedFitError otherwise).
     """
     pts = [(float(d), float(f)) for d, f in points]
     if not all(0 <= d <= 1 and 0 <= f < math.inf for d, f in pts):
@@ -66,14 +66,18 @@ def fit_calibration(points, direction: str,
     forces = np.array([p[1] for p in pts])
     if len(set(duties.tolist())) < 2:
         raise UnderdeterminedFitError("need at least 2 distinct duty values")
-    # equal forces fit a slope of 0 give or take rounding, of either sign
-    slope, intercept = np.polyfit(duties, forces, 1) if np.ptp(forces) else (0.0, forces[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # equal forces fit a slope of 0 give or take rounding, of either sign
+        slope, intercept = np.polyfit(duties, forces, 1) if np.ptp(forces) else (0.0, forces[0])
+        residuals = forces - (slope * duties + intercept)
+        ss_res = float(np.sum(residuals ** 2))
+        ss_tot = float(np.sum((forces - forces.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    if not np.isfinite([slope, intercept, r2]).all():
+        raise UnderdeterminedFitError(f"forces too large to fit: slope {slope:g} N/duty, "
+                                      f"intercept {intercept:g} N, r2 {r2:g}")
     if not slope > 0:
         raise UnderdeterminedFitError(f"fitted slope {slope:g} N/duty is not positive")
-    residuals = forces - (slope * duties + intercept)
-    ss_res = float(np.sum(residuals ** 2))
-    ss_tot = float(np.sum((forces - forces.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return CalibrationCurve(direction=direction, slope=float(slope),
                             intercept=float(intercept), r_squared=r2,
                             min_duty=min_duty)

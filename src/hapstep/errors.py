@@ -54,8 +54,9 @@ class DegenerateProfileError(PipelineError):
 
 
 class UnderdeterminedFitError(PipelineError):
-    """Points fit no rising calibration line: fewer than 2 distinct
-    duties, or a fitted slope <= 0."""
+    """Points fit no rising, finite calibration line: fewer than 2
+    distinct duties, a fitted slope <= 0, or a line or r2 past the float
+    range."""
 
 
 class AnalysisError(PipelineError):

@@ -169,10 +169,10 @@ class SpeedProfileTable:
 
 
 @contextmanager
-def _from_valid_profiles():
-    """Math on valid profiles: a value it derives past the float range (or
-    out of order) is the data's fault, so the ConfigError of the object it
-    would fill is a PipelineError, and numpy warns of nothing."""
+def from_valid_inputs():
+    """Math on valid traces or profiles: a value it derives past the float
+    range (or out of order) is the data's fault, so the ConfigError of the
+    object it would fill is a PipelineError, and numpy warns of nothing."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
@@ -180,7 +180,7 @@ def _from_valid_profiles():
         raise PipelineError(f"forces too large or degenerate to compile: {exc}") from None
 
 
-@_from_valid_profiles()
+@from_valid_inputs()
 def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     """Linearly time-rescale every profile to the mean input duration.
 
@@ -204,7 +204,7 @@ def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     return out
 
 
-@_from_valid_profiles()
+@from_valid_inputs()
 def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
     """Pointwise mean of duration-aligned profiles; peak times averaged too."""
     if not aligned:
@@ -223,7 +223,7 @@ def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
     )
 
 
-@_from_valid_profiles()
+@from_valid_inputs()
 def compute_impulses(profile: FrictionProfile) -> ImpulsePair:
     """Trapezoidal backward/forward impulse magnitudes of a profile."""
     dt = 1.0 / profile.sample_rate_hz
@@ -233,7 +233,7 @@ def compute_impulses(profile: FrictionProfile) -> ImpulsePair:
     return ImpulsePair(B=b, F=f)
 
 
-@_from_valid_profiles()
+@from_valid_inputs()
 def treadmill_correct(profile: FrictionProfile) -> tuple[FrictionProfile, ImpulsePair]:
     """Rebalance brake and drive impulses to their common mean.
 
@@ -275,7 +275,7 @@ def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
     return t_on, t_off
 
 
-@_from_valid_profiles()
+@from_valid_inputs()
 def compile_triangular(profile: FrictionProfile, impulses: ImpulsePair) -> TriangularProfile:
     """Convert a corrected profile into two equal-area triangles.
 

@@ -61,7 +61,8 @@ def read_scores(source) -> ScoreSet:
             raise FormatError(f"scores CSV must have columns {sorted(required)}")
         scores: ScoreSet = {}
         lines = {}  # (participant, item, stimulus, speed) -> its line
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last physical line
             try:
                 score = float(row["score"])
                 speed = float(row["speed_kmh"])

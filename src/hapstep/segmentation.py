@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientStepsError, PhaseDetectionError
-from .profiles import FrictionProfile, runs
+from .profiles import FrictionProfile, from_valid_inputs, runs
 from .trace import ForceTrace
 
 #: a quiet run must last this long (s) to close a step
@@ -64,6 +64,7 @@ class StepSegment:
     index_in_walk: int  # 1-based position in the walk
 
 
+@from_valid_inputs()
 def segment_steps(trace: ForceTrace, cfg: SegmentationConfig | None = None) -> list[StepSegment]:
     """Cut a walk into non-overlapping steps.
 
@@ -113,6 +114,7 @@ def select_middle(segments: list[StepSegment], first: int = 4, last: int = 13) -
     return [s for s in segments if first <= s.index_in_walk <= last]
 
 
+@from_valid_inputs()
 def detect_phases(segment: StepSegment) -> PhaseTimings:
     """Locate the four phase landmarks within one step.
 
@@ -172,6 +174,7 @@ def detect_phases(segment: StepSegment) -> PhaseTimings:
     )
 
 
+@from_valid_inputs()
 def combine_channels(segment: StepSegment, phases: PhaseTimings) -> FrictionProfile:
     """Collapse both sites into the single rendering channel.
 

@@ -6,20 +6,19 @@ left open; readers also accept ``bytes``.  Files are UTF-8 with ``\\n``
 line ends.  JSON is written with sorted keys and CSV floats as their
 ``repr``, so re-running a stage reproduces its artifacts byte for byte.
 
-CSV bodies are never held whole as text.  read_csv hands numpy's C
-reader the body of a regular file whose name numpy opens as plain text
-by the file's path, so such a file is read twice, by a scan and by
-numpy, and must not change during the call.  Any other body (a stream,
-bytes, a FIFO such as /dev/stdin, a .gz name), or one the scan or numpy
-refuses, goes to that reader about _READ_HINT characters of lines at a
-time (a per-line loop takes the header and the blocks that reader
-refuses).  write_blocks writes each block of column arrays
-(write_columns cuts its columns into WRITE_ROWS rows) in one call.
-write_blocks has one writer: a block becomes one byte array of
-fixed-width cells.  A value v with v == 0 or 1e-4 <= |v| < 1e15, where
-``repr`` is fixed-point, is written from the integer digits of the
-decimal ``repr`` prints, which _shortest finds for the whole column at
-once: of at most 15 digits by one division, of 16 or 17 from an exact
+CSV bodies are never held whole as text.  read_csv reads a body one of
+two ways: numpy's C reader takes the body of a regular file whose name
+numpy opens as plain text by the file's path, after a scan, so such a
+file is read twice and must not change during the call; any other body
+(a stream, bytes, a FIFO such as /dev/stdin, a .gz name), and one the
+scan or numpy refuses, is read line by line with float().
+
+write_blocks writes each block of column arrays (write_columns cuts its
+columns into WRITE_ROWS rows) in one call, by one writer: a block
+becomes one byte array of fixed-width cells.  A value v with v == 0 or
+1e-4 <= |v| < 1e15, where ``repr`` is fixed-point, is written from the
+integer digits of the decimal ``repr`` prints, which _shortest finds
+for the whole column at once: of at most 15 digits by one division, of 16 or 17 from an exact
 product of v and a power of 10.  That decimal is ``repr``'s because
 v's rounding interval is symmetric (in range every power of 2, whose
 interval is not, has at most 15 digits) and ``repr`` prints the
@@ -47,7 +46,7 @@ import numpy as np
 
 from .errors import FormatError
 
-#: characters of lines read_csv reads and converts per block
+#: characters _body_by_path's scan reads at a time
 _READ_HINT = 1 << 16
 #: rows per CSV write block, for write_columns and the offline render
 WRITE_ROWS = 4096
@@ -110,90 +109,73 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
     later line must hold one number per header field, or FormatError
     names its line.  Rows come back as one 2-D array.
 
-    The body is converted by numpy's C reader, which parses a field with
-    float()'s own PyOS_string_to_double, from a file by its path (see
-    _body_by_path, which reads the file twice) or a block of lines at a
-    time.  The per-line loop takes the header and each block that reader
-    refuses or does not read as one row per line (a blank, ``#`` or bad
-    line, ``1_0``, non-ASCII digits), one of blank lines only, and one
-    holding \\x1c-\\x1f, which numpy strips from a field as whitespace and
-    float() does not.
+    The body of a regular file is read by numpy from its path (see
+    _body_by_path), which parses a field with float()'s own
+    PyOS_string_to_double.  Any other body, and one numpy or the scan
+    before it refuses, is read line by line with float().
     """
-    comments, header, blocks = [], [], []
+    comments, header, values, rows = [], [], array("d"), None
     with opened(source, "r") as fh:
         where = f"{fh.name}: line" if hasattr(fh, "name") else "line"
-        lineno = 0
-        # one line at a time up to the header, then the body by path or
-        # blocks of lines
-        while lines := fh.readlines(_READ_HINT if header else 1):
-            first, lineno = lineno + 1, lineno + len(lines)
-            text = "".join(lines)
-            if (header and not text.isspace()
-                    and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
+        # readline, not iteration, so that _body_by_path can tell() and seek()
+        for n, line in enumerate(map(str.strip, iter(fh.readline, "")), 1):
+            if not line:
+                continue
+            if line[0] == "#":
+                comments.append((n, line))
+            elif not header:
+                header = [h.strip() for h in line.split(",")]
+                if isinstance(source, (str, os.PathLike)):
+                    if (rows := _body_by_path(fh, n, len(header))) is not None:
+                        break
+            else:
+                parts = line.split(",")
+                if len(parts) != len(header):
+                    raise FormatError(f"{where} {n}: expected "
+                                      f"{len(header)} fields, got {len(parts)}")
                 try:
-                    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                    if rows.shape == (len(lines), len(header)):
-                        blocks.append(rows.ravel())
-                        continue
-                except ValueError:
-                    pass
-            values = array("d")
-            blocks.append(values)
-            for n, line in enumerate(map(str.strip, lines), first):
-                if not line:
-                    continue
-                if line[0] == "#":
-                    comments.append((n, line))
-                elif not header:
-                    header = [h.strip() for h in line.split(",")]
-                    if isinstance(source, (str, os.PathLike)):
-                        blocks.append(_body_by_path(fh, lineno, len(header)))
-                else:
-                    parts = line.split(",")
-                    if len(parts) != len(header):
-                        raise FormatError(f"{where} {n}: expected "
-                                          f"{len(header)} fields, got {len(parts)}")
-                    try:
-                        values.extend(map(float, parts))
-                    except ValueError as exc:
-                        raise FormatError(f"{where} {n}: {exc}") from None
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    return comments, header, values.reshape(-1, max(len(header), 1))
+                    values.extend(map(float, parts))
+                except ValueError as exc:
+                    raise FormatError(f"{where} {n}: {exc}") from None
+    if rows is None:
+        rows = np.array(values)
+    return comments, header, rows.reshape(-1, max(len(header), 1))
 
 
-def _body_by_path(fh, skip: int, width: int) -> np.ndarray:
-    """The raveled rows of file ``fh`` past its first ``skip`` lines, read
-    by numpy from its path, with ``fh`` at the end; or none, with ``fh``
-    back after those lines.  Only a regular file (a FIFO such as
-    /dev/stdin cannot be read twice) that numpy opens as plain text (no
-    .gz, .bz2, .xz, .lzma or ``scheme://`` name) is read so, and twice:
-    a scan of _READ_HINT characters at a time counts its \\n line ends and
-    refuses a body of whitespace or holding \\r or \\x1c-\\x1f, then
-    numpy's rows are kept if one per line (it skips empty lines) and
-    header field.
+def _body_by_path(fh, skip: int, width: int) -> np.ndarray | None:
+    """The rows of file ``fh`` past its first ``skip`` lines, read by
+    numpy from its path, with ``fh`` at the end; or None, with ``fh``
+    back where it was.  Only a regular file (a FIFO such as /dev/stdin
+    cannot be read twice) that numpy opens as plain text (no .gz, .bz2,
+    .xz, .lzma or ``scheme://`` name) is read so, and twice, so it must
+    not change meanwhile: a scan of _READ_HINT characters at a time
+    refuses a body of whitespace only (numpy would warn of no data) or
+    holding \\x1c-\\x1f (which numpy strips from a field as whitespace and
+    float() does not), then numpy's rows are kept if they hold one
+    column per header field.  numpy splits lines as ``fh`` does, skips
+    empty lines as read_csv does, and raises at any other line float()
+    would not read alike: a whitespace-only or ``#`` line, ``1_0``,
+    non-ASCII digits.  Such a body is parsed twice, by numpy up to that
+    line and by the per-line loop.
     """
     name = os.fsdecode(fh.name)
     if ("://" in name or name.endswith((".gz", ".bz2", ".xz", ".lzma"))
             or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
-        return np.empty(0)
-    lines, blank, odd, last = 0, True, False, "\n"
+        return None
+    body, blank, odd = fh.tell(), True, False
     try:
         while chunk := fh.read(_READ_HINT):
-            lines += chunk.count("\n")
             blank = blank and chunk.isspace()
-            odd = odd or any(map(chunk.__contains__, "\r\x1c\x1d\x1e\x1f"))
-            last = chunk[-1]
+            odd = odd or any(map(chunk.__contains__, "\x1c\x1d\x1e\x1f"))
         if not (blank or odd):
             rows = np.loadtxt(name, delimiter=",", comments=None, ndmin=2,
                               skiprows=skip, encoding="utf-8")
-            if rows.shape == (lines + (last != "\n"), width):
-                return rows.ravel()
+            if rows.shape[1] == width:
+                return rows
     except (UnicodeDecodeError, ValueError):
-        pass  # the block loop reports the first fault in the file
-    fh.seek(0)  # readlines disabled tell(), so no seek to the body's offset
-    for _ in range(skip):
-        fh.readline()
-    return np.empty(0)
+        pass  # the per-line loop reports the first fault in the file
+    fh.seek(body)
+    return None
 
 
 def read_columns(source, names, min_rows: int) -> list[np.ndarray]:

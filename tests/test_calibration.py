@@ -51,12 +51,12 @@ class TestFitCalibration:
 
 
 class TestCurveValidation:
-    @pytest.mark.parametrize("field", ["slope", "intercept"])
+    @pytest.mark.parametrize("field", ["slope", "intercept", "r_squared"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_line_rejected(self, field, value):
-        kw = {"slope": 3.0, "intercept": 0.2, field: value}
+        kw = {"slope": 3.0, "intercept": 0.2, "r_squared": 1.0, field: value}
         with pytest.raises(ConfigError):
-            hs.CalibrationCurve("forward", r_squared=1.0, **kw)
+            hs.CalibrationCurve("forward", **kw)
 
 
 class TestDutyForceMaps:

@@ -337,6 +337,17 @@ class TestCalibrate:
         assert "fitted slope" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", ["0.4,1.2\n0.6,1.8\n0.8,1e308\n1.0,3.0\n",
+                                      "0.4,1.2\n0.6,1.8\n0.8,2.4\n1.0,1e308\n"],
+                             ids=["third", "last"])
+    def test_fit_past_the_float_range_exit_4(self, tmp_path, capsys, rows):
+        pts, out = tmp_path / "pts.csv", tmp_path / "c.json"
+        pts.write_text("duty,peak_force\n" + rows)
+        assert cli.main(["calibrate", "--points", str(pts), "--direction", "forward",
+                         "--out", str(out)]) == 4
+        assert "too large to fit" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_points_from_a_pipe(self, tmp_path):
         """/dev/stdin on a pipe is no regular file, which numpy could read

@@ -2,8 +2,9 @@
 cli.main, with each of its input files in turn replaced by a broken one
 (the others stay valid), exits 0 or 2-5 and prints no traceback, within
 a time bound.  A bad value in a table or curve file exits 2, a trace or
-time column on a clock past the float range exits 3.  A valid CSV input
-with a row of several MB is accepted."""
+time column on a clock past the float range exits 3, and a trace whose
+finite forces sum past it compiles to exit 4.  A valid CSV input with a
+row of several MB is accepted."""
 
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 
 from hapstep import cli
 from hapstep.profiles import SpeedProfileTable, Triangle, TriangularProfile
+from hapstep.segmentation import detect_phases, segment_steps
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
@@ -155,6 +157,7 @@ HOSTILE_CURVES = {f"{field}={value}": _set(field, old, value)
                   for field, old, value in (("slope", "3.0", "true"),
                                             ("intercept", "0.0", "false"),
                                             ("r_squared", "1.0", '"x"'),
+                                            ("r_squared", "1.0", "NaN"),
                                             ("min_duty", "0.0", "false"),
                                             ("intercept", "0.0", "1" + "0" * 400))}
 #: the cases of an input kind that must exit 2, as bad configuration
@@ -163,6 +166,24 @@ HOSTILE_CONFIG = {"table": HOSTILE_TABLES, "forward": HOSTILE_CURVES,
 
 INPUTS = [(command, flag, kind) for command, (inputs, _) in SUBCOMMANDS.items()
           for flag, kind in inputs + [("--config", "config")]]
+
+
+def _huge_brake_peak(channels):
+    """The valid walk with the brake peak of its 7th step, one that
+    compile keeps, at -1e308 on each of ``channels``: finite forces whose
+    sum over both channels, or whose double, is past the float range."""
+    walk = synthetic_walk(n_steps=14, rng=np.random.default_rng(0))[0]
+    step = segment_steps(walk)[6]
+    at = round((step.start_s + detect_phases(step).t_step1_peak) * walk.sample_rate_hz)
+    for name in channels:
+        getattr(walk, name)[at] = -1e308
+    text = io.StringIO()
+    write_trace(walk, text)
+    return text.getvalue().encode()
+
+
+#: traces of finite forces that segmentation sums or doubles past the float range
+HUGE_FORCES = {"heel": ("heel_y",), "both-channels": ("thenar_y", "heel_y")}
 
 #: valid CSV inputs whose first row is several MB: every field a number
 #: of a million digits, or led by a megabyte of spaces
@@ -264,3 +285,16 @@ def test_huge_valid_row_reads_like_valid_input(valid_paths, tmp_path, monkeypatc
     content = HUGE_ROWS[case](VALID[kind])
     assert len(content) > 2 * 10 ** 6
     assert within(RUN_S, _exit, *run, content) == _exit(*run, VALID[kind].encode())
+
+
+@pytest.mark.parametrize("case", HUGE_FORCES)
+@pytest.mark.parametrize("command,code", [("ingest", 0), ("segment", 0), ("phases", 0),
+                                          ("compile", 4)])
+def test_forces_near_the_float_limit(valid_paths, tmp_path, monkeypatch, capsys,
+                                     command, code, case):
+    """No numpy warning (an error here) from any trace command, and
+    compile exits 4, as for a profile whose mean overflows."""
+    flag, kind = SUBCOMMANDS[command][0][0]
+    content = _huge_brake_peak(HUGE_FORCES[case])
+    assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
+                  command, flag, kind, content) == code

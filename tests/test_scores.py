@@ -107,6 +107,16 @@ class TestScoresIo:
         with pytest.raises(FormatError, match="outside"):
             read_scores(bad.encode())
 
+    def test_errors_name_physical_lines(self):
+        """Blank lines count: a bad row after two of them is named by its
+        own line, as is a repeated cell and the line it repeats."""
+        head = "participant,item,stimulus,speed_kmh,score\n\n\n"
+        with pytest.raises(FormatError, match="^line 4: score 500.0 outside"):
+            read_scores((head + "p1,r,none,1.0,500\n").encode())
+        rows = "p1,r,none,1.0,5\n\np1,r,none,1.0,6\n"
+        with pytest.raises(FormatError, match="^line 6: repeats the cell of line 4$"):
+            read_scores((head + rows).encode())
+
     def test_unknown_stimulus_rejected(self):
         bad = "participant,item,stimulus,speed_kmh,score\np1,r,magnet,1.0,50\n"
         with pytest.raises(FormatError, match="stimulus"):

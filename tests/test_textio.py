@@ -2,6 +2,8 @@
 reference loops, which are kept here as the specification."""
 
 import io
+import os
+import threading
 import warnings
 from array import array
 from decimal import Decimal
@@ -195,28 +197,49 @@ def test_default_block_size_crossed(tmp_path):
 
 def test_body_by_path_only_from_a_plain_regular_file(tmp_path, monkeypatch):
     """numpy gets the path of a regular file whose name it would not
-    decompress, and lists of lines from anything else, or after its read
-    by path is refused."""
-    loaded = []
+    decompress, empty lines and CRLF ends included, and nothing else; a
+    whitespace-only line makes numpy raise, and the per-line loop then
+    reads the file alike."""
+    loaded = []  # (source, whether numpy returned rows)
     loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda src, *a, **k: loaded.append(
-        src if isinstance(src, str) else "lines") or loadtxt(src, *a, **k))
-    plain, gz = tmp_path / "walk.csv", tmp_path / "walk.csv.gz"
-    empty_line, space_line = tmp_path / "empty_line.csv", tmp_path / "space_line.csv"
-    for path, text in ((plain, BODY), (gz, BODY), (empty_line, BODY + "\n" + BODY[6:]),
-                       (space_line, BODY + " \n" + BODY[6:])):
-        path.write_text(text)
-    for source, via in ((str(plain), [str(plain)]), (plain, [str(plain)]),
-                        (BODY.encode(), ["lines"]), (str(gz), ["lines"]),
-                        (str(empty_line), [str(empty_line), "lines"]),
-                        (str(space_line), [str(space_line), "lines"])):
+
+    def spy(src, *args, **kwargs):
+        loaded.append((src, False))
+        rows = loadtxt(src, *args, **kwargs)
+        loaded[-1] = (src, True)
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    texts = {"walk.csv": BODY, "walk.csv.gz": BODY, "crlf.csv": BODY.replace("\n", "\r\n"),
+             "empty_line.csv": BODY + "\n" + BODY[6:] + "\n",
+             "space_line.csv": BODY + " \n" + BODY[6:]}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, newline="")
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def from_fifo():
+        threading.Thread(target=fifo.write_text, args=(BODY,), daemon=True).start()
+        return str(fifo)
+
+    def path(name):
+        return lambda: str(tmp_path / name)
+
+    cases = [(path(n), [(str(tmp_path / n), True)])
+             for n in ("walk.csv", "crlf.csv", "empty_line.csv")]
+    cases += [(lambda: tmp_path / "walk.csv", [(str(tmp_path / "walk.csv"), True)]),
+              (path("space_line.csv"), [(str(tmp_path / "space_line.csv"), False)]),
+              (BODY.encode, []), (lambda: io.StringIO(BODY), []),
+              (path("walk.csv.gz"), []), (from_fifo, [])]
+    for make, via in cases:
         loaded.clear()
-        assert outcome(textio.read_csv, source) == outcome(reference_read_csv, source)
+        got = outcome(textio.read_csv, make())
         assert loaded == via
-    with open(plain, encoding="utf-8", newline="") as fh:
+        assert got == outcome(reference_read_csv, make())
+    with open(tmp_path / "walk.csv", encoding="utf-8", newline="") as fh:
         loaded.clear()
         textio.read_csv(fh)
-        assert loaded == ["lines"]
+        assert loaded == []
 
 
 def reference_rows(names, *columns):
