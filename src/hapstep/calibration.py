@@ -187,8 +187,12 @@ def _crossing(window: np.ndarray, level: float, dt: float) -> float:
     return (i - 1 + frac) * dt
 
 
-def curve_from_dict(data: dict) -> CalibrationCurve:
-    num = textio.json_number
+def save_curve(curve: CalibrationCurve, dest) -> None:
+    textio.write_json(dest, asdict(curve))
+
+
+def load_curve(source) -> CalibrationCurve:
+    data, num = textio.read_json(source), textio.json_number
     try:
         return CalibrationCurve(direction=data["direction"],
                                 slope=num(data["slope"]),
@@ -197,11 +201,3 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
                                 min_duty=num(data.get("min_duty", DEFAULT_MIN_DUTY)))
     except (KeyError, OverflowError, TypeError) as exc:
         raise ConfigError(f"bad calibration JSON: {exc}") from None
-
-
-def save_curve(curve: CalibrationCurve, dest) -> None:
-    textio.write_json(dest, asdict(curve))
-
-
-def load_curve(source) -> CalibrationCurve:
-    return curve_from_dict(textio.read_json(source))

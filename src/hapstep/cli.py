@@ -245,7 +245,7 @@ def _event_lines(args):
 
     with socket.create_server(("127.0.0.1", args.listen)) as server:
         server.settimeout(LISTEN_TIMEOUT_S)
-        print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
+        print(f"listening on 127.0.0.1:{server.getsockname()[1]}", file=sys.stderr)
         conn, _ = server.accept()
         conn.settimeout(LISTEN_TIMEOUT_S)
         with conn, conn.makefile("r", encoding="utf-8") as fh:

@@ -361,8 +361,12 @@ def interpolate(table: SpeedProfileTable, speed_kmh: float) -> TriangularProfile
     return entries[-1]
 
 
-def table_from_dict(data: dict) -> SpeedProfileTable:
-    num = textio.json_number
+def save_table(table: SpeedProfileTable, dest) -> None:
+    textio.write_json(dest, asdict(table))
+
+
+def load_table(source) -> SpeedProfileTable:
+    data, num = textio.read_json(source), textio.json_number
     try:
         entries = tuple(
             TriangularProfile(
@@ -376,11 +380,3 @@ def table_from_dict(data: dict) -> SpeedProfileTable:
         return SpeedProfileTable(entries=entries, device_scale=num(data["device_scale"]))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ConfigError(f"bad table JSON: {exc}") from None
-
-
-def save_table(table: SpeedProfileTable, dest) -> None:
-    textio.write_json(dest, asdict(table))
-
-
-def load_table(source) -> SpeedProfileTable:
-    return table_from_dict(textio.read_json(source))

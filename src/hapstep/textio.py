@@ -2,16 +2,16 @@
 
 Every reader and writer takes either a path, which is opened here and
 closed on exit, or an already open text stream, which is used as is and
-left open; readers also accept ``bytes``.  Files are UTF-8 with ``\\n``
-line ends.  JSON is written with sorted keys and CSV floats as their
-``repr``, so re-running a stage reproduces its artifacts byte for byte.
+left open.  Files are UTF-8 with ``\\n`` line ends.  JSON is written
+with sorted keys and CSV floats as their ``repr``, so re-running a stage
+reproduces its artifacts byte for byte.
 
 CSV bodies are never held whole as text.  read_csv reads a body one of
 two ways: numpy's C reader takes the body of a regular file whose name
 numpy opens as plain text by the file's path, after a scan, so such a
 file is read twice and must not change during the call; any other body
-(a stream, bytes, a FIFO such as /dev/stdin, a .gz name), and one the
-scan or numpy refuses, is read line by line with float().
+(a stream, a FIFO such as /dev/stdin, a .gz name), and one the scan or
+numpy refuses, is read line by line with float().
 
 write_blocks writes each block of column arrays (write_columns cuts its
 columns into WRITE_ROWS rows) in one call, by one writer: a block
@@ -35,7 +35,6 @@ down the run: the bytes of a cell depend only on the bits of its value.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import os
 import stat
@@ -73,8 +72,6 @@ def opened(target, mode: str):
     """
     if isinstance(target, (str, os.PathLike)):
         return open(target, mode, encoding="utf-8", newline="")
-    if isinstance(target, bytes):
-        return io.StringIO(target.decode("utf-8"))
     return nullcontext(target)
 
 

@@ -10,7 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import hapstep as hs
+from hapstep.calibration import CalibrationCurve, fit_calibration
+from hapstep.profiles import (
+    FrictionProfile,
+    align_durations,
+    average_profiles,
+    compile_triangular,
+    fit_device_scale,
+    treadmill_correct,
+)
+from hapstep.segmentation import (
+    combine_channels,
+    detect_phases,
+    segment_steps,
+    select_middle,
+)
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
@@ -39,8 +53,8 @@ def random_profile(rng, fs=PROFILE_FS):
                   left=0.0, right=0.0) \
         + np.interp(t, [b_dur + gap, b_dur + gap + d_apex, end],
                     [0.0, d_peak, 0.0], left=0.0, right=0.0)
-    return hs.FrictionProfile(sample_rate_hz=fs, values=v, brake_peak_s=b_apex,
-                              drive_peak_s=b_dur + gap + d_apex)
+    return FrictionProfile(sample_rate_hz=fs, values=v, brake_peak_s=b_apex,
+                           drive_peak_s=b_dur + gap + d_apex)
 
 
 def random_runs(rng, levels, n):
@@ -50,9 +64,9 @@ def random_runs(rng, levels, n):
 
 
 def make_curve(direction, slope=3.0, intercept=0.0, min_duty=0.0, r_squared=1.0):
-    return hs.CalibrationCurve(direction=direction, slope=slope,
-                               intercept=intercept, r_squared=r_squared,
-                               min_duty=min_duty)
+    return CalibrationCurve(direction=direction, slope=slope,
+                            intercept=intercept, r_squared=r_squared,
+                            min_duty=min_duty)
 
 
 def clamp_free_curves():
@@ -60,22 +74,33 @@ def clamp_free_curves():
     return make_curve("forward"), make_curve("backward")
 
 
+def fitted_curves():
+    """Curves fitted to noisy bench points: 0.14-0.20 N intercepts, the
+    95/255 duty floor, and a duty ceiling below the table's peak force."""
+    rng = np.random.default_rng(7)
+    duties = (95 / 255, 135 / 255, 175 / 255, 215 / 255, 1.0)
+    return tuple(
+        fit_calibration([(d, (slope * d + icpt) * (1 + 0.01 * rng.uniform(-1, 1)))
+                         for d in duties], direction)
+        for direction, slope, icpt in (("forward", 1.2, 0.17), ("backward", 1.7, 0.15)))
+
+
 def walk_to_profile(speed, seed=0, jitter=0.05):
     """Full segmentation pipeline on one synthetic walk."""
     trace, _ = synthetic_walk(n_steps=30, speed_kmh=speed, jitter=jitter,
                               rng=np.random.default_rng(seed))
-    segs = hs.select_middle(hs.segment_steps(trace))
-    profs = [hs.combine_channels(s, hs.detect_phases(s)) for s in segs]
-    return hs.average_profiles(hs.align_durations(profs))
+    segs = select_middle(segment_steps(trace))
+    profs = [combine_channels(s, detect_phases(s)) for s in segs]
+    return average_profiles(align_durations(profs))
 
 
 def build_knot_table(device_max_force=3.0, seed=0):
     raw = {}
     for speed in KNOT_SPEEDS:
         averaged = walk_to_profile(speed, seed=seed)
-        corrected, balanced = hs.treadmill_correct(averaged)
-        raw[speed] = hs.compile_triangular(corrected, balanced)
-    return hs.fit_device_scale(raw, device_max_force)
+        corrected, balanced = treadmill_correct(averaged)
+        raw[speed] = compile_triangular(corrected, balanced)
+    return fit_device_scale(raw, device_max_force)
 
 
 @pytest.fixture(scope="session")

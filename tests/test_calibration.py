@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-import hapstep as hs
 from hapstep.calibration import (
     DEFAULT_MIN_DUTY,
     FLAT_TOL,
+    CalibrationCurve,
+    analyze_step_response,
+    duty_to_force,
+    fit_calibration,
+    force_to_duty,
     load_curve,
     save_curve,
 )
@@ -22,7 +26,7 @@ PWM_DUTIES = (95 / 255, 175 / 255, 255 / 255)
 class TestFitCalibration:
     def test_exact_line_recovered(self):
         pts = [(d, 3.2 * d + 0.4) for d in (0.2, 0.5, 0.8, 1.0)]
-        curve = hs.fit_calibration(pts, "forward")
+        curve = fit_calibration(pts, "forward")
         assert curve.slope == pytest.approx(3.2, rel=1e-12)
         assert curve.intercept == pytest.approx(0.4, rel=1e-12)
         assert curve.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -32,22 +36,22 @@ class TestFitCalibration:
         slope, intercept = 2.8, 0.3
         pts = [(d, (slope * d + intercept) * (1 + 0.01 * rng.uniform(-1, 1)))
                for d in PWM_DUTIES]
-        curve = hs.fit_calibration(pts, "backward")
+        curve = fit_calibration(pts, "backward")
         assert curve.r_squared >= 0.99
         assert curve.slope == pytest.approx(slope, rel=0.03)
 
     def test_single_duty_rejected(self):
         with pytest.raises(UnderdeterminedFitError):
-            hs.fit_calibration([(0.5, 1.0), (0.5, 1.2)], "forward")
+            fit_calibration([(0.5, 1.0), (0.5, 1.2)], "forward")
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ConfigError):
-            hs.fit_calibration([(0.2, 1.0), (0.8, 3.0)], "sideways")
+            fit_calibration([(0.2, 1.0), (0.8, 3.0)], "sideways")
 
     def test_constant_force_has_unit_r2_but_zero_slope_rejected(self):
         # flat data fits a slope of 0 (to rounding), which no rising line has
         with pytest.raises(UnderdeterminedFitError, match="fitted slope"):
-            hs.fit_calibration([(0.2, 1.0), (0.8, 1.0)], "forward")
+            fit_calibration([(0.2, 1.0), (0.8, 1.0)], "forward")
 
 
 class TestCurveValidation:
@@ -56,42 +60,42 @@ class TestCurveValidation:
     def test_non_finite_line_rejected(self, field, value):
         kw = {"slope": 3.0, "intercept": 0.2, "r_squared": 1.0, field: value}
         with pytest.raises(ConfigError):
-            hs.CalibrationCurve("forward", **kw)
+            CalibrationCurve("forward", **kw)
 
 
 class TestDutyForceMaps:
     def _curve(self, min_duty=DEFAULT_MIN_DUTY):
-        return hs.CalibrationCurve("forward", slope=3.0, intercept=0.3,
-                                   r_squared=1.0, min_duty=min_duty)
+        return CalibrationCurve("forward", slope=3.0, intercept=0.3,
+                                r_squared=1.0, min_duty=min_duty)
 
     def test_inverse_pair_above_clamp(self):
         curve = self._curve()
         for duty in (0.4, 0.7, 1.0):
-            f = hs.duty_to_force(curve, duty)
-            assert hs.force_to_duty(curve, f) == pytest.approx(duty, rel=1e-12)
+            f = duty_to_force(curve, duty)
+            assert force_to_duty(curve, f) == pytest.approx(duty, rel=1e-12)
 
     def test_zero_force_is_off(self):
-        assert hs.force_to_duty(self._curve(), 0.0) == 0.0
+        assert force_to_duty(self._curve(), 0.0) == 0.0
 
     def test_small_force_clamps_up_to_min_duty(self):
-        assert hs.force_to_duty(self._curve(), 1e-6) == DEFAULT_MIN_DUTY
+        assert force_to_duty(self._curve(), 1e-6) == DEFAULT_MIN_DUTY
 
     def test_large_force_clamps_to_full_duty(self):
-        assert hs.force_to_duty(self._curve(), 1e6) == 1.0
+        assert force_to_duty(self._curve(), 1e6) == 1.0
 
     def test_array_matches_scalar_calls(self):
         curve = self._curve()
         forces = np.array([0.0, 1e-6, 0.5, 1.4, 2.9, 3.3, 1e6])
-        duty = hs.force_to_duty(curve, forces)
+        duty = force_to_duty(curve, forces)
         assert isinstance(duty, np.ndarray)
-        assert duty.tolist() == [hs.force_to_duty(curve, float(f)) for f in forces]
-        assert isinstance(hs.force_to_duty(curve, 1.4), float)
+        assert duty.tolist() == [force_to_duty(curve, float(f)) for f in forces]
+        assert isinstance(force_to_duty(curve, 1.4), float)
         with pytest.raises(ConfigError):
-            hs.force_to_duty(curve, np.array([0.5, -0.1]))
+            force_to_duty(curve, np.array([0.5, -0.1]))
 
     def test_negative_force_rejected(self):
         with pytest.raises(ConfigError):
-            hs.force_to_duty(self._curve(), -0.1)
+            force_to_duty(self._curve(), -0.1)
 
     def test_default_min_duty_matches_drive_floor(self):
         assert DEFAULT_MIN_DUTY == pytest.approx(95 / 255)
@@ -119,47 +123,47 @@ def first_order_bench(tau, fs=1000, lead=0.1, hold=0.5, gap=0.5,
 class TestAnalyzeStepResponse:
     def test_rise_10_90_matches_time_constant(self):
         tau = 0.05
-        m = hs.analyze_step_response(*first_order_bench(tau))
+        m = analyze_step_response(*first_order_bench(tau))
         assert m["rise_10_90_s"] == pytest.approx(tau * math.log(9), abs=0.002)
 
     def test_first_drop_rise_near_flat_tol_prediction(self):
         tau = 0.05
-        m = hs.analyze_step_response(*first_order_bench(tau))
+        m = analyze_step_response(*first_order_bench(tau))
         # increments drop below flat_tol of the plateau at
         # t = tau * ln((dt/tau) / flat_tol) for an exponential approach
         predicted = tau * math.log((0.001 / tau) / FLAT_TOL)
         assert m["rise_s"] == pytest.approx(predicted, abs=0.003)
 
     def test_fall_time_close_to_rise(self):
-        m = hs.analyze_step_response(*first_order_bench(0.05))
+        m = analyze_step_response(*first_order_bench(0.05))
         assert m["fall_s"] == pytest.approx(m["rise_s"], abs=0.01)
 
     def test_transition_spans_gap_to_forward_peak(self):
-        m = hs.analyze_step_response(*first_order_bench(0.05, gap=0.5, hold=0.5))
+        m = analyze_step_response(*first_order_bench(0.05, gap=0.5, hold=0.5))
         # forward force peaks at the end of the hold; offset of the
         # backward pulse to that peak is gap + hold
         assert m["transition_s"] == pytest.approx(1.0, abs=0.01)
 
     def test_faster_plant_rises_faster(self):
-        m_fast = hs.analyze_step_response(*first_order_bench(0.01))
-        m_slow = hs.analyze_step_response(*first_order_bench(0.1))
+        m_fast = analyze_step_response(*first_order_bench(0.01))
+        m_slow = analyze_step_response(*first_order_bench(0.1))
         assert m_fast["rise_10_90_s"] < m_slow["rise_10_90_s"]
         assert m_fast["rise_s"] < m_slow["rise_s"]
 
     def test_length_mismatch_rejected(self):
         commanded, force, fs = first_order_bench(0.05)
         with pytest.raises(AnalysisError):
-            hs.analyze_step_response(commanded[:-5], force, fs)
+            analyze_step_response(commanded[:-5], force, fs)
 
     def test_missing_direction_rejected(self):
         fs = 1000
         duty = np.concatenate([np.zeros(100), np.ones(500), np.zeros(100),
                                np.ones(500), np.zeros(100)])
         with pytest.raises(AnalysisError):
-            hs.analyze_step_response(duty, duty * 2.0, fs)
+            analyze_step_response(duty, duty * 2.0, fs)
 
     def test_as_dict_keys(self):
-        m = hs.analyze_step_response(*first_order_bench(0.05))
+        m = analyze_step_response(*first_order_bench(0.05))
         assert set(m) == {"rise_s", "fall_s", "transition_s", "rise_10_90_s"}
 
 
@@ -207,7 +211,7 @@ class TestFirstStopExact:
             pulses = [(lead, lead + hold1, on2), (on2, on2 + hold2, len(duty))]
             mag = [np.clip(first * force, 0.0, None), np.clip(-first * force, 0.0, None)]
             try:
-                m = hs.analyze_step_response(duty, force, fs)
+                m = analyze_step_response(duty, force, fs)
             except AnalysisError:
                 continue
             assert (m["rise_s"], m["fall_s"]) == reference_first_stops(mag, pulses, 1.0 / fs)
@@ -217,13 +221,13 @@ class TestFirstStopExact:
 
 class TestCurveSerialization:
     def test_round_trip(self):
-        curve = hs.CalibrationCurve("backward", 2.5, 0.1, 0.995)
+        curve = CalibrationCurve("backward", 2.5, 0.1, 0.995)
         buf = io.StringIO()
         save_curve(curve, buf)
         assert load_curve(io.StringIO(buf.getvalue())) == curve
 
     def test_file_round_trip(self, tmp_path):
-        curve = hs.CalibrationCurve("forward", 3.0, 0.0, 1.0, min_duty=0.0)
+        curve = CalibrationCurve("forward", 3.0, 0.0, 1.0, min_duty=0.0)
         path = tmp_path / "c.json"
         save_curve(curve, path)
         assert load_curve(path) == curve

@@ -16,11 +16,12 @@ import pytest
 
 from hapstep import cli, renderer, textio
 from hapstep.calibration import save_curve
+from hapstep.profiles import interpolate, load_table
 from hapstep.scores import read_scores
 from hapstep.synthetic import synthetic_walk
 from hapstep.trace import write_trace
 
-from conftest import KNOT_SPEEDS, make_curve, no_unclosed_files, within
+from conftest import KNOT_SPEEDS, fitted_curves, make_curve, no_unclosed_files, within
 
 EVENTS_NDJSON = (
     '{"t": 0.05, "foot": "L", "speed_kmh": 1.0}\n'
@@ -387,6 +388,31 @@ class TestRender:
         assert self._render(workdir, b, stdin=EVENTS_NDJSON).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_listen_on_port_0_prints_the_port_it_bound(self, workdir, tmp_path):
+        """A client reads the port from the listening line, and the events
+        it sends render to the bytes of a file render."""
+        out, ref = tmp_path / "tcp.csv", tmp_path / "file.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hapstep.cli", "render", "--listen", "0",
+             "--table", workdir["table"], "--calib-forward", workdir["fwd"],
+             "--calib-backward", workdir["bwd"], "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            line = within(30, proc.stderr.readline)
+            host, _, port = line.split()[-1].rpartition(":")
+            assert line.startswith("listening on ") and host == "127.0.0.1", line
+            assert 0 < int(port) <= 65535, line
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.sendall(EVENTS_NDJSON.encode())
+                conn.shutdown(socket.SHUT_WR)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        assert self._render(workdir, ref).returncode == 0
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_command_log_shape(self, workdir, tmp_path):
         out = tmp_path / "cmd.csv"
         assert self._render(workdir, out).returncode == 0
@@ -579,6 +605,34 @@ class TestSimulate:
         metrics = json.loads(out.read_text())
         assert metrics["n_steps"] == 3
         assert log.read_text().startswith("t,signed_duty,force")
+
+    def test_closed_loop_log_renders_what_render_renders(self, workdir, tmp_path):
+        """With fitted curves (non-zero intercepts, the 95/255 floor) and
+        events that preempt and replace envelopes, the closed-loop log's
+        t,signed_duty columns are render's log on every tick it has, and
+        run 10 tau_s longer."""
+        fwd, bwd, events = (tmp_path / n for n in ("fwd.json", "bwd.json", "events.ndjson"))
+        for curve, path in zip(fitted_curves(), (fwd, bwd)):
+            save_curve(curve, path)
+        # the second event preempts the first envelope, which lasts longer
+        # than 0.3 s; the fourth replaces the third before its start tick
+        events.write_text("".join(event_line(t, speed) for t, speed in
+                                  [(0.05, 1.0), (0.35, 2.5), (1.9005, 4.0), (1.9008, 1.7)]))
+        assert interpolate(load_table(workdir["table"]), 1.0).duration_s > 0.3
+        common = ["--events", str(events), "--table", workdir["table"],
+                  "--calib-forward", str(fwd), "--calib-backward", str(bwd)]
+        commands, log = tmp_path / "commands.csv", tmp_path / "run.csv"
+        res = run_cli("render", *common, "--out", str(commands))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("simulate", *common, "--tau-s", "0.02",
+                      "--out", str(tmp_path / "m.json"), "--out-log", str(log))
+        assert res.returncode == 0, res.stderr
+        rendered = commands.read_text().splitlines()
+        simulated = log.read_text().splitlines()
+        assert simulated[0].startswith(rendered[0] + ",")
+        head = [",".join(line.split(",")[:2]) for line in simulated[1:len(rendered)]]
+        assert head == rendered[1:]
+        assert len(simulated) - len(rendered) == 10 * 20
 
     def test_unordered_events_exit_4(self, workdir, tmp_path):
         events = tmp_path / "unordered.ndjson"

@@ -1,5 +1,5 @@
-"""What a fresh process loads: ``import hapstep`` resolves its names on
-first access, the CLI's set-up path (import the CLI, load a table and
+"""What a fresh process loads: ``import hapstep`` loads no submodule,
+the CLI's set-up path (import the CLI, load a table and
 both curves) loads none of the modules only other subcommands run,
 ``calibrate`` loads no profiles module, and ``--help`` or a usage error
 loads no numpy.  Also: every name the per-layer benchmark wraps still
@@ -17,30 +17,9 @@ from pathlib import Path
 
 import pytest
 
-import hapstep as hs
 from hapstep import calibration, cli, plant, renderer, segmentation
 
 from conftest import make_curve
-
-#: every name hapstep exported when its __init__ imported all modules
-#: eagerly, with the module that defines it
-EXPORTS = {
-    "calibration": ("CalibrationCurve", "analyze_step_response", "duty_to_force",
-                    "fit_calibration", "force_to_duty"),
-    "plant": ("PlateModel", "SimRun", "run_closed_loop", "simulate_step_response",
-              "step_plate"),
-    "profiles": ("FrictionProfile", "ImpulsePair", "SpeedProfileTable",
-                 "Triangle", "TriangularProfile", "align_durations", "average_profiles",
-                 "compile_triangular", "compute_impulses", "fit_device_scale",
-                 "interpolate", "treadmill_correct"),
-    "renderer": ("ActuatorCommand", "GaitEvent", "Renderer", "command_stream",
-                 "render_events", "to_vibstep"),
-    "scores": ("normalize_scores",),
-    "segmentation": ("PhaseTimings", "SegmentationConfig", "StepSegment", "combine_channels",
-                     "detect_phases", "segment_steps", "select_middle"),
-    "trace": ("ForceTrace", "load_trace", "write_trace"),
-}
-NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 #: modules that loading a table and curves has no use for
 NOT_ON_SETUP = ("hapstep.renderer", "hapstep.plant", "hapstep.scores",
@@ -70,7 +49,7 @@ print(json.dumps(sorted(sys.modules)))
 
 def _fresh(code, *argv):
     """sys.modules of a fresh interpreter after ``code``, which prints it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hs.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -108,27 +87,6 @@ def test_calibrate_loads_only_what_it_runs(tmp_path):
 def test_import_hapstep_loads_no_submodule():
     loaded = _fresh("import json, sys, hapstep; print(json.dumps(sorted(sys.modules)))")
     assert not [m for m in loaded if m.startswith("hapstep.")]
-
-
-@pytest.mark.parametrize("module,name", NAMES, ids=[n for _, n in NAMES])
-def test_export_is_its_module_attribute(module, name):
-    assert getattr(hs, name) is getattr(importlib.import_module(f"hapstep.{module}"), name)
-
-
-def test_dir_and_all_list_every_export():
-    names = {name for _, name in NAMES} | {"__version__"}
-    assert names <= set(dir(hs))
-    assert set(hs.__all__) == names
-    star = {}
-    exec("from hapstep import *", star)
-    assert names <= set(star)
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        hs.no_such_name
-    with pytest.raises(ImportError):
-        exec("from hapstep import no_such_name", {})
 
 
 def test_cli_constants_match_their_modules():

@@ -5,10 +5,18 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-import hapstep as hs
 from hapstep import textio
 from hapstep.errors import ClockError, ConfigError
-from hapstep.plant import DEFAULT_TAU_S, plate_forces, save_sim_run
+from hapstep.plant import (
+    DEFAULT_TAU_S,
+    PlateModel,
+    plate_forces,
+    run_closed_loop,
+    save_sim_run,
+    simulate_step_response,
+    step_plate,
+)
+from hapstep.renderer import GaitEvent
 
 from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve, random_runs
 
@@ -16,12 +24,12 @@ from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve, random_runs
 def make_model(tau=DEFAULT_TAU_S, min_duty=0.0, **kw):
     fwd = make_curve("forward", min_duty=min_duty)
     bwd = make_curve("backward", min_duty=min_duty)
-    return hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau, **kw)
+    return PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau, **kw)
 
 
 def stepped(model, duties, force=0.0):
     """The force after each tick of step_plate over ``duties`` from ``force``."""
-    return list(accumulate(np.asarray(duties).tolist(), partial(hs.step_plate, model),
+    return list(accumulate(np.asarray(duties).tolist(), partial(step_plate, model),
                            initial=force))[1:]
 
 
@@ -35,18 +43,18 @@ class TestStepPlate:
             assert f == pytest.approx(expected, rel=1e-9)
 
     def test_negative_duty_drives_backward(self):
-        assert hs.step_plate(make_model(), 0.0, -1.0) < 0
+        assert step_plate(make_model(), 0.0, -1.0) < 0
 
     def test_dead_zone_below_min_duty(self):
         model = make_model(min_duty=0.4)
-        assert hs.step_plate(model, 0.0, 0.2) == 0.0
-        assert hs.step_plate(model, 0.0, 0.4) > 0.0
+        assert step_plate(model, 0.0, 0.2) == 0.0
+        assert step_plate(model, 0.0, 0.4) > 0.0
 
     def test_zero_duty_relaxes_to_zero(self):
         model = make_model(tau=1e-5)
-        f = hs.step_plate(model, 0.0, 1.0)
+        f = step_plate(model, 0.0, 1.0)
         assert f > 0
-        assert abs(hs.step_plate(model, f, 0.0)) < 1e-10
+        assert abs(step_plate(model, f, 0.0)) < 1e-10
 
     def test_force_ceiling(self):
         assert stepped(make_model(max_force=1.5), np.ones(100))[-1] == 1.5
@@ -69,7 +77,7 @@ class TestPlateForces:
                   -0.21, 0.6, -0.6, 1.0, -1.0, 1e-300, -5e-324]
         duties = random_runs(np.random.default_rng(4), levels, 5000)
         for tau in (0.05, 1e-4, 2e-4):
-            model = hs.PlateModel(fwd, bwd, tau_s=tau, max_force=max_force)
+            model = PlateModel(fwd, bwd, tau_s=tau, max_force=max_force)
             forces = plate_forces(model, duties, force)
             ref = stepped(model, duties, force)
             assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
@@ -100,23 +108,23 @@ class TestPlateForces:
 
 class TestSimulateStepResponse:
     def test_default_tau_hits_tenth_second(self):
-        run = hs.simulate_step_response(make_model(tau=0.05))
+        run = simulate_step_response(make_model(tau=0.05))
         assert run.metrics["rise_10_90_s"] == pytest.approx(0.110, abs=0.005)
         assert run.metrics["rise_s"] == pytest.approx(0.1, abs=0.03)
 
     def test_logs_consistent(self):
-        run = hs.simulate_step_response(make_model())
+        run = simulate_step_response(make_model())
         assert len(run.command) == len(run.force) == 2100
 
     def test_backward_pulse_comes_first(self):
-        run = hs.simulate_step_response(make_model())
+        run = simulate_step_response(make_model())
         nz = np.flatnonzero(run.command)
         assert run.command[nz[0]] < 0
         assert run.command[nz[-1]] > 0
 
     def test_one_model_gives_identical_runs(self):
         model = make_model()
-        a, b = hs.simulate_step_response(model), hs.simulate_step_response(model)
+        a, b = simulate_step_response(model), simulate_step_response(model)
         assert a.force.tobytes() == b.force.tobytes()
         assert a.metrics == b.metrics
 
@@ -124,9 +132,9 @@ class TestSimulateStepResponse:
 class TestRunClosedLoop:
     def _run(self, knot_table, speed, tau):
         fwd, bwd = clamp_free_curves()
-        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau)
-        events = [hs.GaitEvent(t=0.05, foot="L", speed_kmh=speed)]
-        return hs.run_closed_loop(knot_table, events, model)
+        model = PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=tau)
+        events = [GaitEvent(t=0.05, foot="L", speed_kmh=speed)]
+        return run_closed_loop(knot_table, events, model)
 
     def test_impulse_tracking_at_knot_speeds(self, knot_table):
         for speed in KNOT_SPEEDS:
@@ -141,10 +149,10 @@ class TestRunClosedLoop:
 
     def test_multi_step_sequence(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=0.01)
-        events = [hs.GaitEvent(t=0.1 + 1.5 * i, foot="LR"[i % 2], speed_kmh=2.5)
+        model = PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=0.01)
+        events = [GaitEvent(t=0.1 + 1.5 * i, foot="LR"[i % 2], speed_kmh=2.5)
                   for i in range(3)]
-        run = hs.run_closed_loop(knot_table, events, model)
+        run = run_closed_loop(knot_table, events, model)
         assert run.metrics["n_steps"] == 3
         assert run.metrics["per_region_impulse_error"] <= 0.05
 
@@ -152,20 +160,20 @@ class TestRunClosedLoop:
         # both events are applied before the tick at 11 ms, so the second
         # replaces the first before it starts and only one envelope plays
         fwd, bwd = clamp_free_curves()
-        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=1e-4)
-        events = [hs.GaitEvent(t=0.0105, foot="L", speed_kmh=2.5),
-                  hs.GaitEvent(t=0.011, foot="R", speed_kmh=2.5)]
-        run = hs.run_closed_loop(knot_table, events, model)
+        model = PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=1e-4)
+        events = [GaitEvent(t=0.0105, foot="L", speed_kmh=2.5),
+                  GaitEvent(t=0.011, foot="R", speed_kmh=2.5)]
+        run = run_closed_loop(knot_table, events, model)
         assert run.metrics["n_steps"] == 1
         assert run.metrics["per_region_impulse_error"] <= 0.005
 
     def test_unordered_events_rejected(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        model = hs.PlateModel(forward_curve=fwd, backward_curve=bwd)
-        events = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
-                  hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
+        model = PlateModel(forward_curve=fwd, backward_curve=bwd)
+        events = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                  GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
         with pytest.raises(ClockError):
-            hs.run_closed_loop(knot_table, events, model)
+            run_closed_loop(knot_table, events, model)
 
     def test_metrics_include_bench_rise(self, knot_table):
         run = self._run(knot_table, 2.5, tau=DEFAULT_TAU_S)
@@ -174,7 +182,7 @@ class TestRunClosedLoop:
 
 class TestSaveSimRun:
     def test_round_trip_of_logs(self, tmp_path):
-        run = hs.simulate_step_response(make_model())
+        run = simulate_step_response(make_model())
         log = tmp_path / "log.csv"
         save_sim_run(run, log)
 
@@ -187,7 +195,7 @@ class TestSaveSimRun:
         assert np.array_equal(data[:, 2], run.force)
 
     def test_stable_bytes(self, tmp_path):
-        run = hs.simulate_step_response(make_model())
+        run = simulate_step_response(make_model())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_sim_run(run, a)
         save_sim_run(run, b)

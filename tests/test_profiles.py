@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hapstep as hs
 from hapstep.errors import (
     AlignmentError,
     ConfigError,
@@ -17,11 +16,20 @@ from hapstep.errors import (
     PipelineError,
 )
 from hapstep.profiles import (
+    FrictionProfile,
+    ImpulsePair,
     Triangle,
+    TriangularProfile,
     _region_bounds,
+    align_durations,
+    average_profiles,
+    compile_triangular,
+    compute_impulses,
+    fit_device_scale,
+    interpolate,
     load_table,
     save_table,
-    table_from_dict,
+    treadmill_correct,
 )
 
 from conftest import PROFILE_FS as FS, random_profile, random_runs
@@ -66,7 +74,7 @@ class TestTriangle:
             if field in part:
                 part[field] = value
         with pytest.raises(ConfigError):
-            hs.TriangularProfile(brake=Triangle(**brake), drive=Triangle(**drive), **duration)
+            TriangularProfile(brake=Triangle(**brake), drive=Triangle(**drive), **duration)
 
 
 class TestAlignDurations:
@@ -74,7 +82,7 @@ class TestAlignDurations:
         rng = np.random.default_rng(0)
         profs = [random_profile(rng) for _ in range(5)]
         mean_d = np.mean([p.duration_s for p in profs])
-        aligned = hs.align_durations(profs)
+        aligned = align_durations(profs)
         assert len({len(p) for p in aligned}) == 1
         for p in aligned:
             assert p.duration_s == pytest.approx(mean_d, abs=1 / FS)
@@ -84,7 +92,7 @@ class TestAlignDurations:
         p = random_profile(rng)
         q = random_profile(rng)
         mean_d = 0.5 * (p.duration_s + q.duration_s)
-        for orig, out in zip([p, q], hs.align_durations([p, q])):
+        for orig, out in zip([p, q], align_durations([p, q])):
             b0, f0 = impulse_of(orig)
             b1, f1 = impulse_of(out)
             k = mean_d / orig.duration_s
@@ -95,7 +103,7 @@ class TestAlignDurations:
         rng = np.random.default_rng(2)
         p = random_profile(rng)
         short = replace(p, values=p.values[: len(p) // 2], drive_peak_s=0.1)
-        aligned = hs.align_durations([p, short])
+        aligned = align_durations([p, short])
         for orig, out in zip([p, short], aligned):
             k = np.mean([p.duration_s, short.duration_s]) / orig.duration_s
             assert out.brake_peak_s == orig.brake_peak_s * k
@@ -103,21 +111,21 @@ class TestAlignDurations:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            hs.align_durations([])
+            align_durations([])
 
 
 class TestAverageProfiles:
     def test_pointwise_mean(self):
         rng = np.random.default_rng(3)
-        profs = hs.align_durations([random_profile(rng) for _ in range(4)])
-        avg = hs.average_profiles(profs)
+        profs = align_durations([random_profile(rng) for _ in range(4)])
+        avg = average_profiles(profs)
         expected = np.mean([p.values for p in profs], axis=0)
         assert np.array_equal(avg.values, expected)
 
     def test_timings_averaged(self):
         rng = np.random.default_rng(4)
-        profs = hs.align_durations([random_profile(rng) for _ in range(3)])
-        avg = hs.average_profiles(profs)
+        profs = align_durations([random_profile(rng) for _ in range(3)])
+        avg = average_profiles(profs)
         assert avg.brake_peak_s == float(np.mean([p.brake_peak_s for p in profs]))
         assert avg.drive_peak_s == float(np.mean([p.drive_peak_s for p in profs]))
 
@@ -126,18 +134,18 @@ class TestAverageProfiles:
         a = random_profile(rng)
         b = random_profile(rng)
         with pytest.raises(AlignmentError):
-            hs.average_profiles([a, b])
+            average_profiles([a, b])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            hs.average_profiles([])
+            average_profiles([])
 
     def test_mean_past_float_range_is_pipeline_error(self):
         # each profile is finite, but their sum is not: no numpy warning
         # (warnings fail tests here), and not the ConfigError of a caller
-        p = hs.FrictionProfile(FS, np.array([-1.5e308, 1.5e308]), 0.0, 0.001)
+        p = FrictionProfile(FS, np.array([-1.5e308, 1.5e308]), 0.0, 0.001)
         with pytest.raises(PipelineError, match="too large"):
-            hs.average_profiles([p, p])
+            average_profiles([p, p])
 
 
 class TestComputeImpulses:
@@ -146,34 +154,34 @@ class TestComputeImpulses:
         t = np.arange(600) / FS
         v = np.interp(t, [0.0, 0.1, 0.2], [0, -1.0, 0], left=0, right=0) \
             + np.interp(t, [0.2, 0.4, 0.6], [0, 2.0, 0], left=0, right=0)
-        imp = hs.compute_impulses(hs.FrictionProfile(FS, v, 0.1, 0.4))
+        imp = compute_impulses(FrictionProfile(FS, v, 0.1, 0.4))
         assert imp.B == pytest.approx(0.5 * 1.0 * 0.2, rel=1e-3)
         assert imp.F == pytest.approx(0.5 * 2.0 * 0.4, rel=1e-3)
 
     def test_square_lobes(self):
         v = np.concatenate([-np.ones(1000), 2 * np.ones(1000)])
-        imp = hs.compute_impulses(hs.FrictionProfile(FS, v, 0.5, 1.5))
+        imp = compute_impulses(FrictionProfile(FS, v, 0.5, 1.5))
         assert imp.B == pytest.approx(1.0, rel=1e-3)
         assert imp.F == pytest.approx(2.0, rel=1e-3)
 
     def test_balanced_target_and_bias(self):
-        imp = hs.ImpulsePair(B=1.0, F=2.0)
+        imp = ImpulsePair(B=1.0, F=2.0)
         assert imp.balanced_target == 1.5
         assert imp.belt_bias == -0.5
 
     def test_negative_impulse_rejected(self):
         with pytest.raises(ConfigError):
-            hs.ImpulsePair(B=-0.1, F=1.0)
+            ImpulsePair(B=-0.1, F=1.0)
 
     @pytest.mark.parametrize("B,F", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
     def test_non_finite_impulse_rejected(self, B, F):
         with pytest.raises(ConfigError):
-            hs.ImpulsePair(B=B, F=F)
+            ImpulsePair(B=B, F=F)
 
     def test_impulse_past_float_range_is_pipeline_error(self):
         v = np.concatenate([np.full(3, -1.5e308), np.full(3, 1.5e308)])
         with pytest.raises(PipelineError, match="too large"):
-            hs.compute_impulses(hs.FrictionProfile(FS, v, 0.0, 0.005))
+            compute_impulses(FrictionProfile(FS, v, 0.0, 0.005))
 
 
 class TestFrictionProfile:
@@ -182,17 +190,17 @@ class TestFrictionProfile:
         # a NaN rate would make duration_s and both impulses NaN, and an
         # infinite one would make duration_s 0.0
         with pytest.raises(ConfigError):
-            hs.FrictionProfile(rate, np.ones(10), 0.0, 0.0)
+            FrictionProfile(rate, np.ones(10), 0.0, 0.0)
 
     @pytest.mark.parametrize("brake,drive", [(np.nan, 0.005), (0.001, np.inf), (-np.inf, 0.005)])
     def test_peak_times_must_be_finite(self, brake, drive):
         with pytest.raises(ConfigError):
-            hs.FrictionProfile(FS, np.ones(10), brake, drive)
+            FrictionProfile(FS, np.ones(10), brake, drive)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_values_must_be_finite(self, value):
         with pytest.raises(ConfigError):
-            hs.FrictionProfile(FS, np.array([1.0, value]), 0.0, 0.0)
+            FrictionProfile(FS, np.array([1.0, value]), 0.0, 0.0)
 
 
 class TestTreadmillCorrect:
@@ -200,9 +208,9 @@ class TestTreadmillCorrect:
         rng = np.random.default_rng(6)
         for _ in range(50):
             p = random_profile(rng)
-            before = hs.compute_impulses(p)
-            corrected, balanced = hs.treadmill_correct(p)
-            after = hs.compute_impulses(corrected)
+            before = compute_impulses(p)
+            corrected, balanced = treadmill_correct(p)
+            after = compute_impulses(corrected)
             total = before.B + before.F
             assert abs(after.B - after.F) <= 1e-9 * total
             assert abs((after.B + after.F) - total) <= 1e-9 * total
@@ -210,28 +218,28 @@ class TestTreadmillCorrect:
 
     def test_sign_pattern_preserved(self):
         p = random_profile(np.random.default_rng(7))
-        corrected, _ = hs.treadmill_correct(p)
+        corrected, _ = treadmill_correct(p)
         assert np.array_equal(np.sign(corrected.values), np.sign(p.values))
 
     def test_already_balanced_is_identity(self):
         t = np.arange(400) / FS
         v = np.interp(t, [0.0, 0.05, 0.1], [0, -1.0, 0], left=0, right=0) \
             + np.interp(t, [0.1, 0.15, 0.2], [0, 1.0, 0], left=0, right=0)
-        p = hs.FrictionProfile(FS, v, 0.05, 0.15)
-        corrected, _ = hs.treadmill_correct(p)
+        p = FrictionProfile(FS, v, 0.05, 0.15)
+        corrected, _ = treadmill_correct(p)
         assert np.allclose(corrected.values, p.values, atol=1e-12)
 
     def test_zero_lobe_rejected(self):
-        p = hs.FrictionProfile(FS, np.abs(np.sin(np.arange(300) / 50)), 0.0, 0.08)
+        p = FrictionProfile(FS, np.abs(np.sin(np.arange(300) / 50)), 0.0, 0.08)
         with pytest.raises(DegenerateProfileError):
-            hs.treadmill_correct(p)
+            treadmill_correct(p)
 
 
 class TestCompileTriangular:
     def _compiled(self, seed):
         p = random_profile(np.random.default_rng(seed))
-        corrected, balanced = hs.treadmill_correct(p)
-        return hs.compile_triangular(corrected, balanced), \
+        corrected, balanced = treadmill_correct(p)
+        return compile_triangular(corrected, balanced), \
             corrected, balanced
 
     def test_areas_equal_impulses(self):
@@ -265,7 +273,7 @@ class TestCompileTriangular:
         p = random_profile(np.random.default_rng(24))
         wrong = replace(p, brake_peak_s=p.drive_peak_s)
         with pytest.raises(PhaseInconsistencyError):
-            hs.compile_triangular(wrong, hs.ImpulsePair(1.0, 1.0))
+            compile_triangular(wrong, ImpulsePair(1.0, 1.0))
 
 
 def reference_region_bounds(v, apex, rate, negative):
@@ -306,25 +314,25 @@ class TestFitDeviceScale:
         raw = {}
         for speed, s in zip((1.0, 2.5, 4.0), range(3)):
             p = random_profile(np.random.default_rng(seed + s))
-            corrected, balanced = hs.treadmill_correct(p)
-            raw[speed] = hs.compile_triangular(corrected, balanced)
+            corrected, balanced = treadmill_correct(p)
+            raw[speed] = compile_triangular(corrected, balanced)
         return raw
 
     def test_never_scales_up(self):
-        table = hs.fit_device_scale(self._raw(), device_max_force=1e6)
+        table = fit_device_scale(self._raw(), device_max_force=1e6)
         assert table.device_scale == 1.0
         for raw_e, e in zip(sorted(self._raw().items()), table.entries):
             assert e.drive.f_peak == raw_e[1].drive.f_peak
 
     def test_strongest_peak_hits_ceiling(self):
         raw = self._raw()
-        table = hs.fit_device_scale(raw, device_max_force=0.5)
+        table = fit_device_scale(raw, device_max_force=0.5)
         peaks = [max(abs(e.brake.f_peak), e.drive.f_peak) for e in table.entries]
         assert max(peaks) == pytest.approx(0.5, rel=1e-12)
 
     def test_shared_scale_preserves_ratios(self):
         raw = self._raw()
-        table = hs.fit_device_scale(raw, device_max_force=0.5)
+        table = fit_device_scale(raw, device_max_force=0.5)
         for (_, r), e in zip(sorted(raw.items()), table.entries):
             assert e.drive.f_peak / e.brake.f_peak == pytest.approx(
                 r.drive.f_peak / r.brake.f_peak, rel=1e-12)
@@ -333,19 +341,19 @@ class TestFitDeviceScale:
 
     def test_bad_args_rejected(self):
         with pytest.raises(ConfigError):
-            hs.fit_device_scale(self._raw(), device_max_force=0.0)
+            fit_device_scale(self._raw(), device_max_force=0.0)
         with pytest.raises(ConfigError):
-            hs.fit_device_scale({}, device_max_force=1.0)
+            fit_device_scale({}, device_max_force=1.0)
 
 
 class TestInterpolate:
     def test_knots_return_stored_entries(self, knot_table):
         for e in knot_table.entries:
-            assert hs.interpolate(knot_table, e.speed_kmh) is e
+            assert interpolate(knot_table, e.speed_kmh) is e
 
     def test_midpoint_is_parameter_mean(self, knot_table):
         lo, hi = knot_table.entries[0], knot_table.entries[1]
-        mid = hs.interpolate(knot_table, (lo.speed_kmh + hi.speed_kmh) / 2)
+        mid = interpolate(knot_table, (lo.speed_kmh + hi.speed_kmh) / 2)
         for attr in ("t_onset", "t_peak", "t_offset", "f_peak"):
             for part in ("brake", "drive"):
                 a = getattr(getattr(lo, part), attr)
@@ -356,11 +364,11 @@ class TestInterpolate:
             (lo.duration_s + hi.duration_s) / 2, abs=1e-12)
 
     def test_clamps_outside_range(self, knot_table):
-        assert hs.interpolate(knot_table, 0.2) is knot_table.entries[0]
-        assert hs.interpolate(knot_table, 5.0) is knot_table.entries[-1]
+        assert interpolate(knot_table, 0.2) is knot_table.entries[0]
+        assert interpolate(knot_table, 5.0) is knot_table.entries[-1]
 
     def test_monotone_in_speed(self, knot_table):
-        peaks = [hs.interpolate(knot_table, s).drive.f_peak
+        peaks = [interpolate(knot_table, s).drive.f_peak
                  for s in np.linspace(1.0, 4.0, 13)]
         diffs = np.sign(np.diff(peaks))
         # piecewise linear: direction can change only at the interior knot
@@ -368,7 +376,7 @@ class TestInterpolate:
 
     def test_nonfinite_speed_rejected(self, knot_table):
         with pytest.raises(ConfigError):
-            hs.interpolate(knot_table, float("nan"))
+            interpolate(knot_table, float("nan"))
 
 
 class TestTableSerialization:
@@ -386,7 +394,8 @@ class TestTableSerialization:
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ConfigError):
-            table_from_dict({"entries": [{"speed_kmh": 1.0}], "device_scale": 1.0})
+            load_table(io.StringIO(json.dumps({"entries": [{"speed_kmh": 1.0}],
+                                               "device_scale": 1.0})))
 
     def test_is_valid_json(self, knot_table, tmp_path):
         path = tmp_path / "t.json"
@@ -414,14 +423,14 @@ def test_compiled_tables_keep_impulse_balance(steps, rate, device_max_force):
         values = np.concatenate([[0.0], -brake, np.zeros(gap), drive, [0.0]])
         b_apex = 1 + int(np.argmax(brake))
         d_apex = 1 + len(brake) + gap + int(np.argmax(drive))
-        profile = hs.FrictionProfile(sample_rate_hz=rate, values=values,
-                                     brake_peak_s=b_apex / rate, drive_peak_s=d_apex / rate)
-        mean = hs.compute_impulses(profile).balanced_target
-        tri = hs.compile_triangular(*hs.treadmill_correct(profile))
+        profile = FrictionProfile(sample_rate_hz=rate, values=values,
+                                  brake_peak_s=b_apex / rate, drive_peak_s=d_apex / rate)
+        mean = compute_impulses(profile).balanced_target
+        tri = compile_triangular(*treadmill_correct(profile))
         assert abs(tri.brake.area) == pytest.approx(mean, rel=1e-12, abs=0)
         assert tri.drive.area == pytest.approx(mean, rel=1e-12, abs=0)
         raw[float(speed)], balanced[float(speed)] = tri, mean
-    table = hs.fit_device_scale(raw, device_max_force)
+    table = fit_device_scale(raw, device_max_force)
     assert 0 < table.device_scale <= 1.0
     peak = max(max(-e.brake.f_peak, e.drive.f_peak) for e in raw.values())
     assert table.device_scale == min(1.0, device_max_force / peak)

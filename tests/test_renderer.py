@@ -5,41 +5,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hapstep as hs
 from hapstep import textio
+from hapstep.calibration import force_to_duty
 from hapstep.errors import ClockError, ConfigError, FormatError
+from hapstep.profiles import interpolate
 from hapstep.renderer import (
     TICK_RATE_HZ,
+    GaitEvent,
+    Renderer,
     command_blocks,
     command_stream,
     events_from_ndjson,
     parse_event,
+    render_events,
+    to_vibstep,
 )
 
-from conftest import clamp_free_curves, event_to_json
+from conftest import clamp_free_curves, event_to_json, fitted_curves
 
 
 class TestGaitEvent:
     def test_valid(self):
-        e = hs.GaitEvent(t=0.5, foot="L", speed_kmh=2.5)
+        e = GaitEvent(t=0.5, foot="L", speed_kmh=2.5)
         assert e.kind == "grounded"
 
     def test_bad_foot(self):
         with pytest.raises(FormatError):
-            hs.GaitEvent(t=0.0, foot="X", speed_kmh=2.5)
+            GaitEvent(t=0.0, foot="X", speed_kmh=2.5)
 
     def test_bad_kind(self):
         with pytest.raises(FormatError):
-            hs.GaitEvent(t=0.0, foot="L", speed_kmh=2.5, kind="lifted")
+            GaitEvent(t=0.0, foot="L", speed_kmh=2.5, kind="lifted")
 
     def test_bad_speed(self):
         with pytest.raises(FormatError):
-            hs.GaitEvent(t=0.0, foot="L", speed_kmh=float("inf"))
+            GaitEvent(t=0.0, foot="L", speed_kmh=float("inf"))
 
 
 def make_renderer(table):
     fwd, bwd = clamp_free_curves()
-    return hs.Renderer(table, fwd, bwd)
+    return Renderer(table, fwd, bwd)
 
 
 class TestRenderer:
@@ -50,8 +55,8 @@ class TestRenderer:
 
     def test_envelope_starts_at_next_tick(self, knot_table):
         r = make_renderer(knot_table)
-        event = hs.GaitEvent(t=0.0101, foot="L", speed_kmh=2.5)
-        profile = hs.interpolate(knot_table, 2.5)
+        event = GaitEvent(t=0.0101, foot="L", speed_kmh=2.5)
+        profile = interpolate(knot_table, 2.5)
         r.on_event(event)
         start = 0.011  # first tick strictly after the event
         for i in range(30):
@@ -66,7 +71,7 @@ class TestRenderer:
 
     def test_brake_precedes_drive(self, knot_table):
         r = make_renderer(knot_table)
-        r.on_event(hs.GaitEvent(t=0.0, foot="R", speed_kmh=1.0))
+        r.on_event(GaitEvent(t=0.0, foot="R", speed_kmh=1.0))
         duties = [r.tick(i / TICK_RATE_HZ).signed_duty for i in range(3000)]
         duties = np.asarray(duties)
         neg = np.flatnonzero(duties < 0)
@@ -76,11 +81,11 @@ class TestRenderer:
 
     def test_new_event_preempts_active_envelope(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        events = [hs.GaitEvent(t=0.0, foot="L", speed_kmh=1.0),
-                  hs.GaitEvent(t=0.2, foot="R", speed_kmh=4.0)]
-        t, duty = hs.render_events(knot_table, fwd, bwd, events)
+        events = [GaitEvent(t=0.0, foot="L", speed_kmh=1.0),
+                  GaitEvent(t=0.2, foot="R", speed_kmh=4.0)]
+        t, duty = render_events(knot_table, fwd, bwd, events)
         # after the second event only the 4.0 km/h envelope plays
-        profile = hs.interpolate(knot_table, 4.0)
+        profile = interpolate(knot_table, 4.0)
         start = (math.floor(0.2 * TICK_RATE_HZ) + 1) / TICK_RATE_HZ
         sel = t >= start
         expected = profile.force_at(t[sel] - start) / 3.0
@@ -88,14 +93,14 @@ class TestRenderer:
 
     def test_schedule_records_rendered_envelopes(self, knot_table):
         r = make_renderer(knot_table)
-        r.on_event(hs.GaitEvent(t=0.0105, foot="L", speed_kmh=1.0))
-        r.on_event(hs.GaitEvent(t=0.011, foot="R", speed_kmh=4.0))  # replaces it
+        r.on_event(GaitEvent(t=0.0105, foot="L", speed_kmh=1.0))
+        r.on_event(GaitEvent(t=0.011, foot="R", speed_kmh=4.0))  # replaces it
         for i in range(20):
             r.tick(i / TICK_RATE_HZ)
-        r.on_event(hs.GaitEvent(t=0.0195, foot="L", speed_kmh=2.5))  # preempts
+        r.on_event(GaitEvent(t=0.0195, foot="L", speed_kmh=2.5))  # preempts
         assert [e.start_tick for e in r.schedule] == [12, 20]
-        assert [e.profile for e in r.schedule] == [hs.interpolate(knot_table, 4.0),
-                                                   hs.interpolate(knot_table, 2.5)]
+        assert [e.profile for e in r.schedule] == [interpolate(knot_table, 4.0),
+                                                   interpolate(knot_table, 2.5)]
 
     def test_tick_clock_must_advance(self, knot_table):
         r = make_renderer(knot_table)
@@ -107,121 +112,110 @@ class TestRenderer:
         r = make_renderer(knot_table)
         r.tick(0.5)
         with pytest.raises(ClockError):
-            r.on_event(hs.GaitEvent(t=0.1, foot="L", speed_kmh=2.5))
+            r.on_event(GaitEvent(t=0.1, foot="L", speed_kmh=2.5))
 
     def test_envelope_bounded_by_event_gap(self, knot_table, monkeypatch):
         """An envelope may last as long as the longest gap between events."""
         fwd, bwd = clamp_free_curves()
         longest = max(e.duration_s for e in knot_table.entries)
         monkeypatch.setattr("hapstep.renderer.MAX_EVENT_GAP_S", longest)
-        hs.Renderer(knot_table, fwd, bwd)
+        Renderer(knot_table, fwd, bwd)
         monkeypatch.setattr("hapstep.renderer.MAX_EVENT_GAP_S",
                             math.nextafter(longest, 0))
         with pytest.raises(ConfigError, match="at most"):
-            hs.Renderer(knot_table, fwd, bwd)
+            Renderer(knot_table, fwd, bwd)
 
 
 class TestCommandStream:
     def _events(self):
-        return [hs.GaitEvent(t=0.05, foot="L", speed_kmh=1.0),
-                hs.GaitEvent(t=1.4, foot="R", speed_kmh=2.5),
-                hs.GaitEvent(t=2.7, foot="L", speed_kmh=4.0)]
+        return [GaitEvent(t=0.05, foot="L", speed_kmh=1.0),
+                GaitEvent(t=1.4, foot="R", speed_kmh=2.5),
+                GaitEvent(t=2.7, foot="L", speed_kmh=4.0)]
 
     def test_replay_is_deterministic(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        t1, d1 = hs.render_events(knot_table, fwd, bwd, self._events())
-        t2, d2 = hs.render_events(knot_table, fwd, bwd, self._events())
+        t1, d1 = render_events(knot_table, fwd, bwd, self._events())
+        t2, d2 = render_events(knot_table, fwd, bwd, self._events())
         assert np.array_equal(t1, t2)
         assert np.array_equal(d1, d2)
 
     def test_live_iterator_matches_offline_list(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        _, offline = hs.render_events(knot_table, fwd, bwd, self._events())
+        _, offline = render_events(knot_table, fwd, bwd, self._events())
         lines = [event_to_json(e) + "\n" for e in self._events()]
-        _, live = hs.render_events(knot_table, fwd, bwd,
-                                   events_from_ndjson(iter(lines)))
+        _, live = render_events(knot_table, fwd, bwd,
+                                events_from_ndjson(iter(lines)))
         assert np.array_equal(offline, live)
 
     def test_stream_ends_with_last_envelope(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        t, _ = hs.render_events(knot_table, fwd, bwd, self._events())
+        t, _ = render_events(knot_table, fwd, bwd, self._events())
         last = self._events()[-1]
         end = (math.floor(last.t * TICK_RATE_HZ) + 1) / TICK_RATE_HZ \
-            + hs.interpolate(knot_table, last.speed_kmh).duration_s
+            + interpolate(knot_table, last.speed_kmh).duration_s
         assert t[-1] <= end
         assert t[-1] >= end - 2 / TICK_RATE_HZ
 
     def test_explicit_duration_truncates(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        t, _ = hs.render_events(knot_table, fwd, bwd, self._events(),
-                                duration_s=1.0)
+        t, _ = render_events(knot_table, fwd, bwd, self._events(),
+                             duration_s=1.0)
         assert len(t) == 1000
 
     def test_unordered_events_rejected(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        events = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
-                  hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
+        events = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                  GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
         with pytest.raises(ClockError):
-            hs.render_events(knot_table, fwd, bwd, events)
+            render_events(knot_table, fwd, bwd, events)
 
     def test_no_events_yields_nothing(self, knot_table):
         fwd, bwd = clamp_free_curves()
-        t, duty = hs.render_events(knot_table, fwd, bwd, [])
+        t, duty = render_events(knot_table, fwd, bwd, [])
         assert len(t) == 0 and len(duty) == 0
 
 
 class TestVibstep:
     def _duties(self, knot_table, speed=2.5):
         fwd, bwd = clamp_free_curves()
-        events = [hs.GaitEvent(t=0.0, foot="L", speed_kmh=speed)]
-        _, duty = hs.render_events(knot_table, fwd, bwd, events)
+        events = [GaitEvent(t=0.0, foot="L", speed_kmh=speed)]
+        _, duty = render_events(knot_table, fwd, bwd, events)
         return duty
 
     def test_rectangles_cover_envelope(self, knot_table):
         duty = self._duties(knot_table)
-        heel, thenar = hs.to_vibstep(duty)
+        heel, thenar = to_vibstep(duty)
         assert np.all(heel >= np.clip(-duty, 0, None))
         assert np.all(thenar >= np.clip(duty, 0, None))
 
     def test_equality_at_apexes(self, knot_table):
         duty = self._duties(knot_table)
-        heel, thenar = hs.to_vibstep(duty)
+        heel, thenar = to_vibstep(duty)
         i_brake = int(np.argmin(duty))
         i_drive = int(np.argmax(duty))
         assert heel[i_brake] == -duty[i_brake]
         assert thenar[i_drive] == duty[i_drive]
 
     def test_heel_ends_before_thenar_starts(self, knot_table):
-        heel, thenar = hs.to_vibstep(self._duties(knot_table))
+        heel, thenar = to_vibstep(self._duties(knot_table))
         heel_on = np.flatnonzero(heel > 0)
         thenar_on = np.flatnonzero(thenar > 0)
         assert heel_on[-1] < thenar_on[0]
 
     def test_one_vibrator_at_a_time(self, knot_table):
-        heel, thenar = hs.to_vibstep(self._duties(knot_table, speed=1.0))
+        heel, thenar = to_vibstep(self._duties(knot_table, speed=1.0))
         assert np.all((heel == 0.0) | (thenar == 0.0))
 
     def test_zero_envelope_gives_silence(self):
-        heel, thenar = hs.to_vibstep(np.zeros(100))
+        heel, thenar = to_vibstep(np.zeros(100))
         assert len(heel) == len(thenar) == 100
         assert np.all(heel == 0.0) and np.all(thenar == 0.0)
-
-
-def fitted_curves():
-    """Curves fitted to noisy bench points: 0.14-0.20 N intercepts, the
-    95/255 duty floor, and a duty ceiling below the table's peak force."""
-    rng = np.random.default_rng(7)
-    duties = (95 / 255, 135 / 255, 175 / 255, 215 / 255, 1.0)
-    return tuple(
-        hs.fit_calibration([(d, (slope * d + icpt) * (1 + 0.01 * rng.uniform(-1, 1)))
-                            for d in duties], direction)
-        for direction, slope, icpt in (("forward", 1.2, 0.17), ("backward", 1.7, 0.15)))
 
 
 def reference_duty(table, fwd, bwd, events, n, rate=TICK_RATE_HZ):
     """Per-tick scalar render: the envelope of the last event whose
     start tick has come, evaluated at i / rate - start / rate."""
-    starts = [(math.floor(e.t * rate) + 1, hs.interpolate(table, e.speed_kmh))
+    starts = [(math.floor(e.t * rate) + 1, interpolate(table, e.speed_kmh))
               for e in events]
     out = []
     for i in range(n):
@@ -232,9 +226,9 @@ def reference_duty(table, fwd, bwd, events, n, rate=TICK_RATE_HZ):
             if i / rate < start / rate + profile.duration_s:
                 force = float(profile.force_at(i / rate - start / rate))
                 if force < 0:
-                    duty = -hs.force_to_duty(bwd, -force)
+                    duty = -force_to_duty(bwd, -force)
                 elif force > 0:
-                    duty = hs.force_to_duty(fwd, force)
+                    duty = force_to_duty(fwd, force)
         out.append(duty)
     return out
 
@@ -243,14 +237,14 @@ class TestKernelExact:
     def test_render_equals_scalar_reference(self, knot_table):
         fwd, bwd = fitted_curves()
         assert 0.14 <= fwd.intercept <= 0.20 and 0.14 <= bwd.intercept <= 0.20
-        events = [hs.GaitEvent(t=0.0, foot="L", speed_kmh=0.8),     # below the table
-                  hs.GaitEvent(t=0.7003, foot="R", speed_kmh=1.7),  # preempts
-                  hs.GaitEvent(t=1.9, foot="L", speed_kmh=4.6),     # above the table
-                  hs.GaitEvent(t=2.35, foot="R", speed_kmh=3.3),    # preempts
-                  hs.GaitEvent(t=3.5001, foot="L", speed_kmh=2.2),
-                  hs.GaitEvent(t=3.5004, foot="R", speed_kmh=3.7),  # replaces it
-                  hs.GaitEvent(t=4.3, foot="L", speed_kmh=2.5)]
-        t, duty = hs.render_events(knot_table, fwd, bwd, events)
+        events = [GaitEvent(t=0.0, foot="L", speed_kmh=0.8),     # below the table
+                  GaitEvent(t=0.7003, foot="R", speed_kmh=1.7),  # preempts
+                  GaitEvent(t=1.9, foot="L", speed_kmh=4.6),     # above the table
+                  GaitEvent(t=2.35, foot="R", speed_kmh=3.3),    # preempts
+                  GaitEvent(t=3.5001, foot="L", speed_kmh=2.2),
+                  GaitEvent(t=3.5004, foot="R", speed_kmh=3.7),  # replaces it
+                  GaitEvent(t=4.3, foot="L", speed_kmh=2.5)]
+        t, duty = render_events(knot_table, fwd, bwd, events)
         ref = reference_duty(knot_table, fwd, bwd, events, len(duty))
         assert duty.tolist() == ref
         assert t.tolist() == [i / TICK_RATE_HZ for i in range(len(t))]
@@ -264,7 +258,7 @@ class TestKernelExact:
                  np.array([0.8]), np.array([-0.8, 0.0]), np.array([]),
                  rng.choice([-0.9, -0.4, 0.0, 0.0, 0.5, 1.0], size=500)]
         for duty in cases:
-            heel, thenar = hs.to_vibstep(duty)
+            heel, thenar = to_vibstep(duty)
             ref_heel, ref_thenar = [0.0] * len(duty), [0.0] * len(duty)
             i = 0
             while i < len(duty):
@@ -283,7 +277,7 @@ class TestKernelExact:
 
 class TestEventJson:
     def test_round_trip(self):
-        e = hs.GaitEvent(t=1.25, foot="R", speed_kmh=3.3)
+        e = GaitEvent(t=1.25, foot="R", speed_kmh=3.3)
         assert parse_event(event_to_json(e)) == e
 
     def test_default_kind(self):
@@ -326,7 +320,7 @@ def bits(values):
 def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
     """Duties of command_stream, ticked on one by one up to ``tail_s``
     after the latest envelope end; also the renderer and the pulls."""
-    renderer, pulls = hs.Renderer(table, fwd, bwd), Pulls(events)
+    renderer, pulls = Renderer(table, fwd, bwd), Pulls(events)
     duty = [c.signed_duty for c in command_stream(renderer, pulls, duration_s)]
     while duration_s is None and len(duty) / TICK_RATE_HZ < renderer.end_t + tail_s:
         duty.append(renderer.tick(len(duty) / TICK_RATE_HZ).signed_duty)
@@ -335,7 +329,7 @@ def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
 
 def blocked(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
     """command_blocks' (t, duty) blocks, the renderer and the pulls."""
-    renderer, pulls = hs.Renderer(table, fwd, bwd), Pulls(events)
+    renderer, pulls = Renderer(table, fwd, bwd), Pulls(events)
     blocks = list(command_blocks(renderer, pulls, duration_s, tail_s))
     return blocks, renderer, pulls
 
@@ -358,7 +352,7 @@ def random_log(rng, n, rate=TICK_RATE_HZ):
             t += rng.uniform(0.0, 1.3)
         t = max(t, events[-1].t if events else 0.0)
         speed = float(rng.choice([0.5, 1.0, 1.7, 2.5, 3.3, 4.0, 5.0]))
-        events.append(hs.GaitEvent(t=t, foot="LR"[k % 2], speed_kmh=speed))
+        events.append(GaitEvent(t=t, foot="LR"[k % 2], speed_kmh=speed))
     return events
 
 
@@ -394,10 +388,10 @@ class TestCommandBlocks:
             starts = [math.floor(e.t * rate) + 1 for e in events]
             kept = [k for k in range(len(events)) if applied[k] <= n and not (
                 k + 1 < len(events) and applied[k + 1] <= min(starts[k], n))]
-            assert r.schedule == [(starts[k], hs.interpolate(knot_table, events[k].speed_kmh))
+            assert r.schedule == [(starts[k], interpolate(knot_table, events[k].speed_kmh))
                                   for k in kept]
             assert r.end_t == max([starts[k] / rate
-                                   + hs.interpolate(knot_table, events[k].speed_kmh).duration_s
+                                   + interpolate(knot_table, events[k].speed_kmh).duration_s
                                    for k in range(len(events)) if applied[k] <= n], default=0.0)
             if tail == 0.0:
                 assert bits(streamed(knot_table, fwd, bwd, events, duration, 0.0)[0]) == ref
@@ -409,34 +403,34 @@ class TestCommandBlocks:
         at tick 2007, not at ceil(2.007 * 1000) = 2008."""
         fwd, bwd = fitted_curves()
         assert math.ceil(2.007 * TICK_RATE_HZ) == 2008
-        events = [hs.GaitEvent(t=0.0105, foot="L", speed_kmh=1.0),
-                  hs.GaitEvent(t=0.011, foot="R", speed_kmh=4.0),
-                  hs.GaitEvent(t=2.0061, foot="L", speed_kmh=2.5),
-                  hs.GaitEvent(t=2.007, foot="R", speed_kmh=1.7)]
+        events = [GaitEvent(t=0.0105, foot="L", speed_kmh=1.0),
+                  GaitEvent(t=0.011, foot="R", speed_kmh=4.0),
+                  GaitEvent(t=2.0061, foot="L", speed_kmh=2.5),
+                  GaitEvent(t=2.007, foot="R", speed_kmh=1.7)]
         blocks, r, _ = blocked(knot_table, fwd, bwd, events)
         ref, _, _ = streamed(knot_table, fwd, bwd, events)
         assert bits(np.concatenate([d for _, d in blocks])) == bits(ref)
         assert [e.start_tick for e in r.schedule] == [12, 2008]
-        assert [e.profile for e in r.schedule] == [hs.interpolate(knot_table, 4.0),
-                                                   hs.interpolate(knot_table, 1.7)]
+        assert [e.profile for e in r.schedule] == [interpolate(knot_table, 4.0),
+                                                   interpolate(knot_table, 1.7)]
 
     def test_pulls_one_event_past_the_duration(self, knot_table, monkeypatch):
         """Once tick i is out, of the stream or in a block, exactly the
         events applied at or before it and one more have been pulled;
         so have they once the run ends at the duration."""
         fwd, bwd = fitted_curves()
-        events = [hs.GaitEvent(t=0.1 * k, foot="L", speed_kmh=2.5) for k in range(10)]
-        events += [hs.GaitEvent(t=1.0 + 0.0007 * k, foot="R", speed_kmh=1.0) for k in range(5)]
+        events = [GaitEvent(t=0.1 * k, foot="L", speed_kmh=2.5) for k in range(10)]
+        events += [GaitEvent(t=1.0 + 0.0007 * k, foot="R", speed_kmh=1.0) for k in range(5)]
         applied = [apply_tick(e.t, TICK_RATE_HZ) for e in events]
         for block, duration in itertools.product((1, 7, 300, textio.WRITE_ROWS),
                                                  (0.0, 0.25, 0.3, 0.31, 1.0023, None)):
             monkeypatch.setattr(textio, "WRITE_ROWS", block)
-            renderer, pulls = hs.Renderer(knot_table, fwd, bwd), Pulls(events)
+            renderer, pulls = Renderer(knot_table, fwd, bwd), Pulls(events)
             i = -1
             for i, _ in enumerate(command_stream(renderer, pulls, duration)):
                 assert pulls.pulled == pulled_by(applied, i), (duration, i)
             assert pulls.pulled == pulled_by(applied, i + 1)
-            renderer, pulls = hs.Renderer(knot_table, fwd, bwd), Pulls(events)
+            renderer, pulls = Renderer(knot_table, fwd, bwd), Pulls(events)
             i = 0
             for t, _ in command_blocks(renderer, pulls, duration):
                 assert pulls.pulled == pulled_by(applied, i) == pulled_by(applied, i + len(t) - 1)
@@ -445,10 +439,10 @@ class TestCommandBlocks:
 
     def test_unordered_and_distant_events_fail_alike(self, knot_table):
         fwd, bwd = fitted_curves()
-        unordered = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
-                     hs.GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
-        distant = [hs.GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
-                   hs.GaitEvent(t=3602.0, foot="R", speed_kmh=2.5)]
+        unordered = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                     GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
+        distant = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
+                   GaitEvent(t=3602.0, foot="R", speed_kmh=2.5)]
         for events, error in ((unordered, ClockError), (distant, FormatError)):
             for run in (streamed, blocked):
                 with pytest.raises(error):
@@ -459,7 +453,7 @@ class TestCommandBlocks:
         fwd, bwd = fitted_curves()
         for make in (command_stream, command_blocks):
             with pytest.raises(ConfigError):
-                make(hs.Renderer(knot_table, fwd, bwd), iter(()), duration)
+                make(Renderer(knot_table, fwd, bwd), iter(()), duration)
 
 
 def apply_tick(t, rate):
@@ -487,7 +481,7 @@ def playing_envelopes(table, events, duration_s, rate, tail_s=0.0):
     later.  Each tick's (start, profile), None where nothing plays."""
     applied = [apply_tick(e.t, rate) for e in events]
     starts = [math.floor(e.t * rate) + 1 for e in events]
-    profiles = [hs.interpolate(table, e.speed_kmh) for e in events]
+    profiles = [interpolate(table, e.speed_kmh) for e in events]
     kept = [k + 1 == len(events) or applied[k + 1] > starts[k] for k in range(len(events))]
     if duration_s is not None:
         n = apply_tick(duration_s, rate)
@@ -515,9 +509,9 @@ def expected_duties(table, fwd, bwd, events, duration_s, rate, tail_s=0.0):
             start, profile = playing
             force = float(profile.force_at(i / rate - start / rate))
             if force < 0:
-                duty = -hs.force_to_duty(bwd, -force)
+                duty = -force_to_duty(bwd, -force)
             elif force > 0:
-                duty = hs.force_to_duty(fwd, force)
+                duty = force_to_duty(fwd, force)
         out.append(duty)
     return out
 
@@ -535,7 +529,7 @@ def event_logs(draw, rate=TICK_RATE_HZ):
     # several events in one tick
     times = [t for t in times for _ in range(draw(st.integers(1, 2)))]
     speeds = st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.5, 3.3, 4.0, 6.0]) | st.floats(0.0, 6.0)
-    return [hs.GaitEvent(t=t, foot="L", speed_kmh=draw(speeds)) for t in times]
+    return [GaitEvent(t=t, foot="L", speed_kmh=draw(speeds)) for t in times]
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,13 +556,13 @@ def test_preempted_ticks_are_never_sampled(knot_table, monkeypatch, block):
     def counted(curve, force):
         if curve is fwd:
             sampled.append(np.size(force))
-        return hs.force_to_duty(curve, force)
+        return force_to_duty(curve, force)
 
     monkeypatch.setattr("hapstep.renderer.force_to_duty", counted)
     events = random_log(np.random.default_rng(5), 30)
     playing = playing_envelopes(knot_table, events, None, TICK_RATE_HZ)
     played = sum(p is not None for p in playing)
-    whole = sum(int(hs.interpolate(knot_table, e.speed_kmh).duration_s * TICK_RATE_HZ)
+    whole = sum(int(interpolate(knot_table, e.speed_kmh).duration_s * TICK_RATE_HZ)
                 for e in events)
     assert played < whole - 1000  # envelopes preempt each other
     blocks = blocked(knot_table, fwd, bwd, events)[0]

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-import hapstep as hs
 from hapstep import segmentation
 from hapstep.errors import (
     ConfigError,
     InsufficientStepsError,
     PhaseDetectionError,
 )
-from hapstep.segmentation import SegmentationConfig, StepSegment
+from hapstep.segmentation import (
+    PhaseTimings,
+    SegmentationConfig,
+    StepSegment,
+    combine_channels,
+    detect_phases,
+    segment_steps,
+    select_middle,
+)
 from hapstep.synthetic import StepShape, step_channels, synthetic_walk
 from hapstep.trace import ForceTrace
 
@@ -34,18 +41,18 @@ def triangle(fs, t0, t1, t2, peak, n):
 class TestSegmentSteps:
     def test_all_zero_trace_gives_no_steps(self):
         tr = make_trace(np.zeros(2000), np.zeros(2000))
-        assert hs.segment_steps(tr) == []
+        assert segment_steps(tr) == []
 
     def test_bump_below_onset_ignored(self):
         heel = triangle(FS, 0.1, 0.3, 0.5, -0.25, 1000)  # peak below 0.3 N
         tr = make_trace(np.zeros(1000), heel)
-        assert hs.segment_steps(tr) == []
+        assert segment_steps(tr) == []
 
     def test_synthetic_walk_boundaries_recovered(self):
         cfg = SegmentationConfig()
         tr, truths = synthetic_walk(n_steps=30, jitter=0.1,
                                     rng=np.random.default_rng(3))
-        segs = hs.segment_steps(tr, cfg)
+        segs = segment_steps(tr, cfg)
         assert len(segs) == 30
         for seg, truth in zip(segs, truths):
             onset_err = abs(seg.start_s - truth.onset_s(cfg.onset_threshold))
@@ -56,55 +63,55 @@ class TestSegmentSteps:
 
     def test_idempotent_on_isolated_segment(self):
         tr, _ = synthetic_walk(n_steps=3)
-        seg = hs.segment_steps(tr)[1]
-        again = hs.segment_steps(seg.trace)
+        seg = segment_steps(tr)[1]
+        again = segment_steps(seg.trace)
         assert len(again) == 1
         assert len(again[0].trace) == len(seg.trace)
 
     def test_min_step_filter(self):
         heel = triangle(FS, 0.05, 0.10, 0.15, -2.0, 1000)  # 0.1 s blip
         tr = make_trace(np.zeros(1000), heel)
-        assert hs.segment_steps(tr) == []
+        assert segment_steps(tr) == []
 
     def test_quiet_run_of_hold_samples_closes_step(self, monkeypatch):
         monkeypatch.setattr(segmentation, "RELEASE_HOLD_S", 0.001)  # hold of one sample
         for gap in (1, 2):
             active = np.r_[np.ones(300), np.zeros(gap), np.ones(300)]
-            segs = hs.segment_steps(make_trace(active, np.zeros(len(active))))
+            segs = segment_steps(make_trace(active, np.zeros(len(active))))
             assert [(s.start_s, len(s.trace)) for s in segs] \
                 == [(0.0, 300), ((300 + gap) / FS, 300)]
 
     def test_bad_thresholds_rejected(self):
         tr = make_trace(np.zeros(10), np.zeros(10))
         with pytest.raises(ConfigError):
-            hs.segment_steps(tr, SegmentationConfig(onset_threshold=-1.0))
+            segment_steps(tr, SegmentationConfig(onset_threshold=-1.0))
         with pytest.raises(ConfigError):
-            hs.segment_steps(tr, SegmentationConfig(onset_threshold=0.1,
-                                                    release_threshold=0.2))
+            segment_steps(tr, SegmentationConfig(onset_threshold=0.1,
+                                                 release_threshold=0.2))
 
 
 class TestSelectMiddle:
     def _segments(self, n):
         tr, _ = synthetic_walk(n_steps=n)
-        segs = hs.segment_steps(tr)
+        segs = segment_steps(tr)
         assert len(segs) == n
         return segs
 
     def test_thirty_steps_default_window(self):
-        mid = hs.select_middle(self._segments(30))
+        mid = select_middle(self._segments(30))
         assert [s.index_in_walk for s in mid] == list(range(4, 14))
 
     def test_exact_boundary(self):
-        mid = hs.select_middle(self._segments(13))
+        mid = select_middle(self._segments(13))
         assert len(mid) == 10
 
     def test_too_few_steps(self):
         with pytest.raises(InsufficientStepsError, match="short by 4"):
-            hs.select_middle(self._segments(9))
+            select_middle(self._segments(9))
 
     def test_bad_window(self):
         with pytest.raises(ConfigError):
-            hs.select_middle(self._segments(13), first=0)
+            select_middle(self._segments(13), first=0)
 
 
 class TestDetectPhases:
@@ -113,7 +120,7 @@ class TestDetectPhases:
         heel = triangle(FS, 0.0, 0.1, 0.2, -1.0, n)
         thenar = triangle(FS, 0.2, 0.35, 0.5, 1.0, n) \
             + triangle(FS, 0.5, 0.53, 0.56, -5.0, n)
-        ph = hs.detect_phases(make_segment(thenar, heel))
+        ph = detect_phases(make_segment(thenar, heel))
         assert ph.t_step1_peak == pytest.approx(0.1, abs=2 / FS)
         assert ph.t_step3_peak == pytest.approx(0.35, abs=2 / FS)
         assert ph.t_step4_start == pytest.approx(0.5, abs=2 / FS)
@@ -124,31 +131,31 @@ class TestDetectPhases:
         heel = triangle(FS, 0.0, 0.1, 0.2, -1.0, n)
         heel = heel + triangle(FS, 0.2, 0.225, 0.25, 0.4, n)  # 50 ms overlap
         thenar = triangle(FS, 0.2, 0.35, 0.5, 1.0, n)
-        ph = hs.detect_phases(make_segment(thenar, heel))
+        ph = detect_phases(make_segment(thenar, heel))
         assert ph.t_step2_present
 
     def test_step2_absent_without_overlap(self):
         n = 700
         heel = triangle(FS, 0.0, 0.1, 0.2, -1.0, n)
         thenar = triangle(FS, 0.2, 0.35, 0.5, 1.0, n)
-        ph = hs.detect_phases(make_segment(thenar, heel))
+        ph = detect_phases(make_segment(thenar, heel))
         assert not ph.t_step2_present
 
     def test_pure_positive_step_rejected(self):
         thenar = triangle(FS, 0.0, 0.2, 0.4, 1.0, 500)
         with pytest.raises(PhaseDetectionError):
-            hs.detect_phases(make_segment(thenar, np.zeros(500)))
+            detect_phases(make_segment(thenar, np.zeros(500)))
 
     def test_no_drive_region_rejected(self):
         heel = triangle(FS, 0.0, 0.2, 0.4, -1.0, 500)
         with pytest.raises(PhaseDetectionError):
-            hs.detect_phases(make_segment(np.zeros(500), heel))
+            detect_phases(make_segment(np.zeros(500), heel))
 
     def test_brake_then_drive_ordering_on_walk(self):
         tr, _ = synthetic_walk(n_steps=8, jitter=0.1,
                                rng=np.random.default_rng(11))
-        for seg in hs.segment_steps(tr):
-            ph = hs.detect_phases(seg)
+        for seg in segment_steps(tr):
+            ph = detect_phases(seg)
             assert ph.t_step1_peak < ph.t_step3_peak
 
 
@@ -158,8 +165,8 @@ class TestCombineChannels:
         thenar = np.full(n, 1.0)
         heel = np.full(n, 0.5)
         seg = make_segment(thenar, heel)
-        ph = hs.PhaseTimings(0.0, 0.05, False, 0.2, 0.3, 0.4)
-        prof = hs.combine_channels(seg, ph)
+        ph = PhaseTimings(0.0, 0.05, False, 0.2, 0.3, 0.4)
+        prof = combine_channels(seg, ph)
         assert np.allclose(prof.values, 1.5)
         assert len(prof) == 300  # truncated at t_step4_start
 
@@ -167,17 +174,17 @@ class TestCombineChannels:
         shape = StepShape()
         thenar, heel = step_channels(shape, FS)
         seg = make_segment(thenar, heel)
-        ph = hs.detect_phases(seg)
-        prof = hs.combine_channels(seg, ph)
+        ph = detect_phases(seg)
+        prof = combine_channels(seg, ph)
         assert prof.duration_s <= shape.t_spike_start + 2 / FS
         assert np.min(prof.values) > -shape.spike_peak_n / 2
 
     def test_impulse_additivity(self):
         tr, _ = synthetic_walk(n_steps=3, jitter=0.1,
                                rng=np.random.default_rng(5))
-        seg = hs.segment_steps(tr)[0]
-        ph = hs.detect_phases(seg)
-        prof = hs.combine_channels(seg, ph)
+        seg = segment_steps(tr)[0]
+        ph = detect_phases(seg)
+        prof = combine_channels(seg, ph)
         n = len(prof)
         dt = 1.0 / FS
         # independent per-channel integration over the kept window
@@ -251,7 +258,7 @@ class TestRunScanExact:
                         reference_bounds(activity, cfg.onset_threshold,
                                          cfg.release_threshold, hold)
                         if (stop - start) / fs >= cfg.min_step_s]
-            segs = hs.segment_steps(make_trace(thenar, heel, fs), cfg)
+            segs = segment_steps(make_trace(thenar, heel, fs), cfg)
             assert [(s.start_s, len(s.trace)) for s in segs] == expected
             assert [s.index_in_walk for s in segs] == list(range(1, len(segs) + 1))
             n_steps += len(segs)
@@ -270,7 +277,7 @@ class TestRunScanExact:
             monkeypatch.setattr(segmentation, "STEP4_RATIO", rng.uniform(0.3, 3.0))
             monkeypatch.setattr(segmentation, "STEP2_MIN_S", rng.uniform(0.0, 0.008))
             try:
-                ph = hs.detect_phases(make_segment(thenar, heel, fs))
+                ph = detect_phases(make_segment(thenar, heel, fs))
             except PhaseDetectionError:
                 continue
             i1, i3 = round(ph.t_step1_peak * fs), round(ph.t_step3_peak * fs)

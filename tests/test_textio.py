@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hapstep as hs
 from hapstep import textio
 from hapstep.errors import FormatError
-from hapstep.plant import plate_forces
+from hapstep.plant import PlateModel, plate_forces
+from hapstep.renderer import GaitEvent, render_events, to_vibstep
 from hapstep.trace import ForceTrace, load_trace, write_trace
 
 from conftest import make_curve
@@ -61,11 +61,11 @@ def outcome(read, source):
 
 
 def assert_reads_like_reference(text, tmp_path):
-    """Same outcome from bytes, a text stream and a path (which splits
-    lines on a lone CR too)."""
+    """Same outcome from a text stream and a path (which splits lines on
+    a lone CR too)."""
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
-    for make in (text.encode, lambda: io.StringIO(text), lambda: str(path)):
+    for make in (lambda: io.StringIO(text), lambda: str(path)):
         assert outcome(textio.read_csv, make()) == outcome(reference_read_csv, make())
 
 
@@ -176,8 +176,8 @@ def csv_text(draw):
 @settings(max_examples=150, deadline=None)
 @given(text=csv_text(), hint=st.integers(1, 200))
 def test_read_csv_property(text, hint, prop_dir):
-    """bytes, a stream and a regular file, whose body numpy reads by its
-    path unless the scan or the shape check refuses, read alike."""
+    """A stream and a regular file, whose body numpy reads by its path
+    unless the scan or the shape check refuses, read alike."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(textio, "_READ_HINT", hint):
@@ -229,7 +229,7 @@ def test_body_by_path_only_from_a_plain_regular_file(tmp_path, monkeypatch):
              for n in ("walk.csv", "crlf.csv", "empty_line.csv")]
     cases += [(lambda: tmp_path / "walk.csv", [(str(tmp_path / "walk.csv"), True)]),
               (path("space_line.csv"), [(str(tmp_path / "space_line.csv"), False)]),
-              (BODY.encode, []), (lambda: io.StringIO(BODY), []),
+              (lambda: io.StringIO(BODY), []),
               (path("walk.csv.gz"), []), (from_fifo, [])]
     for make, via in cases:
         loaded.clear()
@@ -448,14 +448,14 @@ def heads_per_block(col) -> list:
 def digit_lengths(monkeypatch) -> list:
     """The lengths of the columns write_blocks sends to _shortest from
     now on."""
-    lengths, shortest = [], textio._shortest
+    sizes, shortest = [], textio._shortest
 
     def counted(a):
-        lengths.append(len(a))
+        sizes.append(len(a))
         return shortest(a)
 
     monkeypatch.setattr(textio, "_shortest", counted)
-    return lengths
+    return sizes
 
 
 @settings(max_examples=25, deadline=None)
@@ -500,16 +500,16 @@ def rendered_duty(knot_table):
     for 6 events 1.1 s apart."""
     fwd = make_curve("forward", slope=1.2, intercept=0.17, min_duty=95 / 255)
     bwd = make_curve("backward", slope=1.7, intercept=0.15, min_duty=95 / 255)
-    events = [hs.GaitEvent(t=0.05 + 1.1 * k, foot="LR"[k % 2], speed_kmh=(1.0, 2.5, 4.0)[k % 3])
+    events = [GaitEvent(t=0.05 + 1.1 * k, foot="LR"[k % 2], speed_kmh=(1.0, 2.5, 4.0)[k % 3])
               for k in range(6)]
-    return fwd, bwd, hs.render_events(knot_table, fwd, bwd, events)[1]
+    return fwd, bwd, render_events(knot_table, fwd, bwd, events)[1]
 
 
 def test_run_heads_alone_take_the_digit_pass(knot_table, monkeypatch):
     """A VibStep column holds a few runs per block; only the first row
     of each run goes through the digit pass (with every column taking
     it), and at the default _DIGIT_ROWS those few rows go to repr."""
-    heel, _ = hs.to_vibstep(rendered_duty(knot_table)[2])
+    heel, _ = to_vibstep(rendered_duty(knot_table)[2])
     assert len(heel) > BLOCK
     heads = heads_per_block(heel)
     assert max(heads) < textio._DIGIT_ROWS
@@ -554,7 +554,7 @@ def test_plate_forces_take_the_digit_path(knot_table, monkeypatch):
     is written from digits for every value with |v| >= 1e-4; only the
     lag's tail below that goes to repr."""
     fwd, bwd, duty = rendered_duty(knot_table)
-    force = plate_forces(hs.PlateModel(fwd, bwd), duty)
+    force = plate_forces(PlateModel(fwd, bwd), duty)
     assert len(force) > textio.WRITE_ROWS
     sent = fallback_values(monkeypatch)
     buf = io.StringIO()

@@ -13,7 +13,7 @@ HEADER = "# rate_hz=1000.0 speed_kmh=2.5 participant=p01\n"
 
 def test_three_rows_at_1khz():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,0.3,0.4\n0.002,0.5,0.6\n"
-    tr = load_trace(csv.encode())
+    tr = load_trace(io.StringIO(csv))
     assert len(tr) == 3
     assert tr.sample_rate_hz == 1000.0
     assert tr.speed_kmh == 2.5
@@ -22,7 +22,7 @@ def test_three_rows_at_1khz():
 
 def test_sign_negated_at_ingest():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.0,1.0\n"
-    tr = load_trace(csv.encode())
+    tr = load_trace(io.StringIO(csv))
     assert tr.heel_y[0] == -1.0
 
 
@@ -38,7 +38,7 @@ def test_round_trip_is_identity():
         participant="p02",
     )
     text = dump_trace(tr)
-    back = load_trace(text.encode())
+    back = load_trace(io.StringIO(text))
     for chan in ("thenar_y", "heel_y", "thenar_z", "heel_z"):
         assert np.array_equal(getattr(tr, chan), getattr(back, chan))
     assert back.sample_rate_hz == tr.sample_rate_hz
@@ -84,13 +84,13 @@ def test_clock_past_float_range_is_malformed(body):
     """A clock whose duration overflows is a FormatError, without a numpy
     warning (which fails the test)."""
     with pytest.raises(FormatError, match="duration_s"):
-        load_trace(body.encode())
+        load_trace(io.StringIO(body))
 
 
 def test_rate_inferred_from_time_column():
     csv = "# speed_kmh=1.0 participant=x\nt,thenar_y,heel_y\n" + \
           "".join(f"{i/500}," "0.0,0.0\n" for i in range(5))
-    tr = load_trace(csv.encode())
+    tr = load_trace(io.StringIO(csv))
     assert tr.sample_rate_hz == pytest.approx(500.0)
 
 
@@ -102,28 +102,28 @@ def test_header_rate_must_match_time_column(header_rate, ok):
     csv = f"# rate_hz={header_rate!r}\nt,thenar_y,heel_y\n" + \
           "".join(f"{i / 1000},0.0,0.0\n" for i in range(5))
     if ok:
-        assert load_trace(csv.encode()).sample_rate_hz == header_rate
+        assert load_trace(io.StringIO(csv)).sample_rate_hz == header_rate
     else:
         with pytest.raises(FormatError, match="does not match"):
-            load_trace(csv.encode())
+            load_trace(io.StringIO(csv))
 
 
 def test_malformed_row_reports_line_number():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,oops,0.4\n"
     with pytest.raises(FormatError, match="line 4"):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 def test_wrong_field_count_rejected():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1\n"
     with pytest.raises(FormatError, match="line 3"):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 def test_non_uniform_time_spacing_rejected():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0,0\n0.001,0,0\n0.0025,0,0\n"
     with pytest.raises(FormatError, match="jitter"):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 @pytest.mark.parametrize("t", [(0.0, 0.0, 0.0), (0.002, 0.001, 0.0),
@@ -133,7 +133,7 @@ def test_time_column_must_increase(t):
     # checked even though the header declares the rate
     csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x},0,0\n" for x in t)
     with pytest.raises(FormatError, match="strictly increasing"):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 @pytest.mark.parametrize("t", [np.arange(8) * 5e-324, np.arange(8) * 1e-310,
@@ -147,25 +147,25 @@ def test_time_step_without_a_rate(t):
         rate_from_times(t)
     csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x!r},0,0\n" for x in t.tolist())
     with pytest.raises(FormatError, match="no finite, positive sample rate"):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 def test_empty_body_rejected():
     with pytest.raises(EmptyInputError):
-        load_trace((HEADER + "t,thenar_y,heel_y\n").encode())
+        load_trace(io.StringIO(HEADER + "t,thenar_y,heel_y\n"))
 
 
 def test_no_silent_row_drops():
     n = 137
     body = "".join(f"{i/1000},{i},{-i}\n" for i in range(n))
-    tr = load_trace((HEADER + "t,thenar_y,heel_y\n" + body).encode())
+    tr = load_trace(io.StringIO(HEADER + "t,thenar_y,heel_y\n" + body))
     assert len(tr) == n
 
 
 def test_nonfinite_values_rejected():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,nan,0.0\n"
     with pytest.raises(FormatError):
-        load_trace(csv.encode())
+        load_trace(io.StringIO(csv))
 
 
 def test_stream_input():
