@@ -267,13 +267,12 @@ def cmd_render(args) -> int:
 
     fwd, bwd = _load_curves(args)
     rend = renderer.Renderer(profiles.load_table(args.table), fwd, bwd)
+    # a file's events never wait, so its log is composed in full blocks;
+    # stdin and --listen write each block before the next pull
+    rows = textio.WRITE_ROWS if args.listen is None and args.events != "-" else None
     with _event_lines(args) as lines:
         blocks = renderer.command_blocks(rend, renderer.events_from_ndjson(lines),
-                                         args.duration)
-        if args.listen is None and args.events != "-":
-            # a file's events never wait, so its log goes in full blocks;
-            # stdin and --listen write each block before the next pull
-            blocks = textio.full_blocks(blocks)
+                                         args.duration, rows=rows)
         n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
     print(f"{n} ticks -> {args.out}")
     return 0

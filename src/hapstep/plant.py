@@ -135,8 +135,8 @@ def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimR
     """
     dt = 1.0 / TICK_RATE_HZ
     renderer = Renderer(table, model.forward_curve, model.backward_curve)
-    blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s)
-    duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
+    blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s, rows=math.inf)
+    _, duty = next(blocks, (None, np.empty(0)))  # the whole run, if any tick
     force = plate_forces(model, duty)
 
     worst_region = 0.0

@@ -7,9 +7,10 @@ drives the backward-towing motor (brake phase), positive the forward
 motor, and the brake phase always precedes the drive phase within an
 envelope.  A new event preempts and replaces any active envelope at the
 next tick boundary; the renderer's schedule records which envelope plays
-from which tick.  For a file, stdin or a TCP feed alike, command_blocks
-composes the ticks a block at a time, each block ending where the one
-event read ahead applies.
+from which tick, and Renderer.compose samples any tick range from it
+alone.  command_blocks composes the ticks a block at a time: from stdin
+or a TCP feed each block ends where the one event read ahead applies;
+a file's events are read ahead so that blocks hold WRITE_ROWS ticks.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -79,11 +82,11 @@ class Renderer:
     ``schedule`` lists the envelopes that render, in start order: each
     starts at the first tick after its event and plays until it ends
     or the next one starts.  A newer event replaces an envelope that
-    has not started yet.  ``end_t`` is the latest end time of any
-    envelope scheduled so far, 0 when idle.  Events apply before
-    ``next_tick``, the first tick not yet composed.  An envelope is
-    sampled as its ticks are composed, so a preempted tick never is.
-    Ticks are on the fixed TICK_RATE_HZ clock.
+    has not started by the event's apply tick, the first tick at or
+    after it.  ``end_t`` is the latest end time of any envelope
+    scheduled so far, 0 when idle.  The schedule depends on the events
+    alone; ``next_tick`` is only tick()'s clock.  Ticks are on the
+    fixed TICK_RATE_HZ clock.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -100,55 +103,61 @@ class Renderer:
         self._last_event_t = -math.inf
 
     def on_event(self, event: GaitEvent) -> None:
-        """Schedule the envelope for this footfall, applied before tick
-        ``next_tick``.
+        """Schedule the envelope for this footfall, applied at its apply
+        tick, which must not be before ``next_tick``.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
-        rate = TICK_RATE_HZ
-        if event.t < max((self.next_tick - 1) / rate, self._last_event_t):
+        rate, applied = TICK_RATE_HZ, _apply_tick(event.t)
+        if event.t < self._last_event_t or applied < self.next_tick:
             raise ClockError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
-        if self.schedule and self.next_tick <= self.schedule[-1].start_tick:
+        if self.schedule and applied <= self.schedule[-1].start_tick:
             self.schedule[-1] = entry
         else:
             self.schedule.append(entry)
         self.end_t = max(self.end_t, entry.start_tick / rate + profile.duration_s)
 
-    def compose(self, n: int) -> np.ndarray:
-        """The signed duty of the next ``n`` ticks; they are then composed.
+    def compose(self, lo: int, hi: int) -> np.ndarray:
+        """The signed duty of ticks ``lo`` to ``hi`` - 1, from the schedule.
 
-        Only the last two schedule entries can play from ``next_tick``
-        on: an entry is appended, not replaced, only once ``next_tick``
-        is past its predecessor's start, so every earlier entry has
-        already ended.
+        Each entry plays from its start until the next entry's start or
+        its own end, so the range holds the last entry starting at or
+        before ``lo`` and those starting before ``hi``.
         """
-        rate, b, e, sched = TICK_RATE_HZ, self.next_tick, self.next_tick + n, self.schedule
-        duty = np.zeros(n)
-        for k in range(max(len(sched) - 2, 0), len(sched)):
+        rate, sched, key = TICK_RATE_HZ, self.schedule, itemgetter(0)
+        duty = np.zeros(hi - lo)
+        first = max(bisect_right(sched, lo, key=key) - 1, 0)
+        for k in range(first, bisect_left(sched, hi, key=key)):
             s, profile = sched[k]
-            stop = sched[k + 1].start_tick if k + 1 < len(sched) else e
-            lo, hi = max(s, b), min(stop, e, s + int(profile.duration_s * rate) + 2)
-            if lo < hi:
-                t = np.arange(lo, hi) / rate
+            stop = sched[k + 1].start_tick if k + 1 < len(sched) else hi
+            a, e = max(s, lo), min(stop, hi, s + int(profile.duration_s * rate) + 2)
+            if a < e:
+                t = np.arange(a, e) / rate
                 force = profile.force_at(t[t < s / rate + profile.duration_s] - s / rate)
                 # 0 - duty is exactly -duty, and both directions map 0 N to 0
-                duty[lo - b:lo - b + len(force)] = (
+                duty[a - lo:a - lo + len(force)] = (
                     force_to_duty(self.forward_curve, np.maximum(force, 0.0))
                     - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
-        self.next_tick = e
         return duty
 
     def tick(self, t: float) -> ActuatorCommand:
-        """Compose up to tick time ``t`` (on the tick grid, after the last
-        composed tick) and emit its signed duty."""
+        """The signed duty of tick time ``t`` (on the tick grid, after the
+        last tick time passed here)."""
         i = round(t * TICK_RATE_HZ)
         if i < self.next_tick:
             raise ClockError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
-        return ActuatorCommand(t, float(self.compose(i + 1 - self.next_tick)[-1]))
+        self.next_tick = i + 1
+        return ActuatorCommand(t, float(self.compose(i, i + 1)[0]))
+
+
+def _apply_tick(t: float) -> int:
+    """The first tick i with t <= i / TICK_RATE_HZ."""
+    i = math.floor(t * TICK_RATE_HZ)
+    return i if t <= i / TICK_RATE_HZ else i + 1
 
 
 def command_stream(renderer: Renderer, events, duration_s: float | None = None):
@@ -167,18 +176,24 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
 
 
 def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
-                   tail_s: float = 0.0):
-    """The ticks as (t, signed_duty) arrays of up to textio.WRITE_ROWS
-    ticks.  A block ends early at the apply tick of the next event,
-    which is the one event pulled ahead, so no event is pulled before
-    the tick that applies the one before it.  Events are pulled and
-    fail as in command_stream; without a duration the run ends
-    ``tail_s`` (at most MAX_RUN_S) after the latest envelope end."""
+                   tail_s: float = 0.0, rows: float | None = None):
+    """The ticks as (t, signed_duty) arrays, composed from the schedule.
+
+    ``rows`` None suits a source that may wait (stdin, a socket): the one
+    event pulled ahead ends a block early where it applies, so no event
+    is pulled before the tick that applies the one before it, and a
+    block holds at most textio.WRITE_ROWS ticks.  A source that never
+    waits (a file, a list) gives ``rows``: the events a block applies
+    are pulled before it is composed, so blocks hold ``rows`` ticks, the
+    last fewer (math.inf: the whole run, yielded after every pull).  Both
+    pull the events applied by the last tick and one more, and fail as
+    in command_stream; without a duration the run ends ``tail_s`` (at
+    most MAX_RUN_S) after the latest envelope end."""
     if duration_s is not None and not 0 <= duration_s <= MAX_RUN_S:
         raise ConfigError(f"duration must be in [0, {MAX_RUN_S:g}] s, got {duration_s}")
     if not 0 <= tail_s <= MAX_RUN_S:
         raise ConfigError(f"run tail must be in [0, {MAX_RUN_S:g}] s, got {tail_s}")
-    return _blocks(renderer, iter(events), duration_s, tail_s)
+    return _blocks(renderer, iter(events), duration_s, tail_s, rows)
 
 
 def _next_event(events, after_t: float):
@@ -191,12 +206,14 @@ def _next_event(events, after_t: float):
     return event
 
 
-def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float):
-    rate, size = TICK_RATE_HZ, textio.WRITE_ROWS
-    pending = _next_event(events, 0.0)
+def _blocks(renderer: Renderer, events, duration_s, tail_s, rows):
+    size = textio.WRITE_ROWS if rows is None else rows
+    # events apply up to the duration's apply tick
+    last = math.inf if duration_s is None else _apply_tick(duration_s)
+    b, pending = 0, _next_event(events, 0.0)
     while True:
-        b = renderer.next_tick
-        while pending is not None and pending.t <= b / rate:
+        horizon = min(b if rows is None else b + size - 1, last)
+        while pending is not None and pending.t <= horizon / TICK_RATE_HZ:
             renderer.on_event(pending)
             pending = _next_event(events, pending.t)
         # the ticks before the duration and the next event; with neither,
@@ -206,13 +223,11 @@ def _blocks(renderer: Renderer, events, duration_s: float | None, tail_s: float)
             stop = min(stop, pending.t)
         elif duration_s is None:
             stop = renderer.end_t + tail_s
-        # tick floor(stop * rate) + 1 is at or after stop, so the window
-        # holds every tick before it
-        t = np.arange(b, min(b + size, math.floor(stop * rate) + 2)) / rate
-        n = int(np.searchsorted(t, stop))
-        if not n:
+        e = min(b + size, _apply_tick(stop))
+        if e <= b:
             return
-        yield t[:n], renderer.compose(n)
+        yield np.arange(b, e) / TICK_RATE_HZ, renderer.compose(b, e)
+        b = e
 
 
 def render_events(table: SpeedProfileTable,
@@ -220,10 +235,9 @@ def render_events(table: SpeedProfileTable,
                   backward_curve: CalibrationCurve,
                   events, duration_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Offline render of an event log to (t, signed_duty) arrays."""
-    renderer = Renderer(table, forward_curve, backward_curve)
-    blocks = command_blocks(renderer, events, duration_s)
-    duty = np.concatenate([np.empty(0), *(d for _, d in blocks)])
-    return np.arange(len(duty)) / TICK_RATE_HZ, duty
+    blocks = command_blocks(Renderer(table, forward_curve, backward_curve), events,
+                            duration_s, rows=math.inf)
+    return next(blocks, (np.empty(0), np.empty(0)))
 
 
 def read_commands(source) -> tuple[np.ndarray, np.ndarray]:

@@ -193,23 +193,6 @@ def write_columns(dest, names, *columns) -> int:
                                       for i in range(0, n, WRITE_ROWS)))
 
 
-def full_blocks(blocks):
-    """The column blocks ``blocks`` joined and cut anew into blocks of
-    WRITE_ROWS rows, the last one fewer.  A block is yielded only once
-    later blocks fill it, so this suits only a source that never waits
-    for input."""
-    pending, n = [], 0
-    for columns in blocks:
-        pending.append(columns)
-        n += len(columns[0])
-        while n >= WRITE_ROWS:
-            joined = [np.concatenate(c) for c in zip(*pending)]
-            yield [c[:WRITE_ROWS] for c in joined]
-            pending, n = [[c[WRITE_ROWS:] for c in joined]], n - WRITE_ROWS
-    if n:
-        yield [np.concatenate(c) for c in zip(*pending)]
-
-
 def write_blocks(dest, names, blocks) -> int:
     """Write the header ``names``, then each block, a sequence of
     equal-length column arrays, as one line per row of float ``repr``s,

@@ -812,6 +812,26 @@ def test_file_render_writes_full_blocks(workdir, tmp_path, monkeypatch):
     assert blocks[0] <= math.ceil(sum(written) / textio.WRITE_ROWS) < 14 <= blocks[1]
 
 
+@pytest.mark.parametrize("bad, code, message", [
+    pytest.param(11.7 + 3600.5, 3, "more than 3600 s after the previous one", id="gap"),
+    pytest.param(11.0, 4, "before the last event or tick", id="unordered"),
+])
+def test_file_render_failing_on_an_event_keeps_its_full_blocks(
+        workdir, tmp_path, monkeypatch, capsys, bad, code, message):
+    """A file render that fails on an event has written the full blocks
+    before the block where the event before it applies, and no more:
+    two blocks of 4,096 ticks when the last good event is at 11.7 s."""
+    good = "".join(event_line(0.9 * k, (1.0, 2.5, 4.0)[k % 3]) for k in range(14))
+    assert render_in_process(workdir, tmp_path, monkeypatch, good, "file") == 0
+    whole = (tmp_path / "out.csv").read_bytes().splitlines(keepends=True)
+    capsys.readouterr()
+    assert render_in_process(workdir, tmp_path, monkeypatch, good + event_line(bad), "file") == code
+    assert message in capsys.readouterr().err
+    full = 11_700 // textio.WRITE_ROWS * textio.WRITE_ROWS
+    assert full == 8192
+    assert (tmp_path / "out.csv").read_bytes() == b"".join(whole[:1 + full])
+
+
 class TestRunBound:
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("duration", [1e300, math.nextafter(renderer.MAX_RUN_S, math.inf)])

@@ -568,3 +568,30 @@ def test_preempted_ticks_are_never_sampled(knot_table, monkeypatch, block):
     blocks = blocked(knot_table, fwd, bwd, events)[0]
     assert sum(len(d) for _, d in blocks) == len(playing)
     assert sum(sampled) == played
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=event_logs(), duration=st.none() | st.floats(0.0, 2.5),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+       rows=st.sampled_from([1, 7, 300, textio.WRITE_ROWS, math.inf]))
+def test_range_composer_and_read_ahead(knot_table, events, duration, cuts, rows):
+    """compose over any cut of the run's ticks equals one compose of all
+    of them and the per-tick oracle; reading a never-waiting source
+    ahead gives blocks of ``rows`` ticks (the last fewer) holding the
+    duties, schedule, end time and pulls of the one-event loop."""
+    fwd, bwd = fitted_curves()
+    expected = bits(expected_duties(knot_table, fwd, bwd, events, duration, TICK_RATE_HZ))
+    blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration)
+    n = len(expected)
+    edges = sorted({0, n, *(math.floor(c * n) for c in cuts)})
+    pieces = [r.compose(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert bits(np.concatenate([np.empty(0), *pieces])) == bits(r.compose(0, n)) == expected
+
+    ahead, ahead_pulls = Renderer(knot_table, fwd, bwd), Pulls(events)
+    read = list(command_blocks(ahead, ahead_pulls, duration, rows=rows))
+    assert all(len(t) == len(d) == rows for t, d in read[:-1])
+    assert all(0 < len(t) == len(d) <= rows for t, d in read[-1:])
+    assert bits([x for _, d in read for x in d.tolist()]) == expected
+    assert [x for t, _ in read for x in t.tolist()] == [i / TICK_RATE_HZ for i in range(n)]
+    assert ahead.schedule == r.schedule and ahead.end_t == r.end_t
+    assert ahead_pulls.pulled == pulls.pulled
