@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import textio
-from .errors import AnalysisError, ConfigError, FormatError, UnderdeterminedFitError
+from .errors import ConfigError, FormatError, PipelineError
 
 DEFAULT_MIN_DUTY = 95.0 / 255.0
 
@@ -57,7 +57,7 @@ def fit_calibration(points, direction: str,
         Duty in [0, 1], force magnitude in N, finite and >= 0
         (FormatError otherwise).  At least two distinct duty values are
         required, and the fitted force must rise with duty, with a
-        finite line and r2 (UnderdeterminedFitError otherwise).
+        finite line and r2 (PipelineError otherwise).
     """
     pts = [(float(d), float(f)) for d, f in points]
     if not all(0 <= d <= 1 and 0 <= f < math.inf for d, f in pts):
@@ -65,7 +65,7 @@ def fit_calibration(points, direction: str,
     duties = np.array([p[0] for p in pts])
     forces = np.array([p[1] for p in pts])
     if len(set(duties.tolist())) < 2:
-        raise UnderdeterminedFitError("need at least 2 distinct duty values")
+        raise PipelineError("need at least 2 distinct duty values")
     with np.errstate(over="ignore", invalid="ignore"):
         # equal forces fit a slope of 0 give or take rounding, of either sign
         slope, intercept = np.polyfit(duties, forces, 1) if np.ptp(forces) else (0.0, forces[0])
@@ -74,10 +74,10 @@ def fit_calibration(points, direction: str,
         ss_tot = float(np.sum((forces - forces.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     if not np.isfinite([slope, intercept, r2]).all():
-        raise UnderdeterminedFitError(f"forces too large to fit: slope {slope:g} N/duty, "
-                                      f"intercept {intercept:g} N, r2 {r2:g}")
+        raise PipelineError(f"forces too large to fit: slope {slope:g} N/duty, "
+                            f"intercept {intercept:g} N, r2 {r2:g}")
     if not slope > 0:
-        raise UnderdeterminedFitError(f"fitted slope {slope:g} N/duty is not positive")
+        raise PipelineError(f"fitted slope {slope:g} N/duty is not positive")
     return CalibrationCurve(direction=direction, slope=float(slope),
                             intercept=float(intercept), r_squared=r2,
                             min_duty=min_duty)
@@ -123,14 +123,14 @@ def analyze_step_response(duty, force, rate_hz: float) -> dict:
     duty = np.asarray(duty, dtype=float)
     force = np.asarray(force, dtype=float)
     if len(duty) != len(force):
-        raise AnalysisError("commanded and measured logs differ in length")
+        raise PipelineError("commanded and measured logs differ in length")
     dt = 1.0 / rate_hz
 
     onsets, offsets = runs(duty != 0)
     if len(onsets) < 2 or offsets[1] == len(duty):
-        raise AnalysisError("expected one command pulse per direction")
+        raise PipelineError("expected one command pulse per direction")
     if set(np.sign(duty[onsets[:2]]).tolist()) != {-1.0, 1.0}:
-        raise AnalysisError("expected one pulse per direction")
+        raise PipelineError("expected one pulse per direction")
     tail_stops = np.append(onsets[1:], len(duty))
 
     rises, rises_1090, falls = [], [], []
@@ -140,10 +140,10 @@ def analyze_step_response(duty, force, rate_hz: float) -> dict:
         mag = np.clip(sign * force, 0.0, None)
         window = mag[onset:offset]
         if len(window) < 2:
-            raise AnalysisError("response window too short")
+            raise PipelineError("response window too short")
         plateau = float(np.max(window))
         if plateau <= 0:
-            raise AnalysisError("no response detected after command edge")
+            raise PipelineError("no response detected after command edge")
         rises.append(_first_stop(np.diff(window) > FLAT_TOL * plateau,
                                  window[:-1] > 0, dt))
         rises_1090.append(_crossing(window, 0.9 * plateau, dt)
@@ -159,7 +159,7 @@ def analyze_step_response(duty, force, rate_hz: float) -> dict:
             back_off_t = offset * dt
 
     if fwd_peak_t is None or back_off_t is None:
-        raise AnalysisError("need one backward and one forward pulse")
+        raise PipelineError("need one backward and one forward pulse")
     return {
         "rise_s": float(np.mean(rises)),
         "fall_s": float(np.mean(falls)),
@@ -179,7 +179,7 @@ def _crossing(window: np.ndarray, level: float, dt: float) -> float:
     """First upward crossing time of ``level``, linearly interpolated."""
     above = np.flatnonzero(window >= level)
     if len(above) == 0:
-        raise AnalysisError("response never reaches threshold level")
+        raise PipelineError("response never reaches threshold level")
     i = int(above[0])
     if i == 0:
         return 0.0

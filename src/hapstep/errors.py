@@ -2,7 +2,9 @@
 
 Each error class carries the process exit code the CLI maps it to:
 2 = bad configuration/usage, 3 = malformed input data, 4 = pipeline
-degenerate (valid file, unusable content), 5 = I/O failure.
+degenerate (valid file, unusable content), 5 = I/O failure.  The
+message tells failures of one class apart; PhaseDetectionError is the
+one subclass, the step that compile skips.
 """
 
 
@@ -16,55 +18,20 @@ class ConfigError(HapstepError):
 
 
 class FormatError(HapstepError):
-    """Malformed input file or record."""
+    """Malformed input file or record: no data rows, an incomplete
+    score grid, a bad value."""
     exit_code = 3
 
 
-class EmptyInputError(FormatError):
-    """Input file has no data rows."""
-
-
-class IncompleteGridError(FormatError):
-    """Score grid is missing one or more stimulus/speed cells."""
-
-
 class PipelineError(HapstepError):
-    """Well-formed input that the pipeline cannot process."""
+    """Well-formed input that the pipeline cannot process: too few
+    steps, misaligned or degenerate profiles, no rising calibration
+    line, no command edge, events out of time order."""
     exit_code = 4
-
-
-class InsufficientStepsError(PipelineError):
-    """Fewer steps detected than the analysis window requires."""
 
 
 class PhaseDetectionError(PipelineError):
     """Step lacks the expected brake/drive force pattern."""
-
-
-class PhaseInconsistencyError(PipelineError):
-    """Phase timing falls outside its force sign region."""
-
-
-class AlignmentError(PipelineError):
-    """Profiles passed to averaging do not share a common time base."""
-
-
-class DegenerateProfileError(PipelineError):
-    """Profile has a zero brake or drive impulse; correction undefined."""
-
-
-class UnderdeterminedFitError(PipelineError):
-    """Points fit no rising, finite calibration line: fewer than 2
-    distinct duties, a fitted slope <= 0, or a line or r2 past the float
-    range."""
-
-
-class AnalysisError(PipelineError):
-    """Step-response log has no detectable command edge."""
-
-
-class ClockError(PipelineError):
-    """Renderer tick clock did not advance monotonically."""
 
 
 class IOFailureError(HapstepError):

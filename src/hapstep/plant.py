@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
+from . import renderer, textio
 from .calibration import CalibrationCurve, analyze_step_response, duty_to_force
 from .errors import ConfigError
 # interpolate and command_stream are no longer called here; they stay importable
@@ -131,17 +131,21 @@ def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimR
 
     Each scheduled envelope is scored over its ticks up to the next
     one's start, the last up to the end of the run, 10 tau_s after the
-    latest envelope end.  Events must be time-ordered (ClockError).
+    latest envelope end.  Events must be time-ordered (PipelineError).
     """
+    tail_s, max_run_s = 10.0 * model.tau_s, renderer.MAX_RUN_S
+    if not tail_s <= max_run_s:
+        raise ConfigError(f"tau_s must be at most {max_run_s / 10:g} s for a closed-loop run "
+                          f"(10 tau_s past the last envelope), got {model.tau_s:g}")
     dt = 1.0 / TICK_RATE_HZ
-    renderer = Renderer(table, model.forward_curve, model.backward_curve)
-    blocks = command_blocks(renderer, events, tail_s=10.0 * model.tau_s, rows=math.inf)
+    rend = Renderer(table, model.forward_curve, model.backward_curve)
+    blocks = command_blocks(rend, events, tail_s=tail_s, rows=math.inf)
     _, duty = next(blocks, (None, np.empty(0)))  # the whole run, if any tick
     force = plate_forces(model, duty)
 
     worst_region = 0.0
     worst_net = 0.0
-    schedule = renderer.schedule
+    schedule = rend.schedule
     for k, (start, profile) in enumerate(schedule):
         stop = schedule[k + 1].start_tick if k + 1 < len(schedule) else len(force)
         f = force[start:stop]

@@ -18,14 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import textio
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DegenerateProfileError,
-    EmptyInputError,
-    PhaseInconsistencyError,
-    PipelineError,
-)
+from .errors import ConfigError, FormatError, PipelineError
 
 
 def runs(mask) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +182,7 @@ def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
     mean_duration / original_duration.
     """
     if not profiles:
-        raise EmptyInputError("no profiles to align")
+        raise FormatError("no profiles to align")
     mean_d = float(np.mean([p.duration_s for p in profiles]))
     rate = profiles[0].sample_rate_hz
     n_out = int(round(mean_d * rate))
@@ -208,13 +201,13 @@ def align_durations(profiles: list[FrictionProfile]) -> list[FrictionProfile]:
 def average_profiles(aligned: list[FrictionProfile]) -> FrictionProfile:
     """Pointwise mean of duration-aligned profiles; peak times averaged too."""
     if not aligned:
-        raise EmptyInputError("no profiles to average")
+        raise FormatError("no profiles to average")
     n = len(aligned[0])
     rate = aligned[0].sample_rate_hz
     for p in aligned:
         if len(p) != n or p.sample_rate_hz != rate:
-            raise AlignmentError("profiles must share duration and rate; "
-                                 "run align_durations first")
+            raise PipelineError("profiles must share duration and rate; "
+                                "run align_durations first")
     return FrictionProfile(
         sample_rate_hz=rate,
         values=np.mean([p.values for p in aligned], axis=0),
@@ -245,7 +238,7 @@ def treadmill_correct(profile: FrictionProfile) -> tuple[FrictionProfile, Impuls
     """
     measured = compute_impulses(profile)
     if measured.B <= 0 or measured.F <= 0:
-        raise DegenerateProfileError(
+        raise PipelineError(
             f"correction undefined for B={measured.B}, F={measured.F}")
     target = measured.balanced_target
     v = profile.values
@@ -258,7 +251,7 @@ def _region_bounds(v: np.ndarray, apex: int, rate: float, negative: bool):
     with sub-sample zero crossings by linear interpolation."""
     inside = (v < 0) if negative else (v > 0)
     if not inside[apex]:
-        raise PhaseInconsistencyError(
+        raise PipelineError(
             f"apex sample {apex} is outside its "
             f"{'negative' if negative else 'positive'} region")
     starts, stops = runs(inside)
@@ -289,7 +282,7 @@ def compile_triangular(profile: FrictionProfile, impulses: ImpulsePair) -> Trian
     i1 = int(round(profile.brake_peak_s * rate))
     i3 = int(round(profile.drive_peak_s * rate))
     if not (0 <= i1 < len(v) and 0 <= i3 < len(v)):
-        raise PhaseInconsistencyError("phase peak outside profile")
+        raise PipelineError("phase peak outside profile")
 
     b_on, b_off = _region_bounds(v, i1, rate, negative=True)
     d_on, d_off = _region_bounds(v, i3, rate, negative=False)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import textio
 from .calibration import CalibrationCurve, force_to_duty
-from .errors import ClockError, ConfigError, FormatError
+from .errors import ConfigError, FormatError, PipelineError
 from .profiles import SpeedProfileTable, TriangularProfile, interpolate, runs
 
 #: the one tick clock of the renderer, the plant and the closed loop
@@ -111,7 +111,7 @@ class Renderer:
         """
         rate, applied = TICK_RATE_HZ, _apply_tick(event.t)
         if event.t < self._last_event_t or applied < self.next_tick:
-            raise ClockError(f"event at t={event.t} is before the last event or tick")
+            raise PipelineError(f"event at t={event.t} is before the last event or tick")
         self._last_event_t = event.t
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
@@ -149,7 +149,7 @@ class Renderer:
         last tick time passed here)."""
         i = round(t * TICK_RATE_HZ)
         if i < self.next_tick:
-            raise ClockError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
+            raise PipelineError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
         self.next_tick = i + 1
         return ActuatorCommand(t, float(self.compose(i, i + 1)[0]))
 
@@ -228,16 +228,6 @@ def _blocks(renderer: Renderer, events, duration_s, tail_s, rows):
             return
         yield np.arange(b, e) / TICK_RATE_HZ, renderer.compose(b, e)
         b = e
-
-
-def render_events(table: SpeedProfileTable,
-                  forward_curve: CalibrationCurve,
-                  backward_curve: CalibrationCurve,
-                  events, duration_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Offline render of an event log to (t, signed_duty) arrays."""
-    blocks = command_blocks(Renderer(table, forward_curve, backward_curve), events,
-                            duration_s, rows=math.inf)
-    return next(blocks, (np.empty(0), np.empty(0)))
 
 
 def read_commands(source) -> tuple[np.ndarray, np.ndarray]:

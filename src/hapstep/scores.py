@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 
 from . import textio
-from .errors import FormatError, IncompleteGridError
+from .errors import FormatError
 
 STIMULI = ("none", "vibration", "friction")
 SPEEDS = (1.0, 2.5, 4.0)
@@ -23,7 +23,7 @@ ScoreSet = dict
 def normalize_scores(scores: ScoreSet) -> ScoreSet:
     """Min-max normalize each participant-item grid into [0, 1].
 
-    Raises IncompleteGridError when any stimulus/speed cell is missing.
+    Raises FormatError when any stimulus/speed cell is missing.
     Order within a grid is preserved and the result is invariant under
     affine rescaling of the raw grid (degenerate all-equal grids map
     to all zeros).
@@ -35,7 +35,7 @@ def normalize_scores(scores: ScoreSet) -> ScoreSet:
             missing = [(s, v) for s in STIMULI for v in SPEEDS
                        if (s, v) not in grid]
             if missing:
-                raise IncompleteGridError(
+                raise FormatError(
                     f"participant {participant!r} item {item!r} missing cells: "
                     f"{missing}")
             cells = {key: grid[key] for key in

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientStepsError, PhaseDetectionError
+from .errors import ConfigError, PhaseDetectionError, PipelineError
 from .profiles import FrictionProfile, from_valid_inputs, runs
 from .trace import ForceTrace
 
@@ -108,7 +108,7 @@ def select_middle(segments: list[StepSegment], first: int = 4, last: int = 13) -
     if not (1 <= first <= last):
         raise ConfigError("require 1 <= first <= last")
     if len(segments) < last:
-        raise InsufficientStepsError(
+        raise PipelineError(
             f"need at least {last} steps, have {len(segments)} "
             f"(short by {last - len(segments)})")
     return [s for s in segments if first <= s.index_in_walk <= last]

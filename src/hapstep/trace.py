@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import textio
-from .errors import ConfigError, EmptyInputError, FormatError
+from .errors import ConfigError, FormatError
 
 #: acceptable relative deviation of any time step from the median step
 TIME_JITTER_TOL = 0.01
@@ -146,13 +146,13 @@ def load_trace(source) -> ForceTrace:
 
     Raw sensor forces are negated so stored values are sole-frame
     forward-positive.  Raises FormatError on malformed rows (with line
-    number), non-uniform or overflowing timing, header/column problems, and
-    EmptyInputError when the body has no rows.
+    number), non-uniform or overflowing timing, header/column problems and
+    a body with no rows.
     """
     comments, columns, data = textio.read_csv(source)
     header_meta = _parse_header_meta(comments)
     if len(data) == 0:
-        raise EmptyInputError("trace file has no data rows")
+        raise FormatError("trace file has no data rows")
     if tuple(columns) not in (_Y_COLUMNS, _YZ_COLUMNS, _Y_COLUMNS[1:], _YZ_COLUMNS[1:]):
         raise FormatError(f"unexpected columns {columns}")
     cols = {name: data[:, i] for i, name in enumerate(columns)}

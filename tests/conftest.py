@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import threading
 import warnings
@@ -19,6 +20,7 @@ from hapstep.profiles import (
     fit_device_scale,
     treadmill_correct,
 )
+from hapstep.renderer import Renderer, command_blocks
 from hapstep.segmentation import (
     combine_channels,
     detect_phases,
@@ -83,6 +85,14 @@ def fitted_curves():
         fit_calibration([(d, (slope * d + icpt) * (1 + 0.01 * rng.uniform(-1, 1)))
                          for d in duties], direction)
         for direction, slope, icpt in (("forward", 1.2, 0.17), ("backward", 1.7, 0.15)))
+
+
+def render_events(table, forward_curve, backward_curve, events, duration_s=None):
+    """Offline render of an event log to (t, signed_duty) arrays: the
+    whole run as command_blocks' one block, or two empty arrays."""
+    blocks = command_blocks(Renderer(table, forward_curve, backward_curve), events,
+                            duration_s, rows=math.inf)
+    return next(blocks, (np.empty(0), np.empty(0)))
 
 
 def walk_to_profile(speed, seed=0, jitter=0.05):

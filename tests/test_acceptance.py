@@ -19,12 +19,18 @@ from hapstep.profiles import (
     interpolate,
     treadmill_correct,
 )
-from hapstep.renderer import GaitEvent, events_from_ndjson, render_events, to_vibstep
+from hapstep.renderer import GaitEvent, events_from_ndjson, to_vibstep
 from hapstep.scores import normalize_scores
 from hapstep.segmentation import SegmentationConfig, segment_steps, select_middle
 from hapstep.synthetic import synthetic_walk
 
-from conftest import KNOT_SPEEDS, clamp_free_curves, event_to_json, random_profile
+from conftest import (
+    KNOT_SPEEDS,
+    clamp_free_curves,
+    event_to_json,
+    random_profile,
+    render_events,
+)
 
 FS = 1000.0
 

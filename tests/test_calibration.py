@@ -16,7 +16,7 @@ from hapstep.calibration import (
     load_curve,
     save_curve,
 )
-from hapstep.errors import AnalysisError, ConfigError, UnderdeterminedFitError
+from hapstep.errors import ConfigError, PipelineError
 
 from conftest import random_runs
 
@@ -41,7 +41,7 @@ class TestFitCalibration:
         assert curve.slope == pytest.approx(slope, rel=0.03)
 
     def test_single_duty_rejected(self):
-        with pytest.raises(UnderdeterminedFitError):
+        with pytest.raises(PipelineError, match="2 distinct duty values"):
             fit_calibration([(0.5, 1.0), (0.5, 1.2)], "forward")
 
     def test_bad_direction_rejected(self):
@@ -50,7 +50,7 @@ class TestFitCalibration:
 
     def test_constant_force_has_unit_r2_but_zero_slope_rejected(self):
         # flat data fits a slope of 0 (to rounding), which no rising line has
-        with pytest.raises(UnderdeterminedFitError, match="fitted slope"):
+        with pytest.raises(PipelineError, match="fitted slope"):
             fit_calibration([(0.2, 1.0), (0.8, 1.0)], "forward")
 
 
@@ -152,14 +152,14 @@ class TestAnalyzeStepResponse:
 
     def test_length_mismatch_rejected(self):
         commanded, force, fs = first_order_bench(0.05)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(PipelineError, match="differ in length"):
             analyze_step_response(commanded[:-5], force, fs)
 
     def test_missing_direction_rejected(self):
         fs = 1000
         duty = np.concatenate([np.zeros(100), np.ones(500), np.zeros(100),
                                np.ones(500), np.zeros(100)])
-        with pytest.raises(AnalysisError):
+        with pytest.raises(PipelineError, match="expected one pulse per direction"):
             analyze_step_response(duty, duty * 2.0, fs)
 
     def test_as_dict_keys(self):
@@ -212,7 +212,7 @@ class TestFirstStopExact:
             mag = [np.clip(first * force, 0.0, None), np.clip(-first * force, 0.0, None)]
             try:
                 m = analyze_step_response(duty, force, fs)
-            except AnalysisError:
+            except PipelineError:
                 continue
             assert (m["rise_s"], m["fall_s"]) == reference_first_stops(mag, pulses, 1.0 / fs)
             checked += 1

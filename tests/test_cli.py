@@ -648,6 +648,16 @@ class TestSimulate:
         assert res.returncode == 2
         assert "tau_s" in res.stderr
 
+    @pytest.mark.parametrize("tau", ["1e300", "8640.5"])
+    def test_closed_loop_tau_past_the_run_bound_exit_2(self, workdir, tmp_path, capsys, tau):
+        """The closed loop runs 10 tau_s past the last envelope, so tau_s
+        is at most MAX_RUN_S / 10 s; the message names tau_s and its bound."""
+        out = tmp_path / "m.json"
+        assert cli.main(["simulate", "--events", workdir["events"], "--table",
+                         workdir["table"], "--tau-s", tau, "--out", str(out)]) == 2
+        assert "tau_s must be at most 8640 s for a closed-loop run" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_events_without_table_exit_2(self, workdir, tmp_path):
         res = run_cli("simulate", "--events", workdir["events"],
                       "--out", str(tmp_path / "m.json"))
@@ -830,6 +840,22 @@ def test_file_render_failing_on_an_event_keeps_its_full_blocks(
     full = 11_700 // textio.WRITE_ROWS * textio.WRITE_ROWS
     assert full == 8192
     assert (tmp_path / "out.csv").read_bytes() == b"".join(whole[:1 + full])
+
+
+@pytest.mark.parametrize("command, inputs, body, code, message", [
+    pytest.param("ingest", ["--trace"], "t,thenar_y,heel_y\n", 3,
+                 "trace file has no data rows", id="header-only-trace"),
+    pytest.param("step-response", ["--commanded", "--measured"],
+                 "t,signed_duty,force\n0,0,0\n0.001,0,0\n0.002,0,0\n", 4,
+                 "expected one command pulse per direction", id="all-zero-commands"),
+])
+def test_failure_exit_code_and_message(tmp_path, capsys, command, inputs, body, code, message):
+    log, out = tmp_path / "log.csv", tmp_path / "out"
+    log.write_text(body)
+    argv = [arg for flag in inputs for arg in (flag, str(log))]
+    assert cli.main([command, *argv, "--out", str(out)]) == code
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunBound:

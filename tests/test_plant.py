@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hapstep import textio
-from hapstep.errors import ClockError, ConfigError
+from hapstep.errors import ConfigError, PipelineError
 from hapstep.plant import (
     DEFAULT_TAU_S,
     PlateModel,
@@ -172,7 +172,7 @@ class TestRunClosedLoop:
         model = PlateModel(forward_curve=fwd, backward_curve=bwd)
         events = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
                   GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
-        with pytest.raises(ClockError):
+        with pytest.raises(PipelineError, match="before the last event"):
             run_closed_loop(knot_table, events, model)
 
     def test_metrics_include_bench_rise(self, knot_table):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hapstep import textio
 from hapstep.calibration import force_to_duty
-from hapstep.errors import ClockError, ConfigError, FormatError
+from hapstep.errors import ConfigError, FormatError, PipelineError
 from hapstep.profiles import interpolate
 from hapstep.renderer import (
     TICK_RATE_HZ,
@@ -17,11 +17,10 @@ from hapstep.renderer import (
     command_stream,
     events_from_ndjson,
     parse_event,
-    render_events,
     to_vibstep,
 )
 
-from conftest import clamp_free_curves, event_to_json, fitted_curves
+from conftest import clamp_free_curves, event_to_json, fitted_curves, render_events
 
 
 class TestGaitEvent:
@@ -105,13 +104,13 @@ class TestRenderer:
     def test_tick_clock_must_advance(self, knot_table):
         r = make_renderer(knot_table)
         r.tick(0.001)
-        with pytest.raises(ClockError):
+        with pytest.raises(PipelineError, match="tick time went backwards"):
             r.tick(0.001)
 
     def test_event_before_last_tick_rejected(self, knot_table):
         r = make_renderer(knot_table)
         r.tick(0.5)
-        with pytest.raises(ClockError):
+        with pytest.raises(PipelineError, match="before the last event"):
             r.on_event(GaitEvent(t=0.1, foot="L", speed_kmh=2.5))
 
     def test_envelope_bounded_by_event_gap(self, knot_table, monkeypatch):
@@ -166,7 +165,7 @@ class TestCommandStream:
         fwd, bwd = clamp_free_curves()
         events = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
                   GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
-        with pytest.raises(ClockError):
+        with pytest.raises(PipelineError, match="before the last event"):
             render_events(knot_table, fwd, bwd, events)
 
     def test_no_events_yields_nothing(self, knot_table):
@@ -443,9 +442,10 @@ class TestCommandBlocks:
                      GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
         distant = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
                    GaitEvent(t=3602.0, foot="R", speed_kmh=2.5)]
-        for events, error in ((unordered, ClockError), (distant, FormatError)):
+        for events, error, message in ((unordered, PipelineError, "before the last event"),
+                                       (distant, FormatError, "after the previous one")):
             for run in (streamed, blocked):
-                with pytest.raises(error):
+                with pytest.raises(error, match=message):
                     run(knot_table, fwd, bwd, events)
 
     @pytest.mark.parametrize("duration", [float("nan"), -1.0, float("inf"), 1e300])

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from hapstep.errors import FormatError, IncompleteGridError
+from hapstep.errors import FormatError
 from hapstep.scores import (
     SPEEDS,
     STIMULI,
@@ -70,7 +70,7 @@ class TestNormalizeScores:
     def test_missing_cell_rejected(self):
         grid = one_grid(list(range(9)))
         del grid["p1"]["realism"][("friction", 4.0)]
-        with pytest.raises(IncompleteGridError, match="friction"):
+        with pytest.raises(FormatError, match="missing cells: .*friction"):
             normalize_scores(grid)
 
 

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from hapstep import segmentation
-from hapstep.errors import (
-    ConfigError,
-    InsufficientStepsError,
-    PhaseDetectionError,
-)
+from hapstep.errors import ConfigError, PhaseDetectionError, PipelineError
 from hapstep.segmentation import (
     PhaseTimings,
     SegmentationConfig,
@@ -106,7 +102,7 @@ class TestSelectMiddle:
         assert len(mid) == 10
 
     def test_too_few_steps(self):
-        with pytest.raises(InsufficientStepsError, match="short by 4"):
+        with pytest.raises(PipelineError, match="short by 4"):
             select_middle(self._segments(9))
 
     def test_bad_window(self):

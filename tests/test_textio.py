@@ -17,10 +17,10 @@ from hypothesis.extra.numpy import arrays
 from hapstep import textio
 from hapstep.errors import FormatError
 from hapstep.plant import PlateModel, plate_forces
-from hapstep.renderer import GaitEvent, render_events, to_vibstep
+from hapstep.renderer import GaitEvent, to_vibstep
 from hapstep.trace import ForceTrace, load_trace, write_trace
 
-from conftest import make_curve
+from conftest import make_curve, render_events
 
 
 def reference_read_csv(source):

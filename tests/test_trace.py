@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from hapstep.errors import ConfigError, EmptyInputError, FormatError
+from hapstep.errors import ConfigError, FormatError
 from hapstep.trace import ForceTrace, load_trace, rate_from_times, write_trace
 
 from conftest import dump_trace, no_unclosed_files
@@ -151,7 +151,7 @@ def test_time_step_without_a_rate(t):
 
 
 def test_empty_body_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(FormatError, match="no data rows"):
         load_trace(io.StringIO(HEADER + "t,thenar_y,heel_y\n"))
 
 
