@@ -117,8 +117,8 @@ def simulate_step_response(model: PlateModel) -> SimRun:
 
 
 def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimRun:
-    """The events' duty log, rendered offline at 1 kHz with the model's
-    calibration curves, through the plant.
+    """The events' ``render`` log at 1 kHz with the model's calibration
+    curves, then 10 tau_s of zero duty to settle, through the plant.
 
     Metrics:
       per_region_impulse_error - worst relative gap between achieved
@@ -130,8 +130,8 @@ def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimR
       n_steps - envelopes in the renderer's schedule.
 
     Each scheduled envelope is scored over its ticks up to the next
-    one's start, the last up to the end of the run, 10 tau_s after the
-    latest envelope end.  Events must be time-ordered (PipelineError).
+    one's start, the last up to the end of the run, the end of that
+    tail.  Events must be time-ordered (PipelineError).
     """
     tail_s, max_run_s = 10.0 * model.tau_s, renderer.MAX_RUN_S
     if not tail_s <= max_run_s:
@@ -139,8 +139,9 @@ def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimR
                           f"(10 tau_s past the last envelope), got {model.tau_s:g}")
     dt = 1.0 / TICK_RATE_HZ
     rend = Renderer(table, model.forward_curve, model.backward_curve)
-    blocks = command_blocks(rend, events, tail_s=tail_s, rows=math.inf)
-    _, duty = next(blocks, (None, np.empty(0)))  # the whole run, if any tick
+    # the whole run, if any tick, then zero duty up to tail_s past the latest envelope end
+    _, duty = next(command_blocks(rend, events, rows=math.inf), (None, np.empty(0)))
+    duty.resize(renderer._apply_tick(rend.end_t + tail_s), refcheck=False)
     force = plate_forces(model, duty)
 
     worst_region = 0.0

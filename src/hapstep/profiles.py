@@ -12,8 +12,10 @@ interpolate the resulting table across walking speeds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -336,22 +338,17 @@ def interpolate(table: SpeedProfileTable, speed_kmh: float) -> TriangularProfile
     if not math.isfinite(speed_kmh):
         raise ConfigError("speed must be finite")
     entries = table.entries
-    if speed_kmh <= entries[0].speed_kmh:
-        return entries[0]
-    if speed_kmh >= entries[-1].speed_kmh:
-        return entries[-1]
-    for lo, hi in zip(entries, entries[1:]):
-        if speed_kmh == lo.speed_kmh:
-            return lo
-        if lo.speed_kmh < speed_kmh < hi.speed_kmh:
-            w = (speed_kmh - lo.speed_kmh) / (hi.speed_kmh - lo.speed_kmh)
-            return TriangularProfile(
-                brake=_lerp_triangle(lo.brake, hi.brake, w),
-                drive=_lerp_triangle(lo.drive, hi.drive, w),
-                duration_s=lo.duration_s + (hi.duration_s - lo.duration_s) * w,
-                speed_kmh=speed_kmh,
-            )
-    return entries[-1]
+    k = min(bisect_left(entries, speed_kmh, key=attrgetter("speed_kmh")), len(entries) - 1)
+    if k == 0 or speed_kmh >= entries[k].speed_kmh:
+        return entries[k]
+    lo, hi = entries[k - 1], entries[k]
+    w = (speed_kmh - lo.speed_kmh) / (hi.speed_kmh - lo.speed_kmh)
+    return TriangularProfile(
+        brake=_lerp_triangle(lo.brake, hi.brake, w),
+        drive=_lerp_triangle(lo.drive, hi.drive, w),
+        duration_s=lo.duration_s + (hi.duration_s - lo.duration_s) * w,
+        speed_kmh=speed_kmh,
+    )
 
 
 def save_table(table: SpeedProfileTable, dest) -> None:

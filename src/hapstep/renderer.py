@@ -176,7 +176,7 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
 
 
 def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
-                   tail_s: float = 0.0, rows: float | None = None):
+                   rows: float | None = None):
     """The ticks as (t, signed_duty) arrays, composed from the schedule.
 
     ``rows`` None suits a source that may wait (stdin, a socket): the one
@@ -187,13 +187,11 @@ def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
     are pulled before it is composed, so blocks hold ``rows`` ticks, the
     last fewer (math.inf: the whole run, yielded after every pull).  Both
     pull the events applied by the last tick and one more, and fail as
-    in command_stream; without a duration the run ends ``tail_s`` (at
-    most MAX_RUN_S) after the latest envelope end."""
+    in command_stream; without a duration the run ends at the latest
+    envelope end."""
     if duration_s is not None and not 0 <= duration_s <= MAX_RUN_S:
         raise ConfigError(f"duration must be in [0, {MAX_RUN_S:g}] s, got {duration_s}")
-    if not 0 <= tail_s <= MAX_RUN_S:
-        raise ConfigError(f"run tail must be in [0, {MAX_RUN_S:g}] s, got {tail_s}")
-    return _blocks(renderer, iter(events), duration_s, tail_s, rows)
+    return _blocks(renderer, iter(events), duration_s, rows)
 
 
 def _next_event(events, after_t: float):
@@ -206,7 +204,7 @@ def _next_event(events, after_t: float):
     return event
 
 
-def _blocks(renderer: Renderer, events, duration_s, tail_s, rows):
+def _blocks(renderer: Renderer, events, duration_s, rows):
     size = textio.WRITE_ROWS if rows is None else rows
     # events apply up to the duration's apply tick
     last = math.inf if duration_s is None else _apply_tick(duration_s)
@@ -217,12 +215,12 @@ def _blocks(renderer: Renderer, events, duration_s, tail_s, rows):
             renderer.on_event(pending)
             pending = _next_event(events, pending.t)
         # the ticks before the duration and the next event; with neither,
-        # those up to tail_s after the latest envelope end
+        # those up to the latest envelope end
         stop = math.inf if duration_s is None else duration_s
         if pending is not None:
             stop = min(stop, pending.t)
         elif duration_s is None:
-            stop = renderer.end_t + tail_s
+            stop = renderer.end_t
         e = min(b + size, _apply_tick(stop))
         if e <= b:
             return

@@ -128,9 +128,6 @@ def detect_phases(segment: StepSegment) -> PhaseTimings:
     tr = segment.trace
     fs = tr.sample_rate_hz
     c = tr.thenar_y + tr.heel_y
-    if len(c) == 0:
-        raise PhaseDetectionError("empty segment")
-
     nonzero = np.flatnonzero(c != 0.0)
     if len(nonzero) == 0:
         raise PhaseDetectionError("no force activity in segment")

@@ -162,6 +162,12 @@ class TestAnalyzeStepResponse:
         with pytest.raises(PipelineError, match="expected one pulse per direction"):
             analyze_step_response(duty, duty * 2.0, fs)
 
+    def test_nan_force_never_reaches_threshold(self):
+        duty, force, fs = first_order_bench(0.05)
+        force[200] = math.nan
+        with pytest.raises(PipelineError, match="response never reaches threshold level"):
+            analyze_step_response(duty, force, fs)
+
     def test_as_dict_keys(self):
         m = analyze_step_response(*first_order_bench(0.05))
         assert set(m) == {"rise_s", "fall_s", "transition_s", "rise_10_90_s"}

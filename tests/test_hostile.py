@@ -4,7 +4,9 @@ cli.main, with each of its input files in turn replaced by a broken one
 a time bound.  A bad value in a table or curve file exits 2, a trace or
 time column on a clock past the float range exits 3, and a trace whose
 finite forces sum past it compiles to exit 4.  A valid CSV input with a
-row of several MB is accepted."""
+row of several MB is accepted.  Each failure that one bad input or
+argument reaches, and that no other test runs in this process, exits
+with its code and message (REACHABLE)."""
 
 import io
 import json
@@ -263,6 +265,91 @@ def test_subnormal_header_rate_is_malformed_input(valid_paths, tmp_path, monkeyp
     content = _subnormal_header_rate(VALID[kind])
     assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
                   command, flag, kind, content) == 3
+
+
+def _entries(rewrite):
+    """A valid table's text with its entries list rewritten by ``rewrite``."""
+    return lambda valid: json.dumps({**json.loads(valid),
+                                     "entries": rewrite(json.loads(valid)["entries"])}).encode()
+
+
+def _channels(rewrite):
+    """A valid trace's text with each row's thenar_y and heel_y set to
+    ``rewrite(thenar_y, heel_y)``."""
+    def make(valid):
+        header, columns, *rows = valid.splitlines()
+        fields = [row.split(",") for row in rows]
+        rows = [",".join([t, *map(repr, rewrite(float(a), float(b)))]) for t, a, b in fields]
+        return "\n".join([header, columns, *rows, ""]).encode()
+    return make
+
+
+def _one_tick_brake(valid):
+    """The valid command log with its brake pulse cut to its first tick."""
+    rows = [(i / 1000, -0.5 if i == 100 else 0.5 if 500 <= i < 700 else 0.0)
+            for i in range(900)]
+    return ("t,signed_duty\n" + "".join(f"{t!r},{d!r}\n" for t, d in rows)).encode()
+
+
+#: failures that inputs reach, each by one replaced input and extra
+#: arguments: (command, kind, content from the valid one, arguments, exit
+#: code, what stderr holds)
+REACHABLE = {
+    "config-bad-value": (
+        "segment", "config", lambda v: b"first = abc\n", [], 2, "config:1: bad value for 'first'"),
+    "config-comments-only": (
+        "segment", "config", lambda v: b"\n# first = abc\n  \n", [], 0, ""),
+    "table-repeated-speed": (
+        "render", "table", _entries(lambda e: e * 2), [], 2, "strictly increasing"),
+    "table-device-scale": (
+        "render", "table", _set("device_scale", "1.0", "1.5"), [], 2, "(0, 1]"),
+    "table-no-entries": (
+        "render", "table", _entries(lambda e: []), [], 2, "at least one entry"),
+    "table-positive-brake": (
+        "render", "table", _set("f_peak", "-1.0", "1.0"), [], 2, "brake peak must be <= 0"),
+    "table-overlapping-regions": (
+        "render", "table", _set("t_offset", "0.3", "0.5"), [], 2, "must end before drive"),
+    "table-nan-speed": (
+        "render", "table", _set("speed_kmh", "2.5", "NaN"), [], 2, "entry speeds must be finite"),
+    "curve-min-duty-1": (
+        "render", "forward", _set("min_duty", "0.0", "1.0"), [], 2, "min_duty must be in [0, 1)"),
+    "calibrate-min-duty-1": (
+        "calibrate", "points", str.encode, ["--min-duty", "1"], 2, "min_duty must be in [0, 1)"),
+    "simulate-max-force-0": (
+        "simulate", "events", str.encode, ["--max-force", "0"], 2, "max_force must be positive"),
+    "segment-min-step-0": (
+        "segment", "trace", str.encode, ["--min-step-s", "0"], 2, "min_step_s must be positive"),
+    "trace-bare-rate-token": (
+        "ingest", "trace", lambda v: v.replace("rate_hz=1000.0", "rate_hz", 1).encode(), [], 3,
+        "malformed header token"),
+    "trace-without-clock": (
+        "ingest", "trace", lambda v: _subnormal_header_rate(v).replace(b"rate_hz=5e-324 ", b""),
+        [], 3, "sample rate not declared"),
+    "vibstep-one-row": (
+        "vibstep", "commands", lambda v: b"t,signed_duty\n0.0,0.5\n", [], 3,
+        "need at least 2 rows"),
+    "compile-no-brake": (
+        "compile", "trace", _channels(lambda a, b: (abs(a), abs(b))), [], 4,
+        "no usable steps in trace"),
+    "step-response-one-tick": (
+        "step-response", "commands", _one_tick_brake, [], 4, "response window too short"),
+    "phases-cancelling-sites": (
+        "phases", "trace", _channels(lambda a, b: (-b, b)), [], 0,
+        "rejected: no force activity in segment"),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE)
+def test_reachable_failure_exit_code_and_message(valid_paths, tmp_path, capsys, case):
+    command, kind, make, extra, code, message = REACHABLE[case]
+    (tmp_path / kind).write_bytes(make(VALID[kind]))
+    files = dict(valid_paths, **{kind: str(tmp_path / kind)})
+    inputs, fixed = SUBCOMMANDS[command]
+    argv = ["--config", files["config"], command, *fixed, *extra]
+    for flag, input_kind in inputs:
+        argv += [flag, files[input_kind]]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

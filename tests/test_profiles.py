@@ -11,6 +11,7 @@ from hapstep.errors import ConfigError, FormatError, PipelineError
 from hapstep.profiles import (
     FrictionProfile,
     ImpulsePair,
+    SpeedProfileTable,
     Triangle,
     TriangularProfile,
     _region_bounds,
@@ -24,8 +25,9 @@ from hapstep.profiles import (
     save_table,
     treadmill_correct,
 )
+from hapstep.renderer import GaitEvent
 
-from conftest import PROFILE_FS as FS, random_profile, random_runs
+from conftest import PROFILE_FS as FS, make_curve, random_profile, random_runs, render_events
 
 
 def impulse_of(profile):
@@ -50,6 +52,17 @@ class TestTriangle:
     def test_degenerate_knots_do_not_blow_up(self):
         tri = Triangle(0.1, 0.1, 0.5, 2.0)  # vertical rise
         assert tri.force_at(0.1) == pytest.approx(2.0)
+
+    def test_entry_with_vertical_fall_renders_its_peak(self, knot_table):
+        """A table entry whose brake apex is its offset renders f_peak at
+        the apex tick, and 0 after it."""
+        brake = Triangle(t_onset=0.0, t_peak=0.1, t_offset=0.1, f_peak=-1.0)
+        entry = replace(knot_table.entries[0], brake=brake)
+        table = SpeedProfileTable(entries=(entry,), device_scale=1.0)
+        curves = make_curve("forward"), make_curve("backward")
+        _, duty = render_events(table, *curves, [GaitEvent(t=0.0, foot="L", speed_kmh=1.0)])
+        assert duty[101] == pytest.approx(-1.0 / 3.0, rel=1e-9)
+        assert duty[102] == 0.0
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,6 +274,12 @@ class TestCompileTriangular:
         tri, _, _ = self._compiled(23)
         assert tri.brake.t_offset <= tri.drive.t_onset
         assert tri.brake.f_peak < 0 < tri.drive.f_peak
+
+    @pytest.mark.parametrize("peak", ["brake_peak_s", "drive_peak_s"])
+    def test_peak_past_the_profile_rejected(self, peak):
+        p = random_profile(np.random.default_rng(25))
+        with pytest.raises(PipelineError, match="phase peak outside profile"):
+            compile_triangular(replace(p, **{peak: p.duration_s + 1.0}), ImpulsePair(1.0, 1.0))
 
     def test_apex_outside_region_rejected(self):
         p = random_profile(np.random.default_rng(24))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hapstep import textio
 from hapstep.calibration import force_to_duty
 from hapstep.errors import ConfigError, FormatError, PipelineError
+from hapstep.plant import PlateModel, run_closed_loop
 from hapstep.profiles import interpolate
 from hapstep.renderer import (
     TICK_RATE_HZ,
@@ -316,20 +317,17 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def streamed(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
-    """Duties of command_stream, ticked on one by one up to ``tail_s``
-    after the latest envelope end; also the renderer and the pulls."""
+def streamed(table, fwd, bwd, events, duration_s=None):
+    """Duties of command_stream; also the renderer and the pulls."""
     renderer, pulls = Renderer(table, fwd, bwd), Pulls(events)
     duty = [c.signed_duty for c in command_stream(renderer, pulls, duration_s)]
-    while duration_s is None and len(duty) / TICK_RATE_HZ < renderer.end_t + tail_s:
-        duty.append(renderer.tick(len(duty) / TICK_RATE_HZ).signed_duty)
     return duty, renderer, pulls
 
 
-def blocked(table, fwd, bwd, events, duration_s=None, tail_s=0.0):
+def blocked(table, fwd, bwd, events, duration_s=None):
     """command_blocks' (t, duty) blocks, the renderer and the pulls."""
     renderer, pulls = Renderer(table, fwd, bwd), Pulls(events)
-    blocks = list(command_blocks(renderer, pulls, duration_s, tail_s))
+    blocks = list(command_blocks(renderer, pulls, duration_s))
     return blocks, renderer, pulls
 
 
@@ -370,12 +368,9 @@ class TestCommandBlocks:
             events = random_log(rng, int(rng.integers(0, 12)), rate)
             end = events[-1].t if events else 1.0
             duration = [None, None, 0.0, end, end / 2, end + 2.0][case % 6]
-            tail = 0.0 if case % 3 else float(rng.uniform(0.0, 0.6))
-            if duration is not None:
-                tail = 0.0
-            ref = bits(expected_duties(knot_table, fwd, bwd, events, duration, rate, tail))
+            ref = bits(expected_duties(knot_table, fwd, bwd, events, duration, rate))
             applied = [apply_tick(e.t, rate) for e in events]
-            blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration, tail)
+            blocks, r, pulls = blocked(knot_table, fwd, bwd, events, duration)
             duty = [d for _, block_duty in blocks for d in block_duty.tolist()]
             t = [x for block_t, _ in blocks for x in block_t.tolist()]
             assert bits(duty) == ref, (case, [e.t for e in events], duration)
@@ -392,8 +387,7 @@ class TestCommandBlocks:
             assert r.end_t == max([starts[k] / rate
                                    + interpolate(knot_table, events[k].speed_kmh).duration_s
                                    for k in range(len(events)) if applied[k] <= n], default=0.0)
-            if tail == 0.0:
-                assert bits(streamed(knot_table, fwd, bwd, events, duration, 0.0)[0]) == ref
+            assert bits(streamed(knot_table, fwd, bwd, events, duration)[0]) == ref
 
     def test_event_at_start_tick_replaces_it(self, knot_table):
         """An event at t = 0.011 is applied at tick 11, the start tick
@@ -454,6 +448,28 @@ class TestCommandBlocks:
         for make in (command_stream, command_blocks):
             with pytest.raises(ConfigError):
                 make(Renderer(knot_table, fwd, bwd), iter(()), duration)
+
+
+def test_closed_loop_command_is_the_render_log_then_its_tail(knot_table):
+    """run_closed_loop's command log is the per-tick oracle run on up to
+    10 tau_s past the latest envelope end, bit for bit: on random logs
+    whose envelopes preempt, on logs whose latest-ending envelope is
+    preempted, and on no events at all (500 zero ticks at tau 0.05)."""
+    fwd, bwd = fitted_curves()
+    rng = np.random.default_rng(11)
+    logs = [random_log(rng, int(rng.integers(1, 12))) for _ in range(30)]
+    logs += [[GaitEvent(t=0.0, foot="L", speed_kmh=1.0),
+              GaitEvent(t=0.2, foot="R", speed_kmh=4.0)],
+             [GaitEvent(t=0.0105, foot="L", speed_kmh=1.0),
+              GaitEvent(t=0.011, foot="R", speed_kmh=4.0)],
+             []]
+    for events in logs:
+        for tau in (0.05, float(rng.uniform(0.001, 0.06))):
+            run = run_closed_loop(knot_table, events, PlateModel(fwd, bwd, tau_s=tau))
+            ref = expected_duties(knot_table, fwd, bwd, events, None, TICK_RATE_HZ, 10 * tau)
+            assert bits(run.command) == bits(ref), ([e.t for e in events], tau)
+    run = run_closed_loop(knot_table, [], PlateModel(fwd, bwd, tau_s=0.05))
+    assert bits(run.command) == bits(np.zeros(500))
 
 
 def apply_tick(t, rate):

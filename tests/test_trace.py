@@ -69,6 +69,22 @@ def test_trace_duration_must_be_finite():
         ForceTrace(5e-324, [0.1, 0.2], [0.3, 0.4], 2.5, "p01")
 
 
+@pytest.mark.parametrize("rate", [0.0, -1000.0])
+def test_trace_rate_must_be_positive(rate):
+    with pytest.raises(ConfigError, match="sample_rate_hz must be positive"):
+        ForceTrace(rate, [0.1], [0.3], 2.5, "p01")
+
+
+@pytest.mark.parametrize("y, z, message", [
+    pytest.param(([0.1, 0.2], [0.3]), (None, None), "equal length", id="y-lengths"),
+    pytest.param(([0.1], [0.3]), ([0.5], None), "both sites or neither", id="one-z"),
+    pytest.param(([0.1], [0.3]), ([0.5], [0.6, 0.7]), "all channels", id="z-length"),
+])
+def test_trace_channels_must_match(y, z, message):
+    with pytest.raises(FormatError, match=message):
+        ForceTrace(1000.0, *y, 2.5, "p01", *z)
+
+
 @pytest.mark.parametrize("participant", ["p 1", "p\t1", "p1\n", "p\u20281"])
 def test_trace_participant_must_hold_no_whitespace(participant):
     """The header's whitespace-separated tokens could not hold it."""
