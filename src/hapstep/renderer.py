@@ -6,11 +6,11 @@ tick grid through the per-direction calibration curves.  Negative duty
 drives the backward-towing motor (brake phase), positive the forward
 motor, and the brake phase always precedes the drive phase within an
 envelope.  A new event preempts and replaces any active envelope at the
-next tick boundary; the renderer's schedule records which envelope plays
-from which tick, and Renderer.compose samples any tick range from it
-alone.  command_blocks composes the ticks a block at a time: from stdin
-or a TCP feed each block ends where the one event read ahead applies;
-a file's events are read ahead so that blocks hold WRITE_ROWS ticks.
+next tick boundary.  A Renderer's schedule says which envelope plays
+from which tick until the apply tick of its end time, and compose
+samples any tick range from it alone.  command_blocks composes a block
+at a time: from stdin or a TCP feed a block ends where the event read
+ahead applies; a file's events are read ahead into WRITE_ROWS ticks.
 
 The VibStep backend replaces each sign region of a duty envelope with
 its minimal covering rectangle and routes brake -> heel vibrator,
@@ -77,7 +77,7 @@ class ScheduledEnvelope(NamedTuple):
 
 
 class Renderer:
-    """Single-envelope scheduler; one ticking context owns an instance.
+    """Single-envelope scheduler: every tick it renders comes from its schedule.
 
     ``schedule`` lists the envelopes that render, in start order: each
     starts at the first tick after its event and plays until it ends
@@ -85,8 +85,8 @@ class Renderer:
     has not started by the event's apply tick, the first tick at or
     after it.  ``end_t`` is the latest end time of any envelope
     scheduled so far, 0 when idle.  The schedule depends on the events
-    alone; ``next_tick`` is only tick()'s clock.  Ticks are on the
-    fixed TICK_RATE_HZ clock.
+    alone, and every tick is composed from it on the fixed
+    TICK_RATE_HZ clock.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -99,19 +99,18 @@ class Renderer:
         self.backward_curve = backward_curve
         self.schedule: list[ScheduledEnvelope] = []
         self.end_t = 0.0
-        self.next_tick = 0
         self._last_event_t = -math.inf
 
     def on_event(self, event: GaitEvent) -> None:
         """Schedule the envelope for this footfall, applied at its apply
-        tick, which must not be before ``next_tick``.
+        tick; events must come in time order.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
         rate, applied = TICK_RATE_HZ, _apply_tick(event.t)
-        if event.t < self._last_event_t or applied < self.next_tick:
-            raise PipelineError(f"event at t={event.t} is before the last event or tick")
+        if event.t < self._last_event_t:
+            raise PipelineError(f"event at t={event.t} is before the last event")
         self._last_event_t = event.t
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
@@ -125,8 +124,8 @@ class Renderer:
         """The signed duty of ticks ``lo`` to ``hi`` - 1, from the schedule.
 
         Each entry plays from its start until the next entry's start or
-        its own end, so the range holds the last entry starting at or
-        before ``lo`` and those starting before ``hi``.
+        the apply tick of its own end, so the range holds the last entry
+        starting at or before ``lo`` and those starting before ``hi``.
         """
         rate, sched, key = TICK_RATE_HZ, self.schedule, itemgetter(0)
         duty = np.zeros(hi - lo)
@@ -134,23 +133,19 @@ class Renderer:
         for k in range(first, bisect_left(sched, hi, key=key)):
             s, profile = sched[k]
             stop = sched[k + 1].start_tick if k + 1 < len(sched) else hi
-            a, e = max(s, lo), min(stop, hi, s + int(profile.duration_s * rate) + 2)
+            a, e = max(s, lo), min(stop, hi, _apply_tick(s / rate + profile.duration_s))
             if a < e:
-                t = np.arange(a, e) / rate
-                force = profile.force_at(t[t < s / rate + profile.duration_s] - s / rate)
+                force = profile.force_at(np.arange(a, e) / rate - s / rate)
                 # 0 - duty is exactly -duty, and both directions map 0 N to 0
-                duty[a - lo:a - lo + len(force)] = (
+                duty[a - lo:e - lo] = (
                     force_to_duty(self.forward_curve, np.maximum(force, 0.0))
                     - force_to_duty(self.backward_curve, np.maximum(-force, 0.0)))
         return duty
 
     def tick(self, t: float) -> ActuatorCommand:
-        """The signed duty of tick time ``t`` (on the tick grid, after the
-        last tick time passed here)."""
+        """The signed duty of tick time ``t`` (on the tick grid): the
+        one-tick compose of the schedule."""
         i = round(t * TICK_RATE_HZ)
-        if i < self.next_tick:
-            raise PipelineError(f"tick time went backwards: {t} after tick {self.next_tick - 1}")
-        self.next_tick = i + 1
         return ActuatorCommand(t, float(self.compose(i, i + 1)[0]))
 
 

@@ -824,7 +824,7 @@ def test_file_render_writes_full_blocks(workdir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad, code, message", [
     pytest.param(11.7 + 3600.5, 3, "more than 3600 s after the previous one", id="gap"),
-    pytest.param(11.0, 4, "before the last event or tick", id="unordered"),
+    pytest.param(11.0, 4, "before the last event", id="unordered"),
 ])
 def test_file_render_failing_on_an_event_keeps_its_full_blocks(
         workdir, tmp_path, monkeypatch, capsys, bad, code, message):

@@ -154,9 +154,11 @@ HOSTILE_TABLES = {f"{field}={value}": _set(field, old, value)
                                             ("device_scale", "1.0", "true"),
                                             ("f_peak", "-1.0", "false"),
                                             ("duration_s", "1.0", "1" + "0" * 400))}
-#: calibration curves with a number field that holds another JSON value
+#: calibration curves with a number field out of range, or that holds
+#: another JSON value
 HOSTILE_CURVES = {f"{field}={value}": _set(field, old, value)
-                  for field, old, value in (("slope", "3.0", "true"),
+                  for field, old, value in (("slope", "3.0", "0.0"),
+                                            ("slope", "3.0", "true"),
                                             ("intercept", "0.0", "false"),
                                             ("r_squared", "1.0", '"x"'),
                                             ("r_squared", "1.0", "NaN"),
@@ -311,12 +313,17 @@ REACHABLE = {
         "render", "table", _set("t_offset", "0.3", "0.5"), [], 2, "must end before drive"),
     "table-nan-speed": (
         "render", "table", _set("speed_kmh", "2.5", "NaN"), [], 2, "entry speeds must be finite"),
+    "curve-slope-0": (
+        "render", "forward", _set("slope", "3.0", "0.0"), [], 2, "slope must be positive"),
     "curve-min-duty-1": (
         "render", "forward", _set("min_duty", "0.0", "1.0"), [], 2, "min_duty must be in [0, 1)"),
     "calibrate-min-duty-1": (
         "calibrate", "points", str.encode, ["--min-duty", "1"], 2, "min_duty must be in [0, 1)"),
     "simulate-max-force-0": (
         "simulate", "events", str.encode, ["--max-force", "0"], 2, "max_force must be positive"),
+    "segment-onset-threshold-0": (
+        "segment", "trace", str.encode, ["--onset-threshold", "0"], 2,
+        "thresholds must be positive"),
     "segment-min-step-0": (
         "segment", "trace", str.encode, ["--min-step-s", "0"], 2, "min_step_s must be positive"),
     "trace-bare-rate-token": (

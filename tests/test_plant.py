@@ -16,6 +16,7 @@ from hapstep.plant import (
     simulate_step_response,
     step_plate,
 )
+from hapstep.profiles import interpolate
 from hapstep.renderer import GaitEvent
 
 from conftest import KNOT_SPEEDS, clamp_free_curves, make_curve, random_runs
@@ -166,6 +167,29 @@ class TestRunClosedLoop:
         run = run_closed_loop(knot_table, events, model)
         assert run.metrics["n_steps"] == 1
         assert run.metrics["per_region_impulse_error"] <= 0.005
+
+    def test_region_error_is_the_worst_of_every_region(self, knot_table):
+        """per_region_impulse_error is the largest brake or drive error of
+        any scheduled envelope, each scored over its ticks up to the next
+        start (the last up to the end of the run), here a drive region's:
+        the second event cuts the first envelope's drive phase short."""
+        fwd, bwd = clamp_free_curves()
+        model = PlateModel(forward_curve=fwd, backward_curve=bwd, tau_s=0.01)
+        events = [GaitEvent(t=0.0, foot="L", speed_kmh=2.5),
+                  GaitEvent(t=0.45, foot="R", speed_kmh=1.0),
+                  GaitEvent(t=1.3, foot="L", speed_kmh=4.0)]
+        run = run_closed_loop(knot_table, events, model)
+        starts = [math.floor(e.t * 1000) + 1 for e in events]
+        errors = []
+        for e, a, b in zip(events, starts, starts[1:] + [len(run.force)]):
+            profile, f = interpolate(knot_table, e.speed_kmh), run.force[a:b]
+            for sign, area in ((-1.0, profile.brake.area), (1.0, profile.drive.area)):
+                achieved = float(np.sum(np.clip(sign * f, 0.0, None)) * 0.001)
+                errors.append(abs(achieved - abs(area)) / abs(area))
+        assert run.metrics["n_steps"] == len(events)
+        assert run.metrics["per_region_impulse_error"] == max(errors)
+        assert errors.index(max(errors)) == 1  # the first envelope's drive region
+        assert all(0 < p.drive.area < 1 for p in knot_table.entries)
 
     def test_unordered_events_rejected(self, knot_table):
         fwd, bwd = clamp_free_curves()

@@ -281,6 +281,18 @@ class TestCompileTriangular:
         with pytest.raises(PipelineError, match="phase peak outside profile"):
             compile_triangular(replace(p, **{peak: p.duration_s + 1.0}), ImpulsePair(1.0, 1.0))
 
+    def test_brake_apex_at_the_first_sample(self):
+        """A profile that starts at its brake peak compiles: the brake
+        triangle rises from t = 0 to its apex at once and keeps area -B."""
+        v = np.zeros(400)
+        v[:100] = -2.0 * (1.0 - np.arange(100) / 100)
+        v[150:350] = np.interp(np.arange(150, 350), [150, 250, 350], [0.0, 1.5, 0.0])
+        p = FrictionProfile(sample_rate_hz=FS, values=v, brake_peak_s=0.0, drive_peak_s=0.25)
+        tri = compile_triangular(p, ImpulsePair(0.1, 0.15))
+        assert tri.brake.t_onset == tri.brake.t_peak == 0.0
+        assert tri.brake.area == pytest.approx(-0.1, rel=1e-12)
+        assert tri.drive.area == pytest.approx(0.15, rel=1e-12)
+
     def test_apex_outside_region_rejected(self):
         p = random_profile(np.random.default_rng(24))
         wrong = replace(p, brake_peak_s=p.drive_peak_s)

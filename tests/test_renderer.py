@@ -11,9 +11,12 @@ from hapstep.errors import ConfigError, FormatError, PipelineError
 from hapstep.plant import PlateModel, run_closed_loop
 from hapstep.profiles import interpolate
 from hapstep.renderer import (
+    MAX_EVENT_GAP_S,
+    MAX_RUN_S,
     TICK_RATE_HZ,
     GaitEvent,
     Renderer,
+    _apply_tick,
     command_blocks,
     command_stream,
     events_from_ndjson,
@@ -101,18 +104,6 @@ class TestRenderer:
         assert [e.start_tick for e in r.schedule] == [12, 20]
         assert [e.profile for e in r.schedule] == [interpolate(knot_table, 4.0),
                                                    interpolate(knot_table, 2.5)]
-
-    def test_tick_clock_must_advance(self, knot_table):
-        r = make_renderer(knot_table)
-        r.tick(0.001)
-        with pytest.raises(PipelineError, match="tick time went backwards"):
-            r.tick(0.001)
-
-    def test_event_before_last_tick_rejected(self, knot_table):
-        r = make_renderer(knot_table)
-        r.tick(0.5)
-        with pytest.raises(PipelineError, match="before the last event"):
-            r.on_event(GaitEvent(t=0.1, foot="L", speed_kmh=2.5))
 
     def test_envelope_bounded_by_event_gap(self, knot_table, monkeypatch):
         """An envelope may last as long as the longest gap between events."""
@@ -212,27 +203,6 @@ class TestVibstep:
         assert np.all(heel == 0.0) and np.all(thenar == 0.0)
 
 
-def reference_duty(table, fwd, bwd, events, n, rate=TICK_RATE_HZ):
-    """Per-tick scalar render: the envelope of the last event whose
-    start tick has come, evaluated at i / rate - start / rate."""
-    starts = [(math.floor(e.t * rate) + 1, interpolate(table, e.speed_kmh))
-              for e in events]
-    out = []
-    for i in range(n):
-        duty = 0.0
-        playing = [(s, p) for s, p in starts if s <= i]
-        if playing:
-            start, profile = playing[-1]
-            if i / rate < start / rate + profile.duration_s:
-                force = float(profile.force_at(i / rate - start / rate))
-                if force < 0:
-                    duty = -force_to_duty(bwd, -force)
-                elif force > 0:
-                    duty = force_to_duty(fwd, force)
-        out.append(duty)
-    return out
-
-
 class TestKernelExact:
     def test_render_equals_scalar_reference(self, knot_table):
         fwd, bwd = fitted_curves()
@@ -245,8 +215,8 @@ class TestKernelExact:
                   GaitEvent(t=3.5004, foot="R", speed_kmh=3.7),  # replaces it
                   GaitEvent(t=4.3, foot="L", speed_kmh=2.5)]
         t, duty = render_events(knot_table, fwd, bwd, events)
-        ref = reference_duty(knot_table, fwd, bwd, events, len(duty))
-        assert duty.tolist() == ref
+        ref = expected_duties(knot_table, fwd, bwd, events, None, TICK_RATE_HZ)
+        assert bits(duty) == bits(ref)
         assert t.tolist() == [i / TICK_RATE_HZ for i in range(len(t))]
         mag = np.abs(duty)
         assert np.any(mag == fwd.min_duty) and np.any(mag == 1.0)
@@ -478,6 +448,29 @@ def apply_tick(t, rate):
     while t > i / rate:
         i += 1
     return i
+
+
+@st.composite
+def envelope_durations(draw):
+    """Envelope lengths up to MAX_EVENT_GAP_S: uniform, rounded to the
+    millisecond, and one float either side of a millisecond."""
+    d = draw(st.floats(0.0, MAX_EVENT_GAP_S))
+    ms = round(d, 3)
+    return draw(st.sampled_from([d, ms, math.nextafter(ms, 0.0), math.nextafter(ms, math.inf)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=st.integers(0, int(MAX_RUN_S * TICK_RATE_HZ)), duration=envelope_durations())
+def test_envelope_ends_at_the_apply_tick_of_its_end_time(start, duration):
+    """compose ends the envelope of start tick s and length d at
+    _apply_tick(s / rate + d): the first tick i with i / rate >= s / rate
+    + d, so the ticks it plays are those the per-tick oracle plays (tick
+    time < end time), within s + int(d * rate) + 2 ticks."""
+    rate = TICK_RATE_HZ
+    end_t = start / rate + duration
+    end = _apply_tick(end_t)
+    assert (end - 1) / rate < end_t <= end / rate
+    assert start <= end <= start + int(duration * rate) + 2
 
 
 def pulled_by(applied, i):
