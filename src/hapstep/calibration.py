@@ -92,15 +92,14 @@ def force_to_duty(curve: CalibrationCurve, force_magnitude):
     """Invert the calibration line, clamping into [min_duty, 1].
 
     Zero force maps to duty 0 (off); any positive force maps to at
-    least min_duty so the stimulus stays perceivable.  Takes a scalar
-    (returns a float) or an array (returns an array of the same shape).
+    least min_duty so the stimulus stays perceivable.  Takes a scalar or
+    an array and returns an array of its shape (0-d for a scalar).
     """
     f = np.asarray(force_magnitude, dtype=float)
     if not np.all(f >= 0):
         raise ConfigError("force magnitude must be non-negative")
     duty = np.minimum(1.0, np.maximum(curve.min_duty, (f - curve.intercept) / curve.slope))
-    duty = np.where(f == 0, 0.0, duty)
-    return duty if duty.ndim else float(duty)
+    return np.where(f == 0, 0.0, duty)
 
 
 def analyze_step_response(duty, force, rate_hz: float) -> dict:

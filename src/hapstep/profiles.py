@@ -106,14 +106,12 @@ class Triangle:
         return 0.5 * self.f_peak * self.span_s
 
     def force_at(self, t):
-        t = np.asarray(t, dtype=float)
         xp = [self.t_onset, self.t_peak, self.t_offset]
         if xp[0] == xp[1]:
             xp[0] -= 1e-12
         if xp[1] == xp[2]:
             xp[2] += 1e-12
-        out = np.interp(t, xp, [0.0, self.f_peak, 0.0], left=0.0, right=0.0)
-        return out if out.ndim else float(out)
+        return np.interp(t, xp, [0.0, self.f_peak, 0.0], left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ class Renderer:
     has not started by the event's apply tick, the first tick at or
     after it.  ``end_t`` is the latest end time of any envelope
     scheduled so far, 0 when idle.  The schedule depends on the events
-    alone, and every tick is composed from it on the fixed
-    TICK_RATE_HZ clock.
+    alone, which command_blocks checks for time order as it pulls them,
+    and every tick is composed from it on the fixed TICK_RATE_HZ clock.
     """
 
     def __init__(self, table: SpeedProfileTable,
@@ -99,19 +99,15 @@ class Renderer:
         self.backward_curve = backward_curve
         self.schedule: list[ScheduledEnvelope] = []
         self.end_t = 0.0
-        self._last_event_t = -math.inf
 
     def on_event(self, event: GaitEvent) -> None:
         """Schedule the envelope for this footfall, applied at its apply
-        tick; events must come in time order.
+        tick; events come in time order, which command_blocks' pull checks.
 
         Both feet drive the same 1-DOF plate, so foot identity does not
         alter the output.
         """
         rate, applied = TICK_RATE_HZ, _apply_tick(event.t)
-        if event.t < self._last_event_t:
-            raise PipelineError(f"event at t={event.t} is before the last event")
-        self._last_event_t = event.t
         profile = interpolate(self.table, event.speed_kmh)
         entry = ScheduledEnvelope(math.floor(event.t * rate) + 1, profile)
         if self.schedule and applied <= self.schedule[-1].start_tick:
@@ -162,9 +158,10 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
     their timestamp, so a pre-recorded log and a live NDJSON feed with
     the same timestamps produce identical output.  Without an explicit
     duration the stream ends when the last envelope finishes.  A
-    duration outside [0, MAX_RUN_S] raises ConfigError at once; an
-    event later than MAX_RUN_S, or more than MAX_EVENT_GAP_S after the
-    previous one (or after 0), raises FormatError when it is pulled.
+    duration outside [0, MAX_RUN_S] raises ConfigError at once.  A pulled
+    event raises PipelineError if it is before the previous one, and
+    FormatError if it is later than MAX_RUN_S or more than
+    MAX_EVENT_GAP_S after the previous one (or after t = 0).
     """
     return chain.from_iterable(map(ActuatorCommand._make, zip(t.tolist(), d.tolist()))
                                for t, d in command_blocks(renderer, events, duration_s))
@@ -181,9 +178,9 @@ def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
     waits (a file, a list) gives ``rows``: the events a block applies
     are pulled before it is composed, so blocks hold ``rows`` ticks, the
     last fewer (math.inf: the whole run, yielded after every pull).  Both
-    pull the events applied by the last tick and one more, and fail as
-    in command_stream; without a duration the run ends at the latest
-    envelope end."""
+    pull the events applied by the last tick and one more, and check
+    each as it is pulled, as in command_stream; without a duration the
+    run ends at the latest envelope end."""
     if duration_s is not None and not 0 <= duration_s <= MAX_RUN_S:
         raise ConfigError(f"duration must be in [0, {MAX_RUN_S:g}] s, got {duration_s}")
     return _blocks(renderer, iter(events), duration_s, rows)
@@ -191,6 +188,8 @@ def command_blocks(renderer: Renderer, events, duration_s: float | None = None,
 
 def _next_event(events, after_t: float):
     event = next(events, None)
+    if event is not None and event.t < after_t:
+        raise PipelineError(f"event at t={event.t} is before the last event")
     if event is not None and event.t - after_t > MAX_EVENT_GAP_S:
         raise FormatError(f"event at t={event.t} is more than "
                           f"{MAX_EVENT_GAP_S:g} s after the previous one")
@@ -264,12 +263,10 @@ def parse_event(line: str) -> GaitEvent:
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad event JSON: {exc}") from None
     try:
-        if isinstance(data["t"], bool) or isinstance(data["speed_kmh"], bool):
-            raise TypeError("t and speed_kmh must be numbers, not booleans")
-        return GaitEvent(t=float(data["t"]), foot=data["foot"],
-                         speed_kmh=float(data["speed_kmh"]),
+        return GaitEvent(t=textio.json_number(data["t"]), foot=data["foot"],
+                         speed_kmh=textio.json_number(data["speed_kmh"]),
                          kind=data.get("kind", "grounded"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad event record: {exc}") from None
 
 

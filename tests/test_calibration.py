@@ -89,7 +89,6 @@ class TestDutyForceMaps:
         duty = force_to_duty(curve, forces)
         assert isinstance(duty, np.ndarray)
         assert duty.tolist() == [force_to_duty(curve, float(f)) for f in forces]
-        assert isinstance(force_to_duty(curve, 1.4), float)
         with pytest.raises(ConfigError):
             force_to_duty(curve, np.array([0.5, -0.1]))
 

@@ -915,7 +915,7 @@ class TestRunBound:
 ])
 def test_boolean_event_number_exit_3(workdir, tmp_path, monkeypatch, capsys, source, line):
     assert render_in_process(workdir, tmp_path, monkeypatch, line, source) == 3
-    assert "not booleans" in capsys.readouterr().err
+    assert "expected a number" in capsys.readouterr().err
 
 
 class TestSourcesAgree:

@@ -1,8 +1,9 @@
 """Hostile-input corpus: every subcommand, run in-process through
 cli.main, with each of its input files in turn replaced by a broken one
 (the others stay valid), exits 0 or 2-5 and prints no traceback, within
-a time bound.  A bad value in a table or curve file exits 2, a trace or
-time column on a clock past the float range exits 3, and a trace whose
+a time bound.  A bad value in a table or curve file exits 2, an event
+whose t or speed_kmh is not a JSON number exits 3, a trace or time
+column on a clock past the float range exits 3, and a trace whose
 finite forces sum past it compiles to exit 4.  A valid CSV input with a
 row of several MB is accepted.  Each failure that one bad input or
 argument reaches, and that no other test runs in this process, exits
@@ -164,9 +165,15 @@ HOSTILE_CURVES = {f"{field}={value}": _set(field, old, value)
                                             ("r_squared", "1.0", "NaN"),
                                             ("min_duty", "0.0", "false"),
                                             ("intercept", "0.0", "1" + "0" * 400))}
-#: the cases of an input kind that must exit 2, as bad configuration
-HOSTILE_CONFIG = {"table": HOSTILE_TABLES, "forward": HOSTILE_CURVES,
-                  "backward": HOSTILE_CURVES}
+#: event logs whose first t or speed_kmh is not a JSON number: a string
+#: that float() would read, null or true
+HOSTILE_EVENTS = {f"{field}={value}": _set(field, old, value)
+                  for field, old in (("t", "0.05"), ("speed_kmh", "2.5"))
+                  for value in (f'"{old}"', '"1_0"', "null", "true")}
+#: an input kind's own cases and the exit each must give: 2 for bad
+#: configuration, 3 for a malformed record
+HOSTILE_EXITS = {"table": (HOSTILE_TABLES, 2), "forward": (HOSTILE_CURVES, 2),
+                 "backward": (HOSTILE_CURVES, 2), "events": (HOSTILE_EVENTS, 3)}
 
 INPUTS = [(command, flag, kind) for command, (inputs, _) in SUBCOMMANDS.items()
           for flag, kind in inputs + [("--config", "config")]]
@@ -237,13 +244,13 @@ def _exit(valid_paths, tmp_path, monkeypatch, capsys, command, flag, kind, conte
                          ids=lambda v: v.lstrip("-"))
 def test_hostile_input_exits_cleanly(valid_paths, tmp_path, monkeypatch, capsys,
                                      command, flag, kind):
-    bad_config = HOSTILE_CONFIG.get(kind, {})
-    corpus = {name: make(VALID[kind]) for name, make in {**HOSTILE, **bad_config}.items()}
+    own, expected = HOSTILE_EXITS.get(kind, ({}, None))
+    corpus = {name: make(VALID[kind]) for name, make in {**HOSTILE, **own}.items()}
     exits = {name: within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
                           command, flag, kind, content)
              for name, content in corpus.items()}
     assert all(isinstance(code, int) for code in exits.values()), exits
-    assert all(exits[name] == 2 for name in bad_config), exits
+    assert all(exits[name] == expected for name in own), exits
 
 
 @pytest.mark.parametrize("command,flag,kind",

@@ -401,6 +401,8 @@ class TestCommandBlocks:
             assert pulls.pulled == pulled_by(applied, i)
 
     def test_unordered_and_distant_events_fail_alike(self, knot_table):
+        """Order is checked where the gap is, as the event is pulled: in
+        each pass both logs fail after the same pulls and the same ticks."""
         fwd, bwd = fitted_curves()
         unordered = [GaitEvent(t=1.0, foot="L", speed_kmh=2.5),
                      GaitEvent(t=0.2, foot="R", speed_kmh=2.5)]
@@ -411,6 +413,24 @@ class TestCommandBlocks:
             for run in (streamed, blocked):
                 with pytest.raises(error, match=message):
                     run(knot_table, fwd, bwd, events)
+
+        def until_failure(events, rows):
+            """The pulls and the tick times yielded before the run fails."""
+            renderer, pulls, ticks = Renderer(knot_table, fwd, bwd), Pulls(events), []
+            with pytest.raises((PipelineError, FormatError)):
+                if rows == "stream":
+                    for command in command_stream(renderer, pulls):
+                        ticks.append(command.t)
+                else:
+                    for t, _ in command_blocks(renderer, pulls, rows=rows):
+                        ticks += t.tolist()
+            return pulls.pulled, ticks
+
+        for rows in ("stream", None, textio.WRITE_ROWS):
+            failed = until_failure(unordered, rows)
+            assert failed == until_failure(distant, rows), rows
+            assert failed[0] == 2
+        assert until_failure(unordered, "stream")[1] == [i / 1000 for i in range(1000)]
 
     @pytest.mark.parametrize("duration", [float("nan"), -1.0, float("inf"), 1e300])
     def test_bad_duration_raises_at_once(self, knot_table, duration):
