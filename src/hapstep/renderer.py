@@ -23,7 +23,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -163,7 +163,10 @@ def command_stream(renderer: Renderer, events, duration_s: float | None = None):
     FormatError if it is later than MAX_RUN_S or more than
     MAX_EVENT_GAP_S after the previous one (or after t = 0).
     """
-    return chain.from_iterable(map(ActuatorCommand._make, zip(t.tolist(), d.tolist()))
+    # _make is tuple.__new__ plus a length check that zip's pairs always
+    # pass: the same ActuatorCommand per tick from one C call, not a frame
+    return chain.from_iterable(map(tuple.__new__, repeat(ActuatorCommand),
+                                   zip(t.tolist(), d.tolist()))
                                for t, d in command_blocks(renderer, events, duration_s))
 
 
@@ -260,7 +263,7 @@ def to_vibstep(duties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def parse_event(line: str) -> GaitEvent:
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FormatError(f"bad event JSON: {exc}") from None
     try:
         return GaitEvent(t=textio.json_number(data["t"]), foot=data["foot"],

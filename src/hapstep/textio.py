@@ -77,12 +77,14 @@ def opened(target, mode: str):
 
 def read_json(source):
     """The JSON value of ``source``; FormatError names the file unless
-    it holds exactly one JSON value."""
+    it holds exactly one JSON value, with no integer past Python's digit
+    limit."""
     with opened(source, "r") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{getattr(fh, 'name', 'JSON')}: {exc}") from None
+        text = fh.read()  # outside the try: UnicodeDecodeError is a ValueError too
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise FormatError(f"{getattr(fh, 'name', 'JSON')}: {exc}") from None
 
 
 def json_number(value) -> float:

@@ -19,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 from hapstep import cli
 
 from conftest import within
-from test_hostile import RUN_S, VALID, valid_paths  # noqa: F401 (a fixture)
+from test_hostile import PAST_DIGIT_LIMIT, RUN_S, VALID, valid_paths  # noqa: F401 (a fixture)
 
 #: each line of the valid log as field -> the JSON text of its value
 RECORDS = [{field: json.dumps(value) for field, value in json.loads(line).items()}
            for line in VALID["events"].splitlines()]
 #: what a number may become, besides the number as a JSON string
 NUMBERS = ("NaN", "Infinity", "-Infinity", "1e308", "-1e308", "5e-324", "-0.0",
-           "1" + "0" * 400, "true", "null")
+           "1" + "0" * 400, PAST_DIGIT_LIMIT, "true", "null")
 #: bytes inserted into a line: a BOM, CR, a file separator, no UTF-8
 INSERTS = (b"\xef\xbb\xbf", b"\r", b"\x1c", b"\xff")
 
@@ -42,6 +42,14 @@ record_edits = st.one_of(
 )
 byte_edits = st.one_of(st.tuples(st.just("truncate"), _at, _at),
                        st.tuples(st.just("insert"), _at, _at, st.sampled_from(INSERTS)))
+
+
+def _value(text):
+    """The value of JSON ``text``; None for an integer past Python's digit limit."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
 
 
 def _edit_records(records, edit):
@@ -60,8 +68,8 @@ def _edit_records(records, edit):
         record[arg[0]] = arg[1]
     elif op == "string" and arg[0] in record:
         record[arg[0]] = json.dumps(record[arg[0]])
-    elif op == "later" and type(json.loads(record.get("t", "null"))) in (int, float):
-        record["t"] = json.dumps(json.loads(record["t"]) + 3601)
+    elif op == "later" and type(t := _value(record.get("t", "null"))) in (int, float):
+        record["t"] = json.dumps(t + 3601)
     elif op == "lifted":
         record["kind"] = '"lifted"'
     elif op == "foot":
@@ -104,8 +112,9 @@ def _number(value) -> bool:
 
 def expected_exit(content: bytes) -> int:
     """The exit the intake rules give: the first faulty record decides.
-    Not UTF-8, bad JSON, a missing or wrong field, or a number that is
-    not a finite float >= 0: 3.  An event before the previous one: 4.
+    Not UTF-8, bad JSON (an integer past Python's digit limit included),
+    a missing or wrong field, or a number that is not a finite float
+    >= 0: 3.  An event before the previous one: 4.
     One more than 3600 s after it (or after 0), or past 86400 s: 3."""
     try:
         text = content.decode("utf-8")
@@ -118,7 +127,7 @@ def expected_exit(content: bytes) -> int:
             continue
         try:
             record = json.loads(line)
-        except ValueError:
+        except ValueError:  # JSONDecodeError, or an int past the digit limit
             return 3
         if not (isinstance(record, dict) and _number(record.get("t"))
                 and _number(record.get("speed_kmh")) and record.get("foot") in ("L", "R")

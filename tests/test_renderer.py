@@ -14,6 +14,7 @@ from hapstep.renderer import (
     MAX_EVENT_GAP_S,
     MAX_RUN_S,
     TICK_RATE_HZ,
+    ActuatorCommand,
     GaitEvent,
     Renderer,
     _apply_tick,
@@ -328,7 +329,8 @@ class TestCommandBlocks:
     def test_equals_command_stream_bit_for_bit(self, knot_table, monkeypatch, block):
         """Duties, tick times, pulled events, schedule and end time of
         the block pass and of the per-tick stream equal the per-tick
-        oracle (expected_duties, pulled_by)."""
+        oracle (expected_duties, pulled_by), and each item of the stream
+        is an ActuatorCommand whose fields read the blocks' values."""
         if block is not None:
             monkeypatch.setattr(textio, "WRITE_ROWS", block)
         fwd, bwd = fitted_curves()
@@ -357,7 +359,13 @@ class TestCommandBlocks:
             assert r.end_t == max([starts[k] / rate
                                    + interpolate(knot_table, events[k].speed_kmh).duration_s
                                    for k in range(len(events)) if applied[k] <= n], default=0.0)
-            assert bits(streamed(knot_table, fwd, bwd, events, duration)[0]) == ref
+            stream = list(command_stream(Renderer(knot_table, fwd, bwd), iter(events), duration))
+            assert all(type(c) is ActuatorCommand and c._fields == ("t", "signed_duty")
+                       for c in stream)
+            assert [c._asdict() for c in stream] == [{"t": x, "signed_duty": d}
+                                                     for x, d in zip(t, duty)]
+            assert [c.t for c in stream] == t
+            assert bits([c.signed_duty for c in stream]) == ref
 
     def test_event_at_start_tick_replaces_it(self, knot_table):
         """An event at t = 0.011 is applied at tick 11, the start tick
