@@ -67,9 +67,9 @@ def step_plate(model: PlateModel, force: float, signed_duty: float) -> float:
 
 def plate_forces(model: PlateModel, duties, force: float = 0.0) -> np.ndarray:
     """The force after each tick of step_plate over ``duties`` from
-    ``force``, bit for bit, so the last element is the end state; only
-    the lag and the clamp run per tick, WRITE_ROWS ticks at a time into
-    one array, so no whole-run list of forces is built."""
+    ``force``, bit for bit, so the last element is the end state; the
+    targets are computed as arrays, and only the lag and the clamp run
+    per tick, in one pass read straight into the result array."""
     duties = np.asarray(duties, dtype=float)
     mag = np.abs(duties)
     targets = np.zeros_like(duties)
@@ -79,19 +79,16 @@ def plate_forces(model: PlateModel, duties, force: float = 0.0) -> np.ndarray:
         targets[sel] = np.copysign(duty_to_force(curve, mag[sel]), duties[sel])
     gain = 1.0 - math.exp(-(1.0 / TICK_RATE_HZ) / model.tau_s)
     hi, lo = model.max_force, -model.max_force
-    forces = np.empty_like(targets)
-    for b in range(0, len(targets), textio.WRITE_ROWS):
-        block = []
-        push = block.append
-        for target in targets[b:b + textio.WRITE_ROWS].tolist():
+
+    def lagged(force):
+        for target in targets.data:
             force += (target - force) * gain
             if force > hi:
                 force = hi
             elif force < lo:
                 force = lo
-            push(force)
-        forces[b:b + len(block)] = block
-    return forces
+            yield force
+    return np.fromiter(lagged(force), float, len(targets))
 
 
 @dataclass

@@ -19,7 +19,6 @@ drive -> thenar vibrator (heel strictly first).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -261,10 +260,7 @@ def to_vibstep(duties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_event(line: str) -> GaitEvent:
-    try:
-        data = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise FormatError(f"bad event JSON: {exc}") from None
+    data = textio.parse_json(line, "bad event JSON")
     try:
         return GaitEvent(t=textio.json_number(data["t"]), foot=data["foot"],
                          speed_kmh=textio.json_number(data["speed_kmh"]),

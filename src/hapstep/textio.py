@@ -76,15 +76,20 @@ def opened(target, mode: str):
 
 
 def read_json(source):
-    """The JSON value of ``source``; FormatError names the file unless
-    it holds exactly one JSON value, with no integer past Python's digit
-    limit."""
+    """parse_json of ``source``'s text, its FormatError naming the file."""
     with opened(source, "r") as fh:
-        text = fh.read()  # outside the try: UnicodeDecodeError is a ValueError too
+        text = fh.read()  # outside parse_json: UnicodeDecodeError is a ValueError too
+    return parse_json(text, getattr(fh, "name", "JSON"))
+
+
+def parse_json(text: str, what: str):
+    """The JSON value of ``text``; FormatError led by ``what`` unless it
+    holds exactly one JSON value, with no integer past Python's digit
+    limit and no nesting past its recursion limit."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise FormatError(f"{getattr(fh, 'name', 'JSON')}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"{what}: {exc}") from None
 
 
 def json_number(value) -> float:

@@ -2,14 +2,15 @@
 cli.main, with each of its input files in turn replaced by a broken one
 (the others stay valid), exits 0 or 2-5 and prints no traceback, within
 a time bound.  A bad value in a table or curve file exits 2, an event
-whose t or speed_kmh is not a JSON number, or is an integer past
-Python's digit limit, exits 3, a trace or time column on a clock past
-the float range exits 3, and a trace whose finite forces sum past it
-compiles to exit 4.  A valid CSV input with a row of several MB is
-accepted.  Each failure that one bad input or argument reaches, and
-that no other test runs in this process, exits with its code and
-message (REACHABLE); a table or curve holding an integer past the digit
-limit exits 3 with Python's message."""
+whose t or speed_kmh is not a JSON number, is an integer past Python's
+digit limit, or is arrays nested past its recursion limit, exits 3, a
+trace or time column on a clock past the float range exits 3, and a
+trace whose finite forces sum past it compiles to exit 4.  A valid CSV
+input with a row of several MB is accepted.  Each failure that one bad
+input or argument reaches, and that no other test runs in this process,
+exits with its code and message (REACHABLE); a table or curve holding an
+integer past the digit limit, or arrays nested past the recursion limit,
+exits 3 with Python's message led by the file's name."""
 
 import io
 import json
@@ -170,12 +171,17 @@ HOSTILE_CURVES = {f"{field}={value}": _set(field, old, value)
 #: a JSON integer past Python's 4,300-digit limit for int(str), which
 #: json.loads raises on as a plain ValueError
 PAST_DIGIT_LIMIT = "1" + "0" * 5000
+#: JSON arrays nested past Python's recursion limit, which json.loads
+#: raises RecursionError on
+DEEP_NESTING = "[" * 10 ** 5 + "]" * 10 ** 5
 #: event logs whose first t or speed_kmh is not a JSON number Python
-#: reads: a string that float() would read, null, true or PAST_DIGIT_LIMIT
-HOSTILE_EVENTS = {f"{field}={value if len(value) < 9 else f'{len(value)}-digits'}":
+#: reads: a string that float() would read, null, true, PAST_DIGIT_LIMIT
+#: or DEEP_NESTING
+HOSTILE_EVENTS = {f"{field}={value if len(value) < 9 else f'{len(value)}-chars'}":
                   _set(field, old, value)
                   for field, old in (("t", "0.05"), ("speed_kmh", "2.5"))
-                  for value in (f'"{old}"', '"1_0"', "null", "true", PAST_DIGIT_LIMIT)}
+                  for value in (f'"{old}"', '"1_0"', "null", "true", PAST_DIGIT_LIMIT,
+                                DEEP_NESTING)}
 #: an input kind's own cases and the exit each must give: 2 for bad
 #: configuration, 3 for a malformed record
 HOSTILE_EXITS = {"table": (HOSTILE_TABLES, 2), "forward": (HOSTILE_CURVES, 2),
@@ -332,6 +338,12 @@ REACHABLE = {
     "curve-past-digit-limit": (
         "render", "forward", _set("intercept", "0.0", PAST_DIGIT_LIMIT), [], 3,
         "Exceeds the limit"),
+    "table-deep-nesting": (
+        "render", "table", _set("device_scale", "1.0", DEEP_NESTING), [], 3,
+        "table: maximum recursion depth exceeded"),
+    "curve-deep-nesting": (
+        "render", "forward", _set("intercept", "0.0", DEEP_NESTING), [], 3,
+        "forward: maximum recursion depth exceeded"),
     "curve-slope-0": (
         "render", "forward", _set("slope", "3.0", "0.0"), [], 2, "slope must be positive"),
     "curve-min-duty-1": (

@@ -5,7 +5,6 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from hapstep import textio
 from hapstep.errors import ConfigError, PipelineError
 from hapstep.plant import (
     DEFAULT_TAU_S,
@@ -79,18 +78,21 @@ class TestPlateForces:
         duties = random_runs(np.random.default_rng(4), levels, 5000)
         for tau in (0.05, 1e-4, 2e-4):
             model = PlateModel(fwd, bwd, tau_s=tau, max_force=max_force)
-            forces = plate_forces(model, duties, force)
-            ref = stepped(model, duties, force)
-            assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
-            if max_force < 1 and tau < 0.001:
-                assert np.any(forces == max_force) and np.any(forces == -max_force)
+            # the array, a strided view of it and a plain list
+            for given in (duties, duties[::3], duties.tolist()):
+                forces = plate_forces(model, given, force)
+                ref = stepped(model, given, force)
+                assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+                if max_force < 1 and tau < 0.001:
+                    assert np.any(forces == max_force) and np.any(forces == -max_force)
         assert len(plate_forces(model, [], force)) == 0
 
     def test_state_carries_across_blocks_while_saturated(self):
-        """The lag runs WRITE_ROWS ticks at a time; the force held at the
-        ceiling over one block boundary and at the floor over the next
-        is still step_plate's, bit for bit."""
-        rows = textio.WRITE_ROWS
+        """Saturation held over long runs, 600 ticks at the ceiling and
+        then 600 at the floor, is step_plate's bit for bit; a run split
+        in two, the second part starting from the first's end force, is
+        the same run."""
+        rows = 4096
         duties = np.zeros(2 * rows + 700)
         duties[rows - 300:rows + 300] = 1.0
         duties[2 * rows - 300:2 * rows + 300] = -1.0
@@ -98,8 +100,6 @@ class TestPlateForces:
         forces = plate_forces(model, duties)
         ref = stepped(model, duties)
         assert forces.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
-        # a run split in two, the second part starting from the first's
-        # last force, is the same run
         head = plate_forces(model, duties[:rows + 100])
         tail = plate_forces(model, duties[rows + 100:], head[-1])
         assert np.concatenate([head, tail]).tobytes() == forces.tobytes()
