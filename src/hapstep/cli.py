@@ -209,7 +209,7 @@ def cmd_calibrate(args) -> int:
 def cmd_step_response(args) -> int:
     import numpy as np
 
-    from . import calibration, renderer, textio, trace
+    from . import plant, renderer, textio, trace
 
     t_cmd, duty = renderer.read_commands(args.commanded)
     t, force = textio.read_columns(args.measured, ("t", "force"), 2)
@@ -220,7 +220,7 @@ def cmd_step_response(args) -> int:
     if (abs(t_cmd[0] - t[0]) * rate > trace.TIME_JITTER_TOL
             or abs(trace.rate_from_times(t_cmd) - rate) > trace.TIME_JITTER_TOL * rate):
         raise FormatError(f"{args.commanded}: t is not on the measured log's clock")
-    metrics = calibration.analyze_step_response(duty, force, rate)
+    metrics = plant.analyze_step_response(duty, force, rate)
     textio.write_json(args.out, metrics)
     print(f"rise={metrics['rise_s']:.4f}s (10-90% {metrics['rise_10_90_s']:.4f}s) "
           f"fall={metrics['fall_s']:.4f}s transition={metrics['transition_s']:.4f}s "

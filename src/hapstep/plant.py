@@ -1,4 +1,4 @@
-"""Simulated friction-plate actuator and closed-loop harness.
+"""Simulated friction-plate actuator, its bench step test and the closed loop.
 
 The plate is modeled as a first-order lag toward the force the
 calibration line predicts for the commanded duty: the real device
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import renderer, textio
-from .calibration import CalibrationCurve, analyze_step_response, duty_to_force
-from .errors import ConfigError
+from .calibration import CalibrationCurve, duty_to_force
+from .errors import ConfigError, PipelineError
 # interpolate and command_stream are no longer called here; they stay importable
 # because the per-layer benchmark (benchmarks/spans.py) wraps them at these attributes
-from .profiles import SpeedProfileTable, interpolate  # noqa: F401
+from .profiles import SpeedProfileTable, interpolate, runs  # noqa: F401
 from .renderer import TICK_RATE_HZ, Renderer, command_blocks, command_stream  # noqa: F401
 
 DEFAULT_TAU_S = 0.05
@@ -111,6 +111,89 @@ def simulate_step_response(model: PlateModel) -> SimRun:
     force = plate_forces(model, duty)
     return SimRun(command=duty, force=force,
                   metrics=analyze_step_response(duty, force, TICK_RATE_HZ))
+
+
+#: smallest per-sample increase (fraction of the plateau) still counted
+#: as "rising" when applying the first-drop rise-time rule; stands in
+#: for sensor resolution on the real rig
+FLAT_TOL = 2.5e-3
+
+
+def analyze_step_response(duty, force, rate_hz: float) -> dict:
+    """Response-time metrics from a commanded step pattern and the
+    measured force, as a dict of four times in seconds.
+
+    ``duty`` (signed) and ``force`` are per-tick arrays on one clock of
+    ``rate_hz`` samples per second; ``duty`` must contain one 0 -> max
+    and one max -> 0 edge per direction (backward first).  rise_s
+    follows the first-drop rule (time until the measured value first
+    stops rising after the command edge, to within FLAT_TOL of the
+    plateau); rise_10_90_s is the conventional 10-90% metric;
+    transition_s is the gap from the end of the backward command to the
+    forward peak.
+    """
+    duty = np.asarray(duty, dtype=float)
+    force = np.asarray(force, dtype=float)
+    if len(duty) != len(force):
+        raise PipelineError("commanded and measured logs differ in length")
+    dt = 1.0 / rate_hz
+
+    onsets, offsets = runs(duty != 0)
+    if len(onsets) < 2 or offsets[1] == len(duty):
+        raise PipelineError("expected one command pulse per direction")
+    if set(np.sign(duty[onsets[:2]]).tolist()) != {-1.0, 1.0}:
+        raise PipelineError("expected one pulse per direction")
+    tail_stops = np.append(onsets[1:], len(duty))
+
+    rises, rises_1090, falls = [], [], []
+    for onset, offset, tail_stop in zip(onsets[:2], offsets[:2], tail_stops):
+        sign = np.sign(duty[onset])
+        mag = np.clip(sign * force, 0.0, None)
+        window = mag[onset:offset]
+        if len(window) < 2:
+            raise PipelineError("response window too short")
+        plateau = float(np.max(window))
+        if plateau <= 0:
+            raise PipelineError("no response detected after command edge")
+        rises.append(_first_stop(np.diff(window) > FLAT_TOL * plateau,
+                                 window[:-1] > 0, dt))
+        rises_1090.append(_crossing(window, 0.9 * plateau, dt)
+                          - _crossing(window, 0.1 * plateau, dt))
+
+        # decay from the last commanded tick up to the next command
+        tail = mag[offset - 1:tail_stop]
+        falls.append(_first_stop(-np.diff(tail) > FLAT_TOL * max(tail[0], 1e-300),
+                                 False, dt))
+        if sign > 0:
+            fwd_peak_t = (onset + int(np.argmax(window))) * dt
+        else:
+            back_off_t = offset * dt
+
+    return {
+        "rise_s": float(np.mean(rises)),
+        "fall_s": float(np.mean(falls)),
+        "transition_s": fwd_peak_t - back_off_t,
+        "rise_10_90_s": float(np.mean(rises_1090)),
+    }
+
+
+def _first_stop(moving: np.ndarray, armed, dt: float) -> float:
+    """Time to the first step that is not ``moving`` once a move has
+    been seen or where ``armed`` holds; the whole window if none is."""
+    stopped = np.flatnonzero(~moving & (np.logical_or.accumulate(moving) | armed))
+    return (stopped[0] + 1) * dt if len(stopped) else (len(moving) + 1) * dt
+
+
+def _crossing(window: np.ndarray, level: float, dt: float) -> float:
+    """First upward crossing time of ``level``, linearly interpolated."""
+    above = np.flatnonzero(window >= level)
+    if len(above) == 0:
+        raise PipelineError("response never reaches threshold level")
+    i = int(above[0])
+    if i == 0:
+        return 0.0
+    frac = (level - window[i - 1]) / (window[i] - window[i - 1])
+    return (i - 1 + frac) * dt
 
 
 def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimRun:

@@ -108,10 +108,10 @@ def write_json(dest, data) -> None:
 def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
     """Comment lines, header fields and float rows of a CSV.
 
-    Blank lines are skipped and lines starting with ``#`` are returned
-    as (line number, text).  The first other line is the header; every
-    later line must hold one number per header field, or FormatError
-    names its line.  Rows come back as one 2-D array.
+    Blank lines are skipped; ``#`` lines before the header are returned
+    as (line number, text), and later ones skipped.  The first other
+    line is the header; every later line must hold one number per header
+    field, or FormatError names its line.  Rows come back as a 2-D array.
 
     The body of a regular file is read by numpy from its path (see
     _body_by_path), which parses a field with float()'s own
@@ -123,7 +123,7 @@ def read_csv(source) -> tuple[list[tuple[int, str]], list[str], np.ndarray]:
         where = f"{fh.name}: line" if hasattr(fh, "name") else "line"
         # readline, not iteration, so that _body_by_path can tell() and seek()
         for n, line in enumerate(map(str.strip, iter(fh.readline, "")), 1):
-            if not line:
+            if not line or (line[0] == "#" and header):
                 continue
             if line[0] == "#":
                 comments.append((n, line))

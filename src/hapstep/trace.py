@@ -12,6 +12,7 @@ trace-CSV layout::
     t,thenar_y,heel_y[,thenar_z,heel_z]
     0.0,0.12,-0.40,...
 
+The header is the ``#`` lines before the column line, each key once.
 The ``t`` column is optional on ingest (rate may come from the header);
 when present its spacing must be uniform to within 1%, and a header rate
 must match it to within 1%.  A header rate must be finite and > 0, a
@@ -104,6 +105,8 @@ def _parse_header_meta(comments) -> dict[str, str]:
             if "=" not in tok:
                 raise FormatError(f"line {lineno}: malformed header token {tok!r}")
             key, value = tok.split("=", 1)
+            if key in meta:
+                raise FormatError(f"line {lineno}: header key {key!r} given twice")
             meta[key] = value
     return meta
 

@@ -175,13 +175,11 @@ class TestIngest:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 5
 
-    def test_bad_header_number_exit_3(self, tmp_path):
+    def test_bad_header_number_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# rate_hz=1000 speed_kmh=abc\nthenar_y,heel_y\n0.1,0.2\n")
-        res = run_cli("ingest", "--trace", str(bad), "--out",
-                      str(tmp_path / "x.csv"))
-        assert res.returncode == 3
-        assert "speed_kmh" in res.stderr
+        assert cli.main(["ingest", "--trace", str(bad), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "speed_kmh" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", ["t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,0.3,0.4\n",
                                       "thenar_y,heel_y\n0.1,0.2\n0.3,0.4\n"],
@@ -462,13 +460,13 @@ class TestRender:
         assert res.returncode == 2
         assert "duration" in res.stderr
 
-    def test_swapped_calibrations_exit_2(self, workdir, tmp_path):
-        res = run_cli("render", "--events", workdir["events"],
-                      "--table", workdir["table"],
-                      "--calib-forward", workdir["bwd"],
-                      "--calib-backward", workdir["fwd"],
-                      "--out", str(tmp_path / "x.csv"))
-        assert res.returncode == 2
+    def test_swapped_calibrations_exit_2(self, workdir, tmp_path, capsys):
+        assert cli.main(["render", "--events", workdir["events"],
+                         "--table", workdir["table"],
+                         "--calib-forward", workdir["bwd"],
+                         "--calib-backward", workdir["fwd"],
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "calibration files have the wrong directions" in capsys.readouterr().err
 
 
 class TestVibstep:
@@ -658,20 +656,26 @@ class TestSimulate:
         assert "tau_s must be at most 8640 s for a closed-loop run" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_events_without_table_exit_2(self, workdir, tmp_path):
-        res = run_cli("simulate", "--events", workdir["events"],
-                      "--out", str(tmp_path / "m.json"))
-        assert res.returncode == 2
+    def test_events_without_table_exit_2(self, workdir, tmp_path, capsys):
+        assert cli.main(["simulate", "--events", workdir["events"],
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert "needs both --events and --table" in capsys.readouterr().err
+
+    def test_table_without_events_exit_2(self, workdir, tmp_path, capsys):
+        """Not the bench step test, which runs with neither."""
+        out = tmp_path / "m.json"
+        assert cli.main(["simulate", "--table", workdir["table"], "--out", str(out)]) == 2
+        assert "needs both --events and --table" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, key", [("--calib-forward", "fwd"),
                                            ("--calib-backward", "bwd")])
-    def test_one_calibration_file_exit_2(self, workdir, tmp_path, flag, key):
+    def test_one_calibration_file_exit_2(self, workdir, tmp_path, capsys, flag, key):
         """A lone curve is refused, not replaced by the default curves."""
-        res = run_cli("simulate", "--events", workdir["events"],
-                      "--table", workdir["table"], flag, workdir[key],
-                      "--out", str(tmp_path / "m.json"))
-        assert res.returncode == 2
-        assert "--calib-forward and --calib-backward" in res.stderr
+        assert cli.main(["simulate", "--events", workdir["events"],
+                         "--table", workdir["table"], flag, workdir[key],
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert "--calib-forward and --calib-backward" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_min_duty_flag_with_calibration_files_exit_2(self, workdir, tmp_path, capsys):
@@ -712,7 +716,7 @@ class TestNormalize:
         assert out.read_text().splitlines()[0].endswith(",normalized")
 
     @pytest.mark.parametrize("speed", ["5.0", "nan"])
-    def test_unknown_speed_exit_3(self, tmp_path, speed):
+    def test_unknown_speed_exit_3(self, tmp_path, capsys, speed):
         scores = tmp_path / "scores.csv"
         rows = [f"p1,realism,{s},{v},{10 * i}"
                 for i, (s, v) in enumerate(
@@ -721,10 +725,9 @@ class TestNormalize:
         rows.append(f"p1,realism,none,{speed},50")  # a full grid plus one cell
         scores.write_text("participant,item,stimulus,speed_kmh,score\n"
                           + "\n".join(rows) + "\n")
-        res = run_cli("normalize", "--scores", str(scores),
-                      "--out", str(tmp_path / "n.csv"))
-        assert res.returncode == 3
-        assert "Traceback" not in res.stderr
+        assert cli.main(["normalize", "--scores", str(scores),
+                         "--out", str(tmp_path / "n.csv")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_output_reads_back_with_quoted_names(self, tmp_path):
         """A participant holding a comma and an item holding a quote are
@@ -777,13 +780,13 @@ class TestConfigFile:
                       "--trace", workdir["traces"][0], "--out", str(out))
         assert res.returncode == 0
 
-    def test_unknown_key_exit_2(self, workdir, tmp_path):
+    def test_unknown_key_exit_2(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "hapstep.cfg"
         cfg.write_text("warp_speed=9\n")
-        res = run_cli("--config", str(cfg), "segment",
-                      "--trace", workdir["traces"][0],
-                      "--out", str(tmp_path / "s.json"))
-        assert res.returncode == 2
+        assert cli.main(["--config", str(cfg), "segment",
+                         "--trace", workdir["traces"][0],
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert "unknown key 'warp_speed'" in capsys.readouterr().err
 
 
 def event_line(t, speed=2.5):

@@ -8,7 +8,9 @@ import pytest
 from hapstep.errors import ConfigError, PipelineError
 from hapstep.plant import (
     DEFAULT_TAU_S,
+    FLAT_TOL,
     PlateModel,
+    analyze_step_response,
     plate_forces,
     run_closed_loop,
     save_sim_run,
@@ -128,6 +130,130 @@ class TestSimulateStepResponse:
         a, b = simulate_step_response(model), simulate_step_response(model)
         assert a.force.tobytes() == b.force.tobytes()
         assert a.metrics == b.metrics
+
+
+def first_order_bench(tau, fs=1000, lead=0.1, hold=0.5, gap=0.5,
+                      target=3.0):
+    """Analytic plant response to the two-pulse bench pattern: duty,
+    force and rate."""
+    dt = 1.0 / fs
+    duty = np.concatenate([
+        np.zeros(int(lead * fs)),
+        -np.ones(int(hold * fs)),
+        np.zeros(int(gap * fs)),
+        np.ones(int(hold * fs)),
+        np.zeros(int(gap * fs)),
+    ])
+    force = np.zeros_like(duty)
+    alpha = 1 - math.exp(-dt / tau)
+    for i in range(1, len(duty)):
+        force[i] = force[i - 1] + (target * duty[i] - force[i - 1]) * alpha
+    return duty, force, fs
+
+
+class TestAnalyzeStepResponse:
+    def test_rise_10_90_matches_time_constant(self):
+        tau = 0.05
+        m = analyze_step_response(*first_order_bench(tau))
+        assert m["rise_10_90_s"] == pytest.approx(tau * math.log(9), abs=0.002)
+
+    def test_first_drop_rise_near_flat_tol_prediction(self):
+        tau = 0.05
+        m = analyze_step_response(*first_order_bench(tau))
+        # increments drop below flat_tol of the plateau at
+        # t = tau * ln((dt/tau) / flat_tol) for an exponential approach
+        predicted = tau * math.log((0.001 / tau) / FLAT_TOL)
+        assert m["rise_s"] == pytest.approx(predicted, abs=0.003)
+
+    def test_fall_time_close_to_rise(self):
+        m = analyze_step_response(*first_order_bench(0.05))
+        assert m["fall_s"] == pytest.approx(m["rise_s"], abs=0.01)
+
+    def test_transition_spans_gap_to_forward_peak(self):
+        m = analyze_step_response(*first_order_bench(0.05, gap=0.5, hold=0.5))
+        # forward force peaks at the end of the hold; offset of the
+        # backward pulse to that peak is gap + hold
+        assert m["transition_s"] == pytest.approx(1.0, abs=0.01)
+
+    def test_faster_plant_rises_faster(self):
+        m_fast = analyze_step_response(*first_order_bench(0.01))
+        m_slow = analyze_step_response(*first_order_bench(0.1))
+        assert m_fast["rise_10_90_s"] < m_slow["rise_10_90_s"]
+        assert m_fast["rise_s"] < m_slow["rise_s"]
+
+    def test_length_mismatch_rejected(self):
+        commanded, force, fs = first_order_bench(0.05)
+        with pytest.raises(PipelineError, match="differ in length"):
+            analyze_step_response(commanded[:-5], force, fs)
+
+    def test_missing_direction_rejected(self):
+        fs = 1000
+        duty = np.concatenate([np.zeros(100), np.ones(500), np.zeros(100),
+                               np.ones(500), np.zeros(100)])
+        with pytest.raises(PipelineError, match="expected one pulse per direction"):
+            analyze_step_response(duty, duty * 2.0, fs)
+
+    def test_nan_force_never_reaches_threshold(self):
+        duty, force, fs = first_order_bench(0.05)
+        force[200] = math.nan
+        with pytest.raises(PipelineError, match="response never reaches threshold level"):
+            analyze_step_response(duty, force, fs)
+
+    def test_as_dict_keys(self):
+        m = analyze_step_response(*first_order_bench(0.05))
+        assert set(m) == {"rise_s", "fall_s", "transition_s", "rise_10_90_s"}
+
+
+def reference_first_stops(mag, pulses, dt, flat_tol=FLAT_TOL):
+    """Per-sample first-drop rise and first-stop fall times of each
+    (onset, offset, next onset) pulse of the clipped magnitudes."""
+    rises, falls = [], []
+    for (onset, offset, tail_stop), m in zip(pulses, mag):
+        w = m[onset:offset]
+        rise, rising = len(w) * dt, False
+        for k in range(len(w) - 1):
+            if w[k + 1] - w[k] > flat_tol * float(np.max(w)):
+                rising = True
+            elif rising or w[k] > 0:
+                rise = (k + 1) * dt
+                break
+        w = m[offset - 1:tail_stop]
+        fall, falling = len(w) * dt, False
+        for k in range(len(w) - 1):
+            if w[k] - w[k + 1] > flat_tol * max(w[0], 1e-300):
+                falling = True
+            elif falling:
+                fall = (k + 1) * dt
+                break
+        rises.append(rise)
+        falls.append(fall)
+    return float(np.mean(rises)), float(np.mean(falls))
+
+
+class TestFirstStopExact:
+    def test_rise_and_fall_equal_per_sample_reference(self):
+        rng = np.random.default_rng(10)
+        checked = 0
+        for _ in range(400):
+            fs = float(rng.choice([100.0, 999.7, 1000.0]))
+            lead, hold1, gap, hold2, tail = rng.integers([0, 2, 1, 2, 1], [20, 60, 40, 60, 40])
+            first = float(rng.choice([-1.0, 1.0]))
+            duty = np.concatenate([np.zeros(lead), np.full(hold1, first), np.zeros(gap),
+                                   np.full(hold2, -first), np.zeros(tail)])
+            steps = random_runs(rng, [-0.02, 0.0, 1e-6, 0.003, 0.05, 0.3], len(duty))
+            force = np.abs(np.cumsum(steps)) * np.where(
+                np.arange(len(duty)) < lead + hold1 + gap, first, -first)
+            force[rng.integers(len(duty), size=3)] *= -1.0  # stray opposite-sign ticks
+            on2 = lead + hold1 + gap
+            pulses = [(lead, lead + hold1, on2), (on2, on2 + hold2, len(duty))]
+            mag = [np.clip(first * force, 0.0, None), np.clip(-first * force, 0.0, None)]
+            try:
+                m = analyze_step_response(duty, force, fs)
+            except PipelineError:
+                continue
+            assert (m["rise_s"], m["fall_s"]) == reference_first_stops(mag, pulses, 1.0 / fs)
+            checked += 1
+        assert checked > 200
 
 
 class TestRunClosedLoop:

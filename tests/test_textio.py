@@ -34,7 +34,8 @@ def reference_read_csv(source):
             if not line:
                 continue
             if line[0] == "#":
-                comments.append((lineno, line))
+                if not header:
+                    comments.append((lineno, line))
             elif not header:
                 header = [h.strip() for h in line.split(",")]
             else:

@@ -124,6 +124,44 @@ def test_header_rate_must_match_time_column(header_rate, ok):
             load_trace(io.StringIO(csv))
 
 
+def _read(text, tmp_path, via):
+    """load_trace of ``text`` from a stream, or from a path (which numpy
+    reads up to a body ``#`` line, and the per-line reader after it)."""
+    if via == "stream":
+        return load_trace(io.StringIO(text))
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    return load_trace(str(path))
+
+
+@pytest.mark.parametrize("via", ["stream", "path"])
+def test_body_comment_is_not_header(tmp_path, via):
+    """Only the # lines before the column line are the header."""
+    text = ("# rate_hz=1000 speed_kmh=2.5 participant=p\nthenar_y,heel_y\n"
+            "0.1,0.2\n# rate_hz=250 participant=q\n0.3,0.4\n0.5,0.6\n")
+    tr = _read(text, tmp_path, via)
+    assert (len(tr), tr.sample_rate_hz, tr.speed_kmh, tr.participant) == (3, 1000.0, 2.5, "p")
+
+
+@pytest.mark.parametrize("via", ["stream", "path"])
+def test_body_comment_leaves_the_clock(tmp_path, via):
+    rows = "".join(f"{i / 1000},0.1,0.2\n" for i in range(5))
+    plain = "t,thenar_y,heel_y\n" + rows
+    tr = _read(plain.replace("\n", "\n# rate_hz=1005\n", 1), tmp_path, via)
+    assert dump_trace(tr) == dump_trace(load_trace(io.StringIO(plain)))
+    assert tr.sample_rate_hz == pytest.approx(1000.0)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# rate_hz=1000 speed_kmh=2.5 participant=p rate_hz=250\n", "line 1: header key 'rate_hz'"),
+    ("# rate_hz=1000 speed_kmh=2.5\n# participant=p speed_kmh=1.0\n",
+     "line 2: header key 'speed_kmh'"),
+], ids=["one-line", "two-lines"])
+def test_header_key_given_twice_rejected(header, message):
+    with pytest.raises(FormatError, match=f"^{message} given twice$"):
+        load_trace(io.StringIO(header + "thenar_y,heel_y\n0.1,0.2\n"))
+
+
 def test_malformed_row_reports_line_number():
     csv = HEADER + "t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,oops,0.4\n"
     with pytest.raises(FormatError, match="line 4"):
