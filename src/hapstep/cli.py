@@ -287,8 +287,8 @@ def cmd_vibstep(args) -> int:
     # the log's clock rebuilt from its first time and median rate
     t = float(t[0]) + np.arange(len(duty)) / trace.rate_from_times(t)
     heel, thenar = renderer.to_vibstep(duty)
-    n = textio.write_columns(args.out, ("t", "heel_duty", "thenar_duty"),
-                             t, heel, thenar)
+    n = textio.write_blocks(args.out, ("t", "heel_duty", "thenar_duty"),
+                            [(t, heel, thenar)])
     print(f"{n} ticks -> {args.out}")
     return 0
 

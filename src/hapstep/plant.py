@@ -255,6 +255,5 @@ def run_closed_loop(table: SpeedProfileTable, events, model: PlateModel) -> SimR
 
 def save_sim_run(run: SimRun, log_path) -> None:
     """Persist the logs as CSV, t the tick index / 1000."""
-    textio.write_columns(log_path, ("t", "signed_duty", "force"),
-                         np.arange(len(run.command)) / TICK_RATE_HZ,
-                         run.command, run.force)
+    t = np.arange(len(run.command)) / TICK_RATE_HZ
+    textio.write_blocks(log_path, ("t", "signed_duty", "force"), [(t, run.command, run.force)])

@@ -13,23 +13,23 @@ file is read twice and must not change during the call; any other body
 (a stream, a FIFO such as /dev/stdin, a .gz name), and one the scan or
 numpy refuses, is read line by line with float().
 
-write_blocks writes each block of column arrays (write_columns cuts its
-columns into WRITE_ROWS rows) in one call, by one writer: a block
-becomes one byte array of fixed-width cells.  A value v with v == 0 or
-1e-4 <= |v| < 1e15, where ``repr`` is fixed-point, is written from the
-integer digits of the decimal ``repr`` prints, which _shortest finds
-for the whole column at once: of at most 15 digits by one division, of 16 or 17 from an exact
-product of v and a power of 10.  That decimal is ``repr``'s because
-v's rounding interval is symmetric (in range every power of 2, whose
-interval is not, has at most 15 digits) and ``repr`` prints the
-shortest decimal in it, and of those the nearest v.  Any other value
-(NaN, +-inf, |v| < 1e-4 or >= 1e15, where ``repr`` may switch to an
-exponent), a value whose candidates tie or lie within _TIE of the
-interval's edge, and every value of a column of fewer than _DIGIT_ROWS
-rows are written from their own ``repr`` into their cells.  A block
-column of long runs of one value (duty plateaus, VibStep rectangles)
-is converted only at the first row of each run and its cells repeated
-down the run: the bytes of a cell depend only on the bits of its value.
+write_blocks, the one CSV writer, cuts each block of columns it is given
+into WRITE_ROWS rows and writes each cut in one call, as one byte array
+of fixed-width cells.  A value v with v == 0 or 1e-4 <= |v| < 1e15,
+where ``repr`` is fixed-point, is written from the integer digits of the
+decimal ``repr`` prints, which _shortest finds for a column of the cut
+at once: of at most 15 digits by one division, of 16 or 17 from an exact
+product of v and a power of 10.  That decimal is ``repr``'s because v's
+rounding interval is symmetric (in range every power of 2, whose
+interval is not, has at most 15 digits) and ``repr`` prints the shortest
+decimal in it, and of those the nearest v.  Any other value (NaN, +-inf,
+|v| < 1e-4 or >= 1e15, where ``repr`` may switch to an exponent), a
+value whose candidates tie or lie within _TIE of the interval's edge,
+and every value of a column of fewer than _DIGIT_ROWS rows are written
+from their own ``repr`` into their cells.  A column of long runs of one
+value (duty plateaus, VibStep rectangles) is converted only at the first
+row of each run and its cells repeated down the run: the bytes of a cell
+depend only on the bits of its value.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import FormatError
 
 #: characters _body_by_path's scan reads at a time
 _READ_HINT = 1 << 16
-#: rows per CSV write block, for write_columns and the offline render
+#: rows per write_blocks cut, and per block of the offline render
 WRITE_ROWS = 4096
 #: a column of fewer rows is written from ``repr`` alone, which costs
 #: less there than the fixed cost of the digit pass
@@ -193,19 +193,13 @@ def read_columns(source, names, min_rows: int) -> list[np.ndarray]:
     return [data[:, header.index(n)] for n in names]
 
 
-def write_columns(dest, names, *columns) -> int:
-    """write_blocks of the equal-length ``columns``, WRITE_ROWS rows each."""
-    n = len(columns[0])
-    return write_blocks(dest, names, ([c[i:i + WRITE_ROWS] for c in columns]
-                                      for i in range(0, n, WRITE_ROWS)))
-
-
 def write_blocks(dest, names, blocks) -> int:
     """Write the header ``names``, then each block, a sequence of
-    equal-length column arrays, as one line per row of float ``repr``s,
-    a whole block per write.  Returns the row count.
+    equal-length column arrays, as one line per row of float ``repr``s.
+    Each block is cut into WRITE_ROWS rows, so a block may be whole
+    columns, and each cut is one write.  Returns the row count.
 
-    A block becomes one uint8 array of fixed-width cells, one per value
+    A cut becomes one uint8 array of fixed-width cells, one per value
     (see _rows).  A value v is written from the digits _shortest finds
     for it when it is +-0.0 or 1e-4 <= |v| < 1e15, where ``repr`` is
     fixed-point.  Any other value (NaN, +-inf, |v| < 1e-4 or >= 1e15),
@@ -222,9 +216,9 @@ def write_blocks(dest, names, blocks) -> int:
         fh.write(",".join(names) + "\n")
         for columns in blocks:
             cols = [np.asarray(c, dtype=float) for c in columns]
-            if len(cols[0]):
-                fh.write(_rows(cols))
-                n += len(cols[0])
+            for i in range(0, len(cols[0]), WRITE_ROWS):
+                fh.write(_rows([c[i:i + WRITE_ROWS] for c in cols]))
+            n += len(cols[0])
     return n
 
 

@@ -12,7 +12,8 @@ trace-CSV layout::
     t,thenar_y,heel_y[,thenar_z,heel_z]
     0.0,0.12,-0.40,...
 
-The header is the ``#`` lines before the column line, each key once.
+The header is the ``#`` lines before the column line, holding each of
+the three keys above at most once and no other key.
 The ``t`` column is optional on ingest (rate may come from the header);
 when present its spacing must be uniform to within 1%, and a header rate
 must match it to within 1%.  A header rate must be finite and > 0, a
@@ -96,6 +97,7 @@ class ForceTrace:
 
 _Y_COLUMNS = ("t", "thenar_y", "heel_y")
 _YZ_COLUMNS = ("t", "thenar_y", "heel_y", "thenar_z", "heel_z")
+_HEADER_KEYS = ("rate_hz", "speed_kmh", "participant")
 
 
 def _parse_header_meta(comments) -> dict[str, str]:
@@ -105,6 +107,8 @@ def _parse_header_meta(comments) -> dict[str, str]:
             if "=" not in tok:
                 raise FormatError(f"line {lineno}: malformed header token {tok!r}")
             key, value = tok.split("=", 1)
+            if key not in _HEADER_KEYS:
+                raise FormatError(f"line {lineno}: unknown header key {key!r}")
             if key in meta:
                 raise FormatError(f"line {lineno}: header key {key!r} given twice")
             meta[key] = value
@@ -186,4 +190,4 @@ def write_trace(trace: ForceTrace, dest) -> None:
     with textio.opened(dest, "w") as fh:
         fh.write(f"# rate_hz={trace.sample_rate_hz!r} "
                  f"speed_kmh={trace.speed_kmh!r} participant={trace.participant}\n")
-        textio.write_columns(fh, ("t", *trace.channels()), trace.times, *sensor)
+        textio.write_blocks(fh, ("t", *trace.channels()), [(trace.times, *sensor)])

@@ -244,7 +244,7 @@ def test_body_by_path_only_from_a_plain_regular_file(tmp_path, monkeypatch):
 
 
 def reference_rows(names, *columns):
-    """The per-row ``%r`` text write_columns replaced."""
+    """The per-row ``%r`` text write_blocks replaced."""
     line = ",".join(["%r"] * len(names)) + "\n"
     rows = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
     return ",".join(names) + "\n" + "".join(line % row for row in rows)
@@ -256,8 +256,8 @@ SPECIAL = [-0.0, 1e-05, 1e16, 5e-324, float("nan"), float("inf"), -float("inf"),
 
 @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
 @pytest.mark.parametrize("n", [0, 1, textio.WRITE_ROWS - 1, textio.WRITE_ROWS,
-                               textio.WRITE_ROWS + 1])
-def test_write_columns_equals_per_row_reference(n, to_path, tmp_path):
+                               textio.WRITE_ROWS + 1, 2 * textio.WRITE_ROWS + 1])
+def test_write_blocks_equals_per_row_reference(n, to_path, tmp_path):
     rng = np.random.default_rng(n)
     a = np.resize(SPECIAL, n)
     b = rng.permutation(a)
@@ -267,11 +267,11 @@ def test_write_columns_equals_per_row_reference(n, to_path, tmp_path):
     names = ("t", "x", "y", "ms", "few")
     if to_path:
         path = tmp_path / "out.csv"
-        assert textio.write_columns(path, names, a, b, c, ms, few) == n
+        assert textio.write_blocks(path, names, [(a, b, c, ms, few)]) == n
         text = path.read_bytes().decode()
     else:
         buf = io.StringIO()
-        assert textio.write_columns(buf, names, a, b, c, ms, few) == n
+        assert textio.write_blocks(buf, names, [(a, b, c, ms, few)]) == n
         text = buf.getvalue()
     assert text == reference_rows(names, a, b, c, ms, few)
 
@@ -331,7 +331,7 @@ def test_reprs_edge_cases(values, monkeypatch):
     col = np.array(values)
     names = ("v", "w")
     buf = io.StringIO()
-    textio.write_columns(buf, names, col, col[::-1])
+    textio.write_blocks(buf, names, [(col, col[::-1])])
     assert buf.getvalue() == reference_rows(names, col, col[::-1])
     monkeypatch.setattr(textio, "_DIGIT_ROWS", 1)
     assert textio._rows([col, col[::-1]]) == lines(names, col, col[::-1])
@@ -397,7 +397,7 @@ def test_write_columns_of_mixed_columns(data, n, kinds):
     cols = [np.array(data.draw(column(kind, n)), dtype=float) for kind in kinds]
     names = [f"c{i}" for i in range(len(cols))]
     buf = io.StringIO()
-    assert textio.write_columns(buf, names, *cols) == n
+    assert textio.write_blocks(buf, names, [cols]) == n
     assert buf.getvalue() == reference_rows(names, *cols)
     with mock.patch.object(textio, "_DIGIT_ROWS", 1):
         assert textio._rows(cols) == lines(names, *cols)
@@ -417,20 +417,27 @@ def test_shortest_gives_the_digits_of_every_short_decimal(data, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, textio.WRITE_ROWS + 1), width=st.integers(1, 3),
+@given(n=st.integers(1, 2 * textio.WRITE_ROWS + 1), width=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_blocks_of_any_bit_patterns(n, width, seed):
-    """Whole blocks of uniform int64 bit patterns viewed as float64, so
-    NaN payloads, infinities and subnormals too."""
+    """Uniform int64 bit patterns viewed as float64, so NaN payloads,
+    infinities and subnormals too, written as one block and as the same
+    rows cut at random points: an empty block, and a block of more than
+    WRITE_ROWS rows where n allows, among them."""
     rng = np.random.default_rng(seed)
     cols = [rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64, endpoint=False).view(np.float64)
             for _ in range(width)]
     names = [f"c{i}" for i in range(width)]
-    buf = io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert textio.write_blocks(buf, names, [cols]) == n
-    assert buf.getvalue() == reference_rows(names, *cols)
+    past = textio.WRITE_ROWS + 1 if n > textio.WRITE_ROWS else 0
+    a = int(rng.integers(0, n - past + 1))
+    b = int(rng.integers(a + past, n + 1))
+    cut = [[c[i:j] for c in cols] for i, j in [(0, a), (a, a), (a, b), (b, n)]]
+    for blocks in ([cols], cut):
+        buf = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert textio.write_blocks(buf, names, blocks) == n
+        assert buf.getvalue() == reference_rows(names, *cols)
 
 
 BLOCK = textio.WRITE_ROWS
@@ -471,7 +478,7 @@ def test_blocks_of_runs(n, mean_run, seed):
     col = np.resize(runs(values, rng.integers(1, 2 * mean_run + 1, k)), n)
     names = ("runs", "t")
     buf = io.StringIO()
-    assert textio.write_columns(buf, names, col, np.arange(n) / 1000) == n
+    assert textio.write_blocks(buf, names, [(col, np.arange(n) / 1000)]) == n
     assert buf.getvalue() == reference_rows(names, col, np.arange(n) / 1000)
 
 
@@ -491,7 +498,7 @@ def test_runs_edge_cases(col, monkeypatch):
     counts the runs of a block, not its rows."""
     lengths = digit_lengths(monkeypatch)
     buf = io.StringIO()
-    textio.write_columns(buf, ("v",), col)
+    textio.write_blocks(buf, ("v",), [(col,)])
     assert buf.getvalue() == reference_rows(("v",), col)
     assert lengths == [h for h in heads_per_block(col) if h >= textio._DIGIT_ROWS]
 
@@ -517,7 +524,7 @@ def test_run_heads_alone_take_the_digit_pass(knot_table, monkeypatch):
     lengths = digit_lengths(monkeypatch)
     monkeypatch.setattr(textio, "_DIGIT_ROWS", 1)
     buf = io.StringIO()
-    textio.write_columns(buf, ("heel_duty",), heel)
+    textio.write_blocks(buf, ("heel_duty",), [(heel,)])
     assert buf.getvalue() == reference_rows(("heel_duty",), heel)
     assert lengths == heads
 
@@ -545,7 +552,7 @@ def test_all_decimal_block_is_written_from_digits(monkeypatch):
         if expected:
             force[1234] = expected[0]
         buf = io.StringIO()
-        assert textio.write_columns(buf, ("t", "f"), t, force) == len(t)
+        assert textio.write_blocks(buf, ("t", "f"), [(t, force)]) == len(t)
         assert buf.getvalue() == reference_rows(("t", "f"), t, force)
         assert sent == expected
 
@@ -559,7 +566,7 @@ def test_plate_forces_take_the_digit_path(knot_table, monkeypatch):
     assert len(force) > textio.WRITE_ROWS
     sent = fallback_values(monkeypatch)
     buf = io.StringIO()
-    textio.write_columns(buf, ("force",), force)
+    textio.write_blocks(buf, ("force",), [(force,)])
     assert buf.getvalue() == reference_rows(("force",), force)
     assert sent == force[(force != 0) & (np.abs(force) < 1e-4)].tolist()
 

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from hapstep import cli
 from hapstep.errors import ConfigError, FormatError
 from hapstep.trace import ForceTrace, load_trace, rate_from_times, write_trace
 
@@ -160,6 +161,27 @@ def test_body_comment_leaves_the_clock(tmp_path, via):
 def test_header_key_given_twice_rejected(header, message):
     with pytest.raises(FormatError, match=f"^{message} given twice$"):
         load_trace(io.StringIO(header + "thenar_y,heel_y\n0.1,0.2\n"))
+
+
+UNKNOWN_KEYS = {"misspelt": ("# rate_hz=1000 speed=2.5 participant=p\n", "speed"),
+                "unknown": ("# speed_kmh=2.5\n# rate=1000\n", "rate")}
+
+
+@pytest.mark.parametrize("header, key", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_header_key_rejected(header, key, tmp_path, capsys):
+    """A key other than rate_hz, speed_kmh and participant is refused,
+    not dropped: a misspelt speed would read as 0 km/h."""
+    text = header + "t,thenar_y,heel_y\n0.0,0.1,0.2\n0.001,0.3,0.4\n"
+    message = f"line {header.count(chr(10))}: unknown header key '{key}'"
+    path = tmp_path / "walk.csv"
+    path.write_text(text)
+    for source in (io.StringIO(text), path):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            load_trace(source)
+    out = tmp_path / "out.csv"
+    assert cli.main(["ingest", "--trace", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_malformed_row_reports_line_number():
