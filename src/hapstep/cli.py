@@ -7,10 +7,11 @@ byte-for-byte.  Options may come from a key=value config file
 
 Start-up: each subcommand imports the modules it runs when it runs, so
 a fresh process loads only those (``render --listen`` alone loads
-``socket``).  Importing this module loads only ``errors``, so ``--help``
-and usage errors load no numpy.  A call builds the argument parser of
-its own subcommand alone; ``-h``, ``--config=FILE`` and an argv naming
-no subcommand get the parser of every subcommand.
+``socket``), and none loads ``numpy.ma``.  Importing this module loads
+only ``errors``, so ``--help`` and usage errors load no numpy.  A call
+builds the argument parser of its own subcommand alone; ``-h``,
+``--config=FILE`` and an argv naming no subcommand get the parser of
+every subcommand.
 
 Exit codes: 0 ok, 2 usage/config, 3 malformed input, 4 pipeline
 degenerate, 5 I/O failure.
@@ -55,8 +56,9 @@ DEFAULTS = {
 
 
 def read_config(path: str) -> dict:
-    """Parse a key=value config file ('#' starts a comment)."""
-    out = {}
+    """Parse a key=value config file ('#' starts a comment), each key
+    given at most once."""
+    out, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -67,6 +69,10 @@ def read_config(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice "
+                                  f"(first on line {seen[key]})")
+            seen[key] = lineno
             try:
                 out[key] = type(DEFAULTS[key])(value)
             except ValueError:

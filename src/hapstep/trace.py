@@ -133,11 +133,19 @@ def rate_from_times(t: np.ndarray) -> float:
     step.  FormatError unless the column is strictly increasing, every
     step is within TIME_JITTER_TOL of the median and the rate is finite
     and positive: 1 / a subnormal step overflows to inf, and a step past
-    the float range (inf) gives 0."""
+    the float range (inf) gives 0.
+
+    The median is numpy's own, from one partition at the middle step(s)
+    and the last: the middle step or the mean of the two, and none when
+    a step is NaN, which sorts last.  It partitions rather than call
+    numpy's median, whose NaN check in numpy 2 loads all of
+    ``numpy.ma``, about 13 ms and 1.2 MB in each process."""
     with np.errstate(over="ignore", invalid="ignore"):
         dt = np.diff(t)
-        med = float(np.median(dt))
-        if not med > 0:
+        mid, odd = divmod(len(dt), 2)
+        part = np.partition(dt, [mid, -1] if odd else [mid - 1, mid, -1])
+        med = float(part[mid] if odd else (part[mid - 1] + part[mid]) / 2)
+        if not med > 0 or np.isnan(part[-1]):
             raise FormatError("time column must be strictly increasing")
         if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
             raise FormatError(

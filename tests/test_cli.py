@@ -788,6 +788,16 @@ class TestConfigFile:
                          "--out", str(tmp_path / "s.json")]) == 2
         assert "unknown key 'warp_speed'" in capsys.readouterr().err
 
+    def test_key_given_twice_exit_2(self, workdir, tmp_path, capsys):
+        """Neither value wins: the file is refused, naming both lines."""
+        cfg, out = tmp_path / "hapstep.cfg", tmp_path / "s.json"
+        cfg.write_text("first = 3\n# the study's own\nlast = 13\nfirst = 5\n")
+        assert cli.main(["--config", str(cfg), "segment",
+                         "--trace", workdir["traces"][0], "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {cfg}:4: key 'first' given twice (first on line 1)\n"
+        assert not out.exists()
+
 
 def event_line(t, speed=2.5):
     return f'{{"t": {t!r}, "foot": "L", "speed_kmh": {speed!r}}}\n'

@@ -1,9 +1,9 @@
 """What a fresh process loads: ``import hapstep`` loads no submodule,
 the CLI's set-up path (import the CLI, load a table and
 both curves) loads none of the modules only other subcommands run,
-``calibrate`` loads no profiles module, and ``--help`` or a usage error
-loads no numpy.  Also: every name the per-layer benchmark wraps still
-resolves."""
+``calibrate`` loads no profiles module, no subcommand loads ``numpy.ma``,
+and ``--help`` or a usage error loads no numpy.  Also: every name the
+per-layer benchmark wraps still resolves."""
 
 import importlib
 import importlib.util
@@ -13,13 +13,17 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hapstep import calibration, cli, plant, renderer, segmentation
+from hapstep.synthetic import synthetic_walk
+from hapstep.trace import write_trace
 
-from conftest import make_curve
+from conftest import KNOT_SPEEDS, make_curve
 
 #: modules that loading a table and curves has no use for
 NOT_ON_SETUP = ("hapstep.renderer", "hapstep.plant", "hapstep.scores",
@@ -82,6 +86,60 @@ def test_calibrate_loads_only_what_it_runs(tmp_path):
     assert calibration.load_curve(out).slope == pytest.approx(3.0)
     assert {m for m in loaded if m.startswith("hapstep.")} \
         == {"hapstep.cli", "hapstep.errors", "hapstep.textio", "hapstep.calibration"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A valid argv of each subcommand, on fixture files that the
+    subcommands upstream of it wrote."""
+    root = tmp_path_factory.mktemp("imports")
+    traces = []
+    for i, speed in enumerate(KNOT_SPEEDS):
+        tr, _ = synthetic_walk(n_steps=30, speed_kmh=speed, jitter=0.05,
+                               participant=f"p0{i}", rng=np.random.default_rng(i))
+        write_trace(tr, root / f"walk_{speed:g}.csv")
+        traces.append(str(root / f"walk_{speed:g}.csv"))
+    (root / "points.csv").write_text("duty,peak_force\n0.4,1.2\n0.9,2.7\n")
+    (root / "events.ndjson").write_text("".join(
+        f'{{"t": {t}, "foot": "L", "speed_kmh": {v}}}\n'
+        for t, v in ((0.05, 1.0), (1.4, 2.5), (2.7, 4.0))))
+    grid = product(("none", "vibration", "friction"), KNOT_SPEEDS)
+    (root / "scores.csv").write_text("participant,item,stimulus,speed_kmh,score\n" + "".join(
+        f"p1,realism,{s},{v},{10 * k}\n" for k, (s, v) in enumerate(grid, 1)))
+    for direction in ("forward", "backward"):
+        calibration.save_curve(make_curve(direction), root / f"{direction}.json")
+    render = ["--table", str(root / "table.json"), "--calib-forward",
+              str(root / "forward.json"), "--calib-backward", str(root / "backward.json")]
+    events = ["--events", str(root / "events.ndjson")]
+    argv = {
+        "ingest": ["--trace", traces[0]],
+        "segment": ["--trace", traces[0]],
+        "phases": ["--trace", traces[0]],
+        "compile": ["--traces", *traces],
+        "calibrate": ["--points", str(root / "points.csv"), "--direction", "forward"],
+        "step-response": ["--commanded", str(root / "bench.csv"),
+                          "--measured", str(root / "bench.csv")],
+        "render": [*events, *render],
+        "vibstep": ["--commands", str(root / "commands.csv")],
+        "simulate": [*events, *render],
+        "normalize": ["--scores", str(root / "scores.csv")],
+    }
+    for command, out in (("compile", "table.json"), ("render", "commands.csv")):
+        assert cli.main([command, *argv[command], "--out", str(root / out)]) == 0
+    assert cli.main(["simulate", "--out", str(root / "bench.json"),
+                     "--out-log", str(root / "bench.csv")]) == 0
+    return root, argv
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_no_subcommand_loads_numpy_ma(command, inputs):
+    """numpy 2's median loads all of numpy.ma, about 13 ms and 1.2 MB
+    of a fresh process, for its NaN check."""
+    root, argv = inputs
+    out = root / f"{command}.out"
+    loaded = _fresh(_MAIN, command, *argv[command], "--out", str(out))
+    assert out.exists(), command
+    assert "numpy.ma" not in loaded
 
 
 def test_import_hapstep_loads_no_submodule():

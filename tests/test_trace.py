@@ -1,11 +1,19 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapstep import cli
 from hapstep.errors import ConfigError, FormatError
-from hapstep.trace import ForceTrace, load_trace, rate_from_times, write_trace
+from hapstep.trace import (
+    TIME_JITTER_TOL,
+    ForceTrace,
+    load_trace,
+    rate_from_times,
+    write_trace,
+)
 
 from conftest import dump_trace, no_unclosed_files
 
@@ -224,6 +232,56 @@ def test_time_step_without_a_rate(t):
     csv = HEADER + "t,thenar_y,heel_y\n" + "".join(f"{x!r},0,0\n" for x in t.tolist())
     with pytest.raises(FormatError, match="no finite, positive sample rate"):
         load_trace(io.StringIO(csv))
+
+
+def reference_rate(t):
+    """rate_from_times as it was when it called np.median."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = np.diff(t)
+        med = float(np.median(dt))
+        if not med > 0:
+            raise FormatError("time column must be strictly increasing")
+        if np.any(np.abs(dt - med) > TIME_JITTER_TOL * med):
+            raise FormatError(
+                f"non-uniform time spacing beyond {TIME_JITTER_TOL:.0%} jitter")
+    rate = 1.0 / med
+    if not 0 < rate < math.inf:
+        raise FormatError(f"time step {med!r} s has no finite, positive sample rate")
+    return rate
+
+
+@st.composite
+def clocks(draw):
+    """Time columns of 2-2,000 samples with an odd or even step count:
+    steps near 1 ms, the smallest subnormal or the top of the float
+    range, jittered inside or beyond 1%, and NaN or +-inf anywhere."""
+    n_steps = draw(st.integers(1, 4) | st.integers(1, 1999))
+    step = draw(st.sampled_from([1e-3, 5e-324, 1e-323, 2.2e-308, 8.99e307, 1e308, 1.7e308])
+                | st.floats(5e-324, 1.7e308))
+    jitter = draw(st.sampled_from([0.0, 0.005, 0.0099, 0.0101, 0.03, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = draw(st.sampled_from([-0.5, 0.0, 1.0])) * step * n_steps
+        steps = step * (1 + jitter * rng.uniform(-1, 1, n_steps))
+        t = np.cumsum(np.concatenate([[start], steps]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        t[draw(st.integers(0, n_steps))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return t
+
+
+def rate_or_message(rate_of, t):
+    try:
+        return rate_of(t).hex()
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(clocks())
+def test_rate_matches_the_np_median_reference(t):
+    """The partition median gives the reference's rate bit for bit, or
+    its FormatError and message."""
+    assert rate_or_message(rate_from_times, t) == rate_or_message(reference_rate, t)
 
 
 def test_empty_body_rejected():
