@@ -13,8 +13,9 @@ builds the argument parser of its own subcommand alone; ``-h``,
 ``--config=FILE`` and an argv naming no subcommand get the parser of
 every subcommand.
 
-Exit codes: 0 ok, 2 usage/config, 3 malformed input, 4 pipeline
-degenerate, 5 I/O failure.
+Each subcommand's function returns its one-line summary; ``main``
+prints ``SUMMARY -> OUT`` and returns the exit status: 0 ok, 2
+usage/config, 3 malformed input, 4 pipeline degenerate, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .errors import (
 #: --listen waits this long for the connection and for each event line
 #: (renderer.MAX_EVENT_GAP_S)
 LISTEN_TIMEOUT_S = 3600.0
-
-#: the subcommands, in the order the parser lists them
-COMMANDS = ("ingest", "segment", "phases", "compile", "calibrate", "step-response",
-            "render", "vibstep", "simulate", "normalize")
 
 DEFAULTS = {
     "onset_threshold": 0.3,
@@ -100,26 +97,24 @@ def _seg_config(args):
     )
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> str:
     from . import trace
 
     tr = trace.load_trace(args.trace)
     trace.write_trace(tr, args.out)
-    print(f"ingested {len(tr)} samples at {tr.sample_rate_hz:g} Hz "
-          f"(speed {tr.speed_kmh:g} km/h, participant {tr.participant}) -> {args.out}")
-    return 0
+    return (f"ingested {len(tr)} samples at {tr.sample_rate_hz:g} Hz "
+            f"(speed {tr.speed_kmh:g} km/h, participant {tr.participant})")
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> str:
     from . import segmentation, textio, trace
 
-    tr = trace.load_trace(args.trace)
-    segs = segmentation.segment_steps(tr, _seg_config(args))
+    cfg = _seg_config(args)  # checked before the trace is read
+    segs = segmentation.segment_steps(trace.load_trace(args.trace), cfg)
     data = [{"index_in_walk": s.index_in_walk, "start_s": s.start_s,
              "duration_s": s.trace.duration_s} for s in segs]
     textio.write_json(args.out, data)
-    print(f"{len(segs)} steps -> {args.out}")
-    return 0
+    return f"{len(segs)} steps"
 
 
 def _phased_steps(segs):
@@ -136,31 +131,44 @@ def _phased_steps(segs):
         yield s, ph
 
 
-def cmd_phases(args) -> int:
+def cmd_phases(args) -> str:
     from . import segmentation, textio, trace
 
-    tr = trace.load_trace(args.trace)
-    segs = segmentation.segment_steps(tr, _seg_config(args))
+    cfg = _seg_config(args)  # checked before the trace is read
+    segs = segmentation.segment_steps(trace.load_trace(args.trace), cfg)
     annotated = [{**vars(ph), "step_index": s.index_in_walk}
                  for s, ph in _phased_steps(segs)]
     textio.write_json(args.out, annotated)
-    print(f"{len(annotated)}/{len(segs)} steps annotated -> {args.out}")
-    return 0
+    return f"{len(annotated)}/{len(segs)} steps annotated"
 
 
 def _trace_to_profiles(tr, cfg, first, last):
-    """Steady-window per-step friction profiles of one walk."""
-    from . import segmentation
+    """Steady-window per-step friction profiles of one walk.  A step
+    whose brake (B) or drive (F) impulse lies outside half to twice that
+    impulse's median over the walk's phased steps is reported on stderr
+    and skipped, so one glitched sample cannot rescale the table."""
+    from . import profiles, segmentation
 
     segs = segmentation.select_middle(
         segmentation.segment_steps(tr, cfg), first, last)
-    out = [segmentation.combine_channels(s, ph) for s, ph in _phased_steps(segs)]
+    steps = [(s, segmentation.combine_channels(s, ph)) for s, ph in _phased_steps(segs)]
+    impulses = [(i.B, i.F) for i in (profiles.compute_impulses(p) for _, p in steps)]
+    # the upper median by sorting, as np.median would load numpy.ma
+    medians = [sorted(v)[len(v) // 2] for v in zip(*impulses)]
+    out = []
+    for (s, p), pair in zip(steps, impulses):
+        far = [f"{k}={x:.4g} N*s is outside half to twice the walk's median {m:.4g}"
+               for k, x, m in zip("BF", pair, medians) if not m / 2 <= x <= 2 * m]
+        if far:
+            print(f"step {s.index_in_walk} rejected: impulse {far[0]}", file=sys.stderr)
+            continue
+        out.append(p)
     if not out:
         raise PipelineError("no usable steps in trace")
     return out
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> str:
     from . import profiles, trace
 
     cfg = _seg_config(args)
@@ -194,25 +202,21 @@ def cmd_compile(args) -> int:
 
     table = profiles.fit_device_scale(raw_table, device_max_force)
     profiles.save_table(table, args.out)
-    print(f"{len(table.entries)} speed entries, device_scale="
-          f"{table.device_scale:.4f} -> {args.out}")
-    return 0
+    return f"{len(table.entries)} speed entries, device_scale={table.device_scale:.4f}"
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> str:
     from . import calibration, textio
 
     duty, force = textio.read_columns(args.points, ("duty", "peak_force"), 0)
     curve = calibration.fit_calibration(zip(duty, force), args.direction,
                                         min_duty=resolve(args, "min_duty"))
     calibration.save_curve(curve, args.out)
-    print(f"{args.direction}: slope={curve.slope:.4f} N/duty "
-          f"intercept={curve.intercept:.4f} N r2={curve.r_squared:.5f} "
-          f"-> {args.out}")
-    return 0
+    return (f"{args.direction}: slope={curve.slope:.4f} N/duty "
+            f"intercept={curve.intercept:.4f} N r2={curve.r_squared:.5f}")
 
 
-def cmd_step_response(args) -> int:
+def cmd_step_response(args) -> str:
     import numpy as np
 
     from . import plant, renderer, textio, trace
@@ -228,10 +232,8 @@ def cmd_step_response(args) -> int:
         raise FormatError(f"{args.commanded}: t is not on the measured log's clock")
     metrics = plant.analyze_step_response(duty, force, rate)
     textio.write_json(args.out, metrics)
-    print(f"rise={metrics['rise_s']:.4f}s (10-90% {metrics['rise_10_90_s']:.4f}s) "
-          f"fall={metrics['fall_s']:.4f}s transition={metrics['transition_s']:.4f}s "
-          f"-> {args.out}")
-    return 0
+    return (f"rise={metrics['rise_s']:.4f}s (10-90% {metrics['rise_10_90_s']:.4f}s) "
+            f"fall={metrics['fall_s']:.4f}s transition={metrics['transition_s']:.4f}s")
 
 
 @contextmanager
@@ -268,7 +270,7 @@ def _load_curves(args):
     return fwd, bwd
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> str:
     from . import profiles, renderer, textio
 
     fwd, bwd = _load_curves(args)
@@ -280,11 +282,10 @@ def cmd_render(args) -> int:
         blocks = renderer.command_blocks(rend, renderer.events_from_ndjson(lines),
                                          args.duration, rows=rows)
         n = textio.write_blocks(args.out, renderer.ActuatorCommand._fields, blocks)
-    print(f"{n} ticks -> {args.out}")
-    return 0
+    return f"{n} ticks"
 
 
-def cmd_vibstep(args) -> int:
+def cmd_vibstep(args) -> str:
     import numpy as np
 
     from . import renderer, textio, trace
@@ -295,8 +296,7 @@ def cmd_vibstep(args) -> int:
     heel, thenar = renderer.to_vibstep(duty)
     n = textio.write_blocks(args.out, ("t", "heel_duty", "thenar_duty"),
                             [(t, heel, thenar)])
-    print(f"{n} ticks -> {args.out}")
-    return 0
+    return f"{n} ticks"
 
 
 def _default_curves(min_duty):
@@ -307,7 +307,7 @@ def _default_curves(min_duty):
     return mk("forward"), mk("backward")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     from . import plant, profiles, renderer, textio
 
     if bool(args.events) != bool(args.table):
@@ -331,20 +331,24 @@ def cmd_simulate(args) -> int:
     if args.out_log:
         plant.save_sim_run(run, args.out_log)
     textio.write_json(args.out, run.metrics)
-    summary = " ".join(f"{k}={v:.4g}" for k, v in sorted(run.metrics.items()))
-    print(f"{summary} -> {args.out}")
-    return 0
+    return " ".join(f"{k}={v:.4g}" for k, v in sorted(run.metrics.items()))
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> str:
     from . import scores
 
     raw = scores.read_scores(args.scores)
     normalized = scores.normalize_scores(raw)
     scores.write_normalized(raw, normalized, args.out)
-    print(f"{sum(len(v) for v in raw.values())} participant-item grids "
-          f"-> {args.out}")
-    return 0
+    return f"{sum(len(v) for v in raw.values())} participant-item grids"
+
+
+#: each subcommand's function, in the order the parser lists them; it
+#: returns the one-line summary that main prints before " -> OUT"
+COMMANDS = {"ingest": cmd_ingest, "segment": cmd_segment, "phases": cmd_phases,
+            "compile": cmd_compile, "calibrate": cmd_calibrate,
+            "step-response": cmd_step_response, "render": cmd_render,
+            "vibstep": cmd_vibstep, "simulate": cmd_simulate, "normalize": cmd_normalize}
 
 
 def _add_seg_flags(p):
@@ -370,19 +374,16 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     if p := add("ingest", help="validate and re-emit a trace CSV"):
         p.add_argument("--trace", required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_ingest)
 
     if p := add("segment", help="cut a walk trace into steps"):
         p.add_argument("--trace", required=True)
         p.add_argument("--out", required=True)
         _add_seg_flags(p)
-        p.set_defaults(func=cmd_segment)
 
     if p := add("phases", help="annotate steps with phase timings"):
         p.add_argument("--trace", required=True)
         p.add_argument("--out", required=True)
         _add_seg_flags(p)
-        p.set_defaults(func=cmd_phases)
 
     if p := add("compile", help="traces -> speed-indexed triangular profile table"):
         p.add_argument("--traces", nargs="+", required=True)
@@ -391,20 +392,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--first", type=int)
         p.add_argument("--last", type=int)
         _add_seg_flags(p)
-        p.set_defaults(func=cmd_compile)
 
     if p := add("calibrate", help="fit a duty->force line"):
         p.add_argument("--points", required=True, help="CSV duty,peak_force")
         p.add_argument("--direction", required=True, choices=["forward", "backward"])
         p.add_argument("--min-duty", dest="min_duty", type=float)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_calibrate)
 
     if p := add("step-response", help="response metrics from command/measurement logs"):
         p.add_argument("--commanded", required=True, help="CSV t,signed_duty")
         p.add_argument("--measured", required=True, help="CSV t,force")
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_step_response)
 
     if p := add("render", help="NDJSON gait events -> command log"):
         p.add_argument("--events", default="-",
@@ -416,12 +414,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--duration", type=float)
         p.add_argument("--listen", type=int,
                        help="accept one NDJSON TCP connection on this port")
-        p.set_defaults(func=cmd_render)
 
     if p := add("vibstep", help="command log -> vibrator rectangles"):
         p.add_argument("--commands", required=True, help="CSV t,signed_duty")
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_vibstep)
 
     if p := add("simulate", help="plant simulation (bench step test, or closed "
                                   "loop with --events/--table)"):
@@ -435,12 +431,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        help="floor of the default curves (not with --calib-*)")
         p.add_argument("--out", required=True, help="metrics JSON")
         p.add_argument("--out-log", dest="out_log", help="per-tick CSV log")
-        p.set_defaults(func=cmd_simulate)
 
     if p := add("normalize", help="normalize questionnaire scores"):
         p.add_argument("--scores", required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_normalize)
 
     return parser
 
@@ -455,7 +449,8 @@ def main(argv=None) -> int:
     args = build_parser(command if command in COMMANDS else None).parse_args(argv)
     try:
         args._config = read_config(args.config) if args.config else {}
-        return args.func(args)
+        print(f"{COMMANDS[args.command](args)} -> {args.out}")
+        return 0
     except HapstepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -6,12 +6,14 @@ import math
 import os
 import threading
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from hapstep.calibration import CalibrationCurve, fit_calibration
+from hapstep import cli
+from hapstep.calibration import CalibrationCurve, fit_calibration, save_curve
 from hapstep.profiles import (
     FrictionProfile,
     align_durations,
@@ -116,6 +118,49 @@ def build_knot_table(device_max_force=3.0, seed=0):
 @pytest.fixture(scope="session")
 def knot_table():
     return build_knot_table()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid argv of each subcommand, on fixture files that the
+    subcommands upstream of it wrote."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    traces = []
+    for i, speed in enumerate(KNOT_SPEEDS):
+        tr, _ = synthetic_walk(n_steps=30, speed_kmh=speed, jitter=0.05,
+                               participant=f"p0{i}", rng=np.random.default_rng(i))
+        write_trace(tr, root / f"walk_{speed:g}.csv")
+        traces.append(str(root / f"walk_{speed:g}.csv"))
+    (root / "points.csv").write_text("duty,peak_force\n0.4,1.2\n0.9,2.7\n")
+    (root / "events.ndjson").write_text("".join(
+        f'{{"t": {t}, "foot": "L", "speed_kmh": {v}}}\n'
+        for t, v in ((0.05, 1.0), (1.4, 2.5), (2.7, 4.0))))
+    grid = product(("none", "vibration", "friction"), KNOT_SPEEDS)
+    (root / "scores.csv").write_text("participant,item,stimulus,speed_kmh,score\n" + "".join(
+        f"p1,realism,{s},{v},{10 * k}\n" for k, (s, v) in enumerate(grid, 1)))
+    for direction in ("forward", "backward"):
+        save_curve(make_curve(direction), root / f"{direction}.json")
+    render = ["--table", str(root / "table.json"), "--calib-forward",
+              str(root / "forward.json"), "--calib-backward", str(root / "backward.json")]
+    events = ["--events", str(root / "events.ndjson")]
+    argv = {
+        "ingest": ["--trace", traces[0]],
+        "segment": ["--trace", traces[0]],
+        "phases": ["--trace", traces[0]],
+        "compile": ["--traces", *traces],
+        "calibrate": ["--points", str(root / "points.csv"), "--direction", "forward"],
+        "step-response": ["--commanded", str(root / "bench.csv"),
+                          "--measured", str(root / "bench.csv")],
+        "render": [*events, *render],
+        "vibstep": ["--commands", str(root / "commands.csv")],
+        "simulate": [*events, *render],
+        "normalize": ["--scores", str(root / "scores.csv")],
+    }
+    for command, out in (("compile", "table.json"), ("render", "commands.csv")):
+        assert cli.main([command, *argv[command], "--out", str(root / out)]) == 0
+    assert cli.main(["simulate", "--out", str(root / "bench.json"),
+                     "--out-log", str(root / "bench.csv")]) == 0
+    return root, argv
 
 
 @contextlib.contextmanager

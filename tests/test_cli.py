@@ -19,7 +19,8 @@ from hapstep.calibration import save_curve
 from hapstep.profiles import interpolate, load_table
 from hapstep.scores import read_scores
 from hapstep.synthetic import synthetic_walk
-from hapstep.trace import write_trace
+from hapstep.segmentation import SegmentationConfig, detect_phases, segment_steps
+from hapstep.trace import load_trace, write_trace
 
 from conftest import KNOT_SPEEDS, fitted_curves, make_curve, no_unclosed_files, within
 
@@ -112,7 +113,7 @@ class TestOneSubparser:
     def test_names_are_the_full_parsers_choices(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        assert tuple(sub.choices) == cli.COMMANDS
+        assert tuple(sub.choices) == tuple(cli.COMMANDS)
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_same_namespace(self, command, tmp_path, monkeypatch):
@@ -122,8 +123,7 @@ class TestOneSubparser:
         built, ran = [], []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c) or build(c))
-        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
-                            lambda args: ran.append(vars(args)) or 0)
+        monkeypatch.setitem(cli.COMMANDS, command, lambda args: ran.append(vars(args)) or "")
         assert cli.main(argv) == 0
         assert built == [command]
         assert ran == [{**vars(self.full(argv)), "_config": {"first": 4}}]
@@ -144,6 +144,36 @@ class TestOneSubparser:
     def test_no_command_name_found(self, argv, capsys):
         """argv where the scan finds no command gets the full parser."""
         assert parse_exit(cli.main, argv, capsys) == parse_exit(self.full, argv, capsys)
+
+
+class TestSummaryLine:
+    """A subcommand returns its summary; main prints it as SUMMARY -> OUT."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_last_stdout_line_is_summary_to_out(self, command, cli_inputs, tmp_path, capsys):
+        _, argv = cli_inputs
+        out = str(tmp_path / "out")
+        assert cli.main([command, *argv[command], "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary, arrow, path = lines[-1].rpartition(" -> ")
+        assert summary and arrow and path == out
+        # compile prints one line per speed first
+        assert len(lines) == (1 + len(KNOT_SPEEDS) if command == "compile" else 1)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_subcommand_that_raises_prints_no_summary(self, command, cli_inputs, tmp_path,
+                                                        monkeypatch, capsys):
+        _, argv = cli_inputs
+
+        def fail(args):
+            print("partial")
+            raise cli.PipelineError("degenerate")
+
+        monkeypatch.setitem(cli.COMMANDS, command, fail)
+        assert cli.main([command, *argv[command], "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "partial\n"
+        assert captured.err == "error: degenerate\n"
 
 
 class TestIngest:
@@ -223,6 +253,14 @@ class TestSegmentAndPhases:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["segment", "phases"])
+    def test_bad_threshold_exit_2_before_reading_the_trace(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--trace", str(tmp_path / "missing.csv"),
+                         "--onset-threshold", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: thresholds must be positive\n"
+        assert not out.exists()
+
 
 class TestCompile:
     def test_table_has_three_speeds(self, workdir):
@@ -278,6 +316,33 @@ class TestCompile:
         errors = res.stderr.splitlines()
         assert len(errors) == (code != 0)
         assert all(line.startswith("error: ") for line in errors)
+
+
+    @pytest.mark.parametrize("glitch", [1e6, 1e300, 1e308])
+    def test_one_glitched_sample_rejects_its_step(self, workdir, tmp_path, capsys, glitch):
+        """One thenar sample at the drive peak of the 2.5 km/h walk's
+        7th step: that step is rejected, not the whole table rescaled."""
+        walk = load_trace(workdir["traces"][1])
+        step = segment_steps(walk)[6]
+        at = round((step.start_s + detect_phases(step).t_step3_peak) * walk.sample_rate_hz)
+        walk.thenar_y[at] = glitch
+        write_trace(walk, tmp_path / "glitched.csv")
+        traces = [workdir["traces"][0], str(tmp_path / "glitched.csv"), workdir["traces"][2]]
+        assert cli.main(["compile", "--traces", *traces, "--out", str(tmp_path / "t.json")]) == 0
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("step 7 rejected: impulse F=")
+        table, clean = (json.loads(Path(p).read_text())
+                        for p in (tmp_path / "t.json", workdir["table"]))
+        assert table["device_scale"] == clean["device_scale"] == 1.0
+        assert [table["entries"][k] for k in (0, 2)] == [clean["entries"][k] for k in (0, 2)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_jittered_walks_have_no_impulse_outlier(self, capsys, seed):
+        rng = np.random.default_rng(seed)
+        for speed in KNOT_SPEEDS:
+            walk, _ = synthetic_walk(n_steps=30, speed_kmh=speed, jitter=0.05, rng=rng)
+            assert len(cli._trace_to_profiles(walk, SegmentationConfig(), 4, 13)) == 10
+        assert capsys.readouterr().err == ""
 
 
 class TestCalibrate:

@@ -412,13 +412,15 @@ def test_huge_valid_row_reads_like_valid_input(valid_paths, tmp_path, monkeypatc
     assert within(RUN_S, _exit, *run, content) == _exit(*run, VALID[kind].encode())
 
 
-@pytest.mark.parametrize("case", HUGE_FORCES)
-@pytest.mark.parametrize("command,code", [("ingest", 0), ("segment", 0), ("phases", 0),
-                                          ("compile", 4)])
+@pytest.mark.parametrize("command,code,case", [
+    *((command, 0, case) for command in ("ingest", "segment", "phases") for case in HUGE_FORCES),
+    ("compile", 4, "both-channels"), ("compile", 0, "heel")])
 def test_forces_near_the_float_limit(valid_paths, tmp_path, monkeypatch, capsys,
                                      command, code, case):
-    """No numpy warning (an error here) from any trace command, and
-    compile exits 4, as for a profile whose mean overflows."""
+    """No numpy warning (an error here) from any trace command.  compile
+    exits 4 where the channels' sum is past the float range, as for a
+    profile whose mean overflows, and rejects the step of a finite
+    -1e308 heel sample as an impulse outlier."""
     flag, kind = SUBCOMMANDS[command][0][0]
     content = _huge_brake_peak(HUGE_FORCES[case])
     assert within(RUN_S, _exit, valid_paths, tmp_path, monkeypatch, capsys,
